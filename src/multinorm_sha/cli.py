@@ -4,8 +4,12 @@ Config documents are JSON: a single object (mode "abstract" or "kummer") or
 a list of abstract per-prime objects whose results are direct-summed.  All
 integers are exact; reports are plain JSON-compatible data.
 
-Exit codes: 0 success, 2 validation error, 3 budget exceeded,
-4 disagreement between computation routes (or a failed golden example).
+Exit codes: 0 success, 2 validation error (including an out-of-range
+command-line option), 3 budget exceeded, 4 disagreement between computation
+routes (or a failed golden example), 5 an internal consistency check failed
+(the oracle's closure or subgroup-chain check, the scan check of
+--debug-monotonicity, the normalized-config conventions, or the Kummer
+builder's check of its quoted local facts).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import time
 from .abelian import BudgetExceeded, Character, PGroup, subgroup_from_generators
 from .fields import FieldConfig, ShaInputError, validate_and_normalize
 from .places import LocalData, Place
-from .oracle import DEFAULT_BUDGET, ShaReport, oracle_report
+from .oracle import DEFAULT_BUDGET, InternalCheckError, ShaReport, oracle_report
 from .structure import StructureResult, assemble, check_monotone_scans
 from .kummer import KummerSpec, build_kummer, verify_quoted_local_facts
 from .selftest import run_selftest
@@ -27,6 +31,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_DISAGREEMENT = 4
+EXIT_INTERNAL = 5
 
 
 class SchemaError(ShaInputError):
@@ -621,10 +626,25 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("selftest", help="randomized oracle-vs-formula check")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=100)
-    sp.add_argument("--deep-every", type=int, default=10)
+    sp.add_argument("--count", type=_int_at_least(1), default=100)
+    sp.add_argument("--deep-every", type=_int_at_least(1), default=10)
     sp.set_defaults(func=cmd_selftest)
     return parser
+
+
+def _int_at_least(minimum):
+    """argparse type: an integer >= minimum, else a usage error (exit 2)."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_compute_flags(sp):
@@ -633,7 +653,7 @@ def _add_compute_flags(sp):
         choices=["formula", "oracle", "both"],
         default="both",
     )
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=_int_at_least(1), default=None)
     sp.add_argument("--json", default="", help="write the JSON report to this path")
     sp.add_argument("--debug-monotonicity", action="store_true")
 
@@ -652,6 +672,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (InternalCheckError, AssertionError) as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -102,14 +102,20 @@ class NormalizedConfig:
         self._check_conventions()
 
     def _check_conventions(self):
+        """Raises AssertionError (also under python -O) on a broken convention."""
         eps0 = self.eps[0]
-        assert all(eps0 <= e for e in self.eps), "K_0 must have minimal degree"
-        assert 0 in self.R, "U_0 must be nonempty when the K_i intersect in k"
-        assert self.eij[0][1] == 0 and self.e_i(1) == eps0
+        if not all(eps0 <= e for e in self.eps):
+            raise AssertionError("K_0 must have minimal degree")
+        if 0 not in self.R:
+            raise AssertionError("U_0 must be nonempty when the K_i intersect in k")
+        if self.eij[0][1] != 0 or self.e_i(1) != eps0:
+            raise AssertionError("K_1 must meet K_0 in k")
         for i in range(1, self.m + 1):
             for j in range(i + 1, self.m + 1):
-                assert self.eij[i][j] >= self.eij[0][i]
-                assert self.eij[i][j] < min(self.eps[i], self.eps[j])
+                if not self.eij[0][i] <= self.eij[i][j] < min(self.eps[i], self.eps[j]):
+                    raise AssertionError(
+                        f"e_ij out of range for (i, j) = ({i}, {j})"
+                    )
 
     # -- field-level views ------------------------------------------------
 

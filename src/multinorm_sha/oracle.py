@@ -1,9 +1,17 @@
 """Definitional brute-force computation of the obstruction groups.
 
-Enumerates the whole ambient sum (+) Z/p^{e_i}, classifies every vector
-against all candidate decomposition subgroups, and returns G and G_omega as
-explicit subgroups together with their invariant factors modulo the diagonal.
-This is the slow, trusted route; the closed-form route must match it.
+Classifies vectors of the ambient sum (+) Z/p^{e_i} against all candidate
+decomposition subgroups and returns G and G_omega as explicit subgroups,
+together with the invariant factors of sha = G/D and sha_omega = G_omega/D,
+D the diagonal.  This is the slow, trusted route; the closed-form route must
+match it.
+
+Only the slice H = {a : a_1 = 0} is swept, one vector per coset of D.  The
+classification of a depends on each a_i only through n - a_i, with n running
+over all of Z/p^{e_1} and e_1 the largest swept exponent, so a and
+a + c(1,...,1) are classified alike.  H is a complement of D, hence
+G = (G cap H) (+) D and G/D is isomorphic to G cap H; likewise for G_omega.
+The sweep budget still counts the whole ambient sum.
 """
 
 from __future__ import annotations
@@ -127,6 +135,7 @@ class _SweepContext:
         ]
         self.cyclic_tvecs = _maximal_vectors(cyc)
         self.exc_tvecs = _maximal_vectors(exc)
+        self.members = None  # (G slice, G_omega slice), set by the sweep
 
     def classify(self, a) -> Classification:
         cyc = set(self.cyclic_tvecs)
@@ -167,22 +176,32 @@ def classify(cfg: NormalizedConfig, localdata: LocalData, a) -> Classification:
 
 
 def enumerate_members(cfg, localdata, indices=None, budget=DEFAULT_BUDGET):
-    """All vectors of G and of G_omega over the given index set (default: all)."""
-    ctx = _context(cfg, localdata, indices)
-    total = prod(cfg.p ** e for e in ctx.exps)
+    """The vectors of G and of G_omega whose first swept coordinate is 0.
+
+    That is one member per coset of the diagonal, over the given index set
+    (default: all).  Each index set is swept once per config; later calls
+    return the stored tuples.  The budget bounds the whole ambient sum.
+    """
+    if indices is None:
+        indices = range(1, cfg.m + 1)
+    total = prod(cfg.p ** cfg.e_i(i) for i in indices)
     if total > budget:
         raise BudgetExceeded(
             f"oracle sweep over {total} candidate vectors exceeds budget {budget}"
         )
-    g_members, gw_members = [], []
-    for a in itertools.product(*(range(cfg.p ** e) for e in ctx.exps)):
-        cls = ctx.classify(a)
-        if cls is Classification.OUTSIDE:
-            continue
-        gw_members.append(a)
-        if cls is Classification.IN_G:
-            g_members.append(a)
-    return g_members, gw_members
+    ctx = _context(cfg, localdata, indices)
+    if ctx.members is None:
+        g_members, gw_members = [], []
+        ranges = [range(1)] + [range(cfg.p ** e) for e in ctx.exps[1:]]
+        for a in itertools.product(*ranges):
+            cls = ctx.classify(a)
+            if cls is Classification.OUTSIDE:
+                continue
+            gw_members.append(a)
+            if cls is Classification.IN_G:
+                g_members.append(a)
+        ctx.members = (tuple(g_members), tuple(gw_members))
+    return ctx.members
 
 
 def _as_subgroup(ambient: PGroup, members) -> Subgroup:
@@ -194,35 +213,44 @@ def _as_subgroup(ambient: PGroup, members) -> Subgroup:
     return sub
 
 
+def _slice_subgroups(cfg, localdata, indices=None, budget=DEFAULT_BUDGET):
+    """The spans of the swept slices, G cap H and G_omega cap H.
+
+    Closure and the chain D <= G <= G_omega, read on the slices as
+    0 in G cap H <= G_omega cap H, are verified, not assumed.
+    """
+    g_members, gw_members = enumerate_members(cfg, localdata, indices, budget)
+    ambient = PGroup(cfg.p, _context(cfg, localdata, indices).exps)
+    if not g_members or g_members[0] != ambient.zero():
+        raise InternalCheckError("expected D <= G")
+    g_sub = _as_subgroup(ambient, g_members)
+    gw_sub = _as_subgroup(ambient, gw_members)
+    if not g_sub.issubset(gw_sub):
+        raise InternalCheckError("expected G <= G_omega")
+    return g_sub, gw_sub
+
+
+def _plus_diagonal(sub: Subgroup) -> Subgroup:
+    ambient = sub.ambient
+    return Subgroup._span_rows(ambient, list(sub.basis) + [(1,) * ambient.rank])
+
+
 def compute_G_and_Gomega(
     cfg: NormalizedConfig,
     localdata: LocalData,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[Subgroup, Subgroup]:
-    """G and G_omega as canonical subgroups of (+) Z/p^{e_i}.
-
-    Closure and the chain D <= G <= G_omega are verified, not assumed.
-    """
-    g_members, gw_members = enumerate_members(cfg, localdata, budget=budget)
-    ambient = PGroup(cfg.p, cfg.eis)
-    g_sub = _as_subgroup(ambient, g_members)
-    gw_sub = _as_subgroup(ambient, gw_members)
-    diag = Subgroup.span(ambient, [(1,) * cfg.m])
-    if not diag.issubset(g_sub) or not g_sub.issubset(gw_sub):
-        raise InternalCheckError("expected D <= G <= G_omega")
-    return g_sub, gw_sub
+    """G and G_omega as canonical subgroups of (+) Z/p^{e_i}."""
+    g_sub, gw_sub = _slice_subgroups(cfg, localdata, budget=budget)
+    return _plus_diagonal(g_sub), _plus_diagonal(gw_sub)
 
 
 def subtorus_groups(cfg, localdata, r: int, budget: int = DEFAULT_BUDGET):
     """G and G_omega of the block (K_0, K_{U_r}), as subgroups of (+)_{U_r}."""
     if r not in cfg.R:
         raise ValueError(f"no fields with e_0i = {r}")
-    indices = cfg.U(r)
-    g_members, gw_members = enumerate_members(cfg, localdata, indices, budget)
-    ambient = PGroup(cfg.p, tuple(cfg.e_i(i) for i in indices))
-    g_sub = _as_subgroup(ambient, g_members)
-    gw_sub = _as_subgroup(ambient, gw_members)
-    return g_sub, gw_sub
+    g_sub, gw_sub = _slice_subgroups(cfg, localdata, cfg.U(r), budget)
+    return _plus_diagonal(g_sub), _plus_diagonal(gw_sub)
 
 
 def quotient_by_D(group: Subgroup) -> list[int]:
@@ -283,10 +311,11 @@ def aprime(cfg: NormalizedConfig, localdata: LocalData, a) -> tuple[int, ...]:
 
 
 def oracle_report(cfg, localdata, budget: int = DEFAULT_BUDGET) -> ShaReport:
-    g_sub, gw_sub = compute_G_and_Gomega(cfg, localdata, budget)
+    g_sub, gw_sub = _slice_subgroups(cfg, localdata, budget=budget)
+    zero = Subgroup.trivial(g_sub.ambient)
     return ShaReport(
-        sha_invariants=tuple(quotient_by_D(g_sub)),
-        sha_omega_invariants=tuple(quotient_by_D(gw_sub)),
+        sha_invariants=tuple(g_sub.invariants_mod(zero)),
+        sha_omega_invariants=tuple(gw_sub.invariants_mod(zero)),
         quotient_invariants=tuple(gw_sub.invariants_mod(g_sub)),
         method="oracle",
     )

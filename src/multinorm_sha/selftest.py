@@ -22,7 +22,6 @@ from .oracle import (
     classify_fast,
     compute_G_and_Gomega,
     enumerate_members,
-    in_diagonal,
     oracle_report,
 )
 from .structure import StructureResult, assemble, check_monotone_scans
@@ -135,6 +134,25 @@ def _require(condition: bool, message: str, cfg, local):
         raise SelftestFailure(message, cfg, local)
 
 
+def _sample_outside_diagonal(rng: random.Random, cfg: NormalizedConfig, members, k: int):
+    """k random vectors of (members (+) D) minus D, members a swept slice.
+
+    Draws from rng exactly as rng.sample would from the lexicographically
+    sorted list of those vectors: the vectors with first coordinate c are
+    the shifts by c(1,...,1) of the nonzero slice members, so a list index
+    names its shift c and its place in the sorted shifted slice.
+    """
+    moduli = [cfg.p ** e for e in cfg.eis]
+    nonzero = [s for s in members if any(s)]
+    n = moduli[0] * len(nonzero)
+    out = []
+    for j in rng.sample(range(n), min(k, n)):
+        c, t = divmod(j, len(nonzero))
+        shifted = sorted(tuple((x + c) % q for x, q in zip(s, moduli)) for s in nonzero)
+        out.append(shifted[t])
+    return out
+
+
 def check_invariants(
     cfg: NormalizedConfig,
     local: LocalData,
@@ -170,21 +188,25 @@ def check_invariants(
     # product decomposition across blocks, with the patchable-subgroup bounds
     g_sub, gw_sub = compute_G_and_Gomega(cfg, local)
     p, eps0 = cfg.p, cfg.eps[0]
+
+    def patchable(slice_members, r, d):
+        """Vectors x = 0 mod p^(eps0 - d) of a block group, from its slice.
+
+        The block group is slice (+) D_r, and the condition keeps
+        p^max(0, e - k) vectors of D_r (k = eps0 - d, e the block's first
+        exponent).  Block U_0 counts only its vectors with x[0] == 0.
+        """
+        k = eps0 - d
+        count = sum(1 for x in slice_members if all(c % p ** k == 0 for c in x))
+        if r == 0:
+            return count
+        return count * p ** max(0, cfg.e_i(cfg.U(r)[0]) - k)
+
     prod_g, prod_gw = 1, 1
     for r in cfg.R:
         g_mem, gw_mem = enumerate_members(cfg, local, indices=cfg.U(r))
-        m_om = p ** (eps0 - pat[r].delta_omega)
-        m_ord = p ** (eps0 - pat[r].delta)
-        prod_gw *= sum(
-            1
-            for x in gw_mem
-            if all(c % m_om == 0 for c in x) and (r > 0 or x[0] == 0)
-        )
-        prod_g *= sum(
-            1
-            for x in g_mem
-            if all(c % m_ord == 0 for c in x) and (r > 0 or x[0] == 0)
-        )
+        prod_gw *= patchable(gw_mem, r, pat[r].delta_omega)
+        prod_g *= patchable(g_mem, r, pat[r].delta)
     _require(gw_sub.order == p ** eps0 * prod_gw, "G_omega != D (+) sum of patchable blocks", cfg, local)
     _require(g_sub.order == p ** eps0 * prod_g, "G != D (+) sum of patchable blocks", cfg, local)
 
@@ -205,9 +227,8 @@ def check_invariants(
             local,
         )
 
-    _, gw_members = enumerate_members(cfg, local)
-    pool = [a for a in gw_members if not in_diagonal(cfg, a)]
-    for a in rng.sample(pool, min(4, len(pool))):
+    _, gw_slice = enumerate_members(cfg, local)
+    for a in _sample_outside_diagonal(rng, cfg, gw_slice, 4):
         ap = aprime(cfg, local, a)  # asserts a' not diagonal, failure set shrinks
         _require(
             classify_fast(cfg, local, ap) is not Classification.OUTSIDE,

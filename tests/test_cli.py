@@ -5,6 +5,7 @@ import pytest
 from multinorm_sha.cli import (
     EXAMPLES,
     EXIT_BUDGET,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VALIDATION,
     SchemaError,
@@ -205,3 +206,49 @@ def test_kummer_document_mode(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "delta = 2" in out
     assert "agreement: yes" in out
+
+
+def test_cli_internal_check_failures_exit_5(tmp_path, capsys, monkeypatch):
+    import multinorm_sha.cli as cli
+    import multinorm_sha.oracle as oracle
+
+    # {0, (0, 1)} in Z/4 x Z/4 is not closed under addition
+    monkeypatch.setattr(
+        oracle,
+        "enumerate_members",
+        lambda *a, **k: (((0, 0), (0, 1)), ((0, 0), (0, 1), (0, 2), (0, 3))),
+    )
+    path = write(tmp_path, ABSTRACT_17_13)
+    assert main(["compute", path, "--method", "oracle"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed:") and "closed" in err
+    assert len(err.splitlines()) == 1
+
+    def broken_scan(cfg, local):
+        raise AssertionError("delta scan not monotone at r=0, d=1")
+
+    monkeypatch.setattr(cli, "check_monotone_scans", broken_scan)
+    argv = ["compute", path, "--method", "formula", "--debug-monotonicity"]
+    assert main(argv) == EXIT_INTERNAL
+    assert "not monotone" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--count", "-5"],
+        ["selftest", "--count", "0"],
+        ["selftest", "--deep-every", "0"],
+        ["selftest", "--deep-every", "-1"],
+        ["compute", "cfg.json", "--budget", "0"],
+        ["compute", "cfg.json", "--budget", "-8"],
+        ["examples", "all", "--budget", "0"],
+        ["kummer", "--radicands", "17,221,13", "--compute", "--budget", "-1"],
+    ],
+)
+def test_cli_out_of_range_options_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "must be >= 1" in err

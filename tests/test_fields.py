@@ -313,3 +313,39 @@ def test_generator_of_bicyclic_lemma(quartic_17_13):
                     if best is None or pair.order < best.order:
                         best = pair
         assert best == comp
+
+
+def test_convention_checks_survive_python_O():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import multinorm_sha
+
+    script = """
+import sys
+from multinorm_sha.abelian import Character, PGroup
+from multinorm_sha.fields import FieldConfig, validate_and_normalize
+assert False, "asserts must be stripped here"
+group = PGroup(2, (2, 2))
+chars = tuple(Character(group, 2, c) for c in ((1, 0), (1, 1), (0, 1)))
+cfg = validate_and_normalize(FieldConfig(group, chars, ()))
+cfg._check_conventions()
+eij = [list(row) for row in cfg.eij]
+eij[0][1] = eij[1][0] = 1
+cfg.eij = tuple(tuple(row) for row in eij)
+try:
+    cfg._check_conventions()
+except AssertionError as exc:
+    print("raised:", exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+    src = str(Path(multinorm_sha.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised:")

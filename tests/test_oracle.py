@@ -1,14 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multinorm_sha.abelian import BudgetExceeded, PGroup, Subgroup
 from multinorm_sha.places import Classification
+from multinorm_sha.selftest import random_config
 from multinorm_sha.oracle import (
     InternalCheckError,
     ShaReport,
     aprime,
     classify,
+    classify_fast,
     compute_G_and_Gomega,
     enumerate_members,
     in_diagonal,
@@ -148,3 +152,84 @@ def test_sha_report_invariant_validation():
         ShaReport((2, 2), (2, 1), None, "oracle")
     rep = ShaReport((1,), (2, 1), (1,), "oracle")
     assert rep.sha_omega_invariants == (2, 1)
+
+
+def _shift(a, c, moduli):
+    return tuple((x + c) % q for x, q in zip(a, moduli))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), data=st.data())
+def test_classification_is_constant_on_diagonal_cosets(seed, data):
+    cfg, local = random_config(random.Random(seed))
+    for indices in [tuple(range(1, cfg.m + 1))] + [cfg.U(r) for r in cfg.R]:
+        moduli = [cfg.p ** cfg.e_i(i) for i in indices]
+        a = tuple(data.draw(st.integers(0, q - 1)) for q in moduli)
+        c = data.draw(st.integers(1, moduli[0] - 1)) if moduli[0] > 1 else 0
+        assert classify_fast(cfg, local, a, indices) is classify_fast(
+            cfg, local, _shift(a, c, moduli), indices
+        )
+
+
+def test_enumerate_members_is_the_slice_and_is_cached(quartic_17_13):
+    cfg, local = quartic_17_13
+    g_members, gw_members = enumerate_members(cfg, local)
+    assert all(a[0] == 0 for a in gw_members)
+    assert set(g_members) <= set(gw_members)
+    assert enumerate_members(cfg, local) is enumerate_members(cfg, local)
+
+
+def _reference_groups(cfg, local, indices):
+    """G and G_omega over an index set, by classifying every vector."""
+    ambient = PGroup(cfg.p, tuple(cfg.e_i(i) for i in indices))
+    g, gw = [], []
+    for a in ambient.elements():
+        cls = classify_fast(cfg, local, a, indices)
+        if cls is not Classification.OUTSIDE:
+            gw.append(a)
+        if cls is Classification.IN_G:
+            g.append(a)
+    g_sub, gw_sub = Subgroup.span(ambient, g), Subgroup.span(ambient, gw)
+    assert (g_sub.order, gw_sub.order) == (len(g), len(gw))
+    return g_sub, gw_sub
+
+
+def test_slice_sweep_matches_full_reference_sweep():
+    rng = random.Random(20191209)
+    checked = 0
+    while checked < 200:
+        cfg, local = random_config(rng)
+        if not local.exceptional:
+            continue
+        checked += 1
+        g_ref, gw_ref = _reference_groups(cfg, local, range(1, cfg.m + 1))
+        assert compute_G_and_Gomega(cfg, local) == (g_ref, gw_ref)
+        rep = oracle_report(cfg, local)
+        assert rep.sha_invariants == tuple(quotient_by_D(g_ref))
+        assert rep.sha_omega_invariants == tuple(quotient_by_D(gw_ref))
+        assert rep.quotient_invariants == tuple(gw_ref.invariants_mod(g_ref))
+        for r in cfg.R:
+            assert subtorus_groups(cfg, local, r) == _reference_groups(
+                cfg, local, cfg.U(r)
+            )
+
+
+def test_budget_counts_the_whole_ambient_before_the_cache(quartic_17_13):
+    cfg, local = quartic_17_13
+    enumerate_members(cfg, local)  # fills the cache
+    full = PGroup(cfg.p, cfg.eis).order
+    with pytest.raises(BudgetExceeded):
+        enumerate_members(cfg, local, budget=full - 1)
+    enumerate_members(cfg, local, budget=full)
+
+
+def test_chain_check_fires_when_zero_is_not_in_G(monkeypatch, quartic_17_13):
+    import multinorm_sha.oracle as oracle
+
+    cfg, local = quartic_17_13
+    g_members, gw_members = enumerate_members(cfg, local)
+    monkeypatch.setattr(
+        oracle, "enumerate_members", lambda *a, **k: (g_members[1:], gw_members)
+    )
+    with pytest.raises(InternalCheckError):
+        oracle_report(cfg, local)
