@@ -29,7 +29,14 @@ from .fields import (
     TooFewFields,
     validate_and_normalize,
 )
-from .places import LocalData, Place, locally_cyclic, noncyclic_places
+from .places import (
+    LocalData,
+    Place,
+    locally_cyclic,
+    noncyclic_places,
+    omega_contains,
+    sigma_contains,
+)
 from .oracle import (
     Classification,
     ShaReport,
@@ -38,9 +45,7 @@ from .oracle import (
     compute_G_and_Gomega,
     delta,
     i_n,
-    omega_contains,
     quotient_by_D,
-    sigma_contains,
     varpi_r,
 )
 from .structure import (

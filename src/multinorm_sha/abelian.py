@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 
-ORDER_CAP = 2 ** 20        # hard bound on |A|
 CYCLIC_SWEEP_CAP = 2 ** 16  # default bound for cyclic-subgroup enumeration
 ALL_SUBGROUPS_CAP = 256    # exhaustive subgroup enumeration is a test-only tool
 
 
 class BudgetExceeded(Exception):
-    """An enumeration budget or group-order cap was exceeded."""
+    """An enumeration budget was exceeded."""
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -51,6 +50,47 @@ def _is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # Integer lattice normal forms (row convention: lattice = Z-span of the rows).
 
+def _echelon(mat, width: int) -> int:
+    """Row-reduce ``mat`` in place on its first ``width`` columns; return the rank.
+
+    Only unimodular row operations are used, so the row span is kept and any
+    columns past ``width`` record the transform.  Afterwards row h < rank has
+    its first nonzero entry (the pivot) strictly right of row h-1's, and the
+    rows from the rank on are zero in the first ``width`` columns.  An entry
+    the pivot divides is cleared by subtraction, which leaves the pivot as it
+    is; without that, alternating row and column passes in
+    :func:`smith_invariants` can cycle forever.
+    """
+    nr = len(mat)
+    h = 0
+    for j in range(width):
+        for piv in range(h, nr):
+            if mat[piv][j]:
+                break
+        else:
+            continue
+        mat[h], mat[piv] = mat[piv], mat[h]
+        rh = mat[h]
+        n = len(rh)
+        for i in range(h + 1, nr):
+            ri = mat[i]
+            b = ri[j]
+            if not b:
+                continue
+            a = rh[j]
+            if b % a == 0:
+                q = b // a
+                for c in range(j, n):
+                    ri[c] -= q * rh[c]
+                continue
+            g, x, y = xgcd(a, b)
+            u, v = a // g, b // g
+            for c in range(j, n):
+                rh[c], ri[c] = x * rh[c] + y * ri[c], u * ri[c] - v * rh[c]
+        h += 1
+    return h
+
+
 def hermite_normal_form(rows, width: int) -> list[list[int]]:
     """Canonical basis of the lattice spanned by ``rows`` inside Z^width.
 
@@ -59,116 +99,42 @@ def hermite_normal_form(rows, width: int) -> list[list[int]]:
     same lattice produce identical output.
     """
     mat = [list(r) for r in rows if any(r)]
-    h = 0
-    for j in range(width):
-        piv = None
-        for i in range(h, len(mat)):
-            if mat[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[h], mat[piv] = mat[piv], mat[h]
-        for i in range(h + 1, len(mat)):
-            if not mat[i][j]:
-                continue
-            a, b = mat[h][j], mat[i][j]
-            g, x, y = xgcd(a, b)
-            u, v = a // g, b // g
-            rh, ri = mat[h], mat[i]
-            for c in range(width):
-                rh[c], ri[c] = x * rh[c] + y * ri[c], u * ri[c] - v * rh[c]
-        if mat[h][j] < 0:
-            mat[h] = [-t for t in mat[h]]
+    del mat[_echelon(mat, width):]
+    j = 0
+    for h, rh in enumerate(mat):
+        while not rh[j]:
+            j += 1
+        if rh[j] < 0:
+            for c in range(j, width):
+                rh[c] = -rh[c]
         for i in range(h):
-            q = mat[i][j] // mat[h][j]
+            ri = mat[i]
+            q = ri[j] // rh[j]
             if q:
-                for c in range(width):
-                    mat[i][c] -= q * mat[h][c]
-        h += 1
-    return mat[:h]
+                for c in range(j, width):
+                    ri[c] -= q * rh[c]
+    return mat
 
 
 def left_kernel(rows, width: int) -> list[list[int]]:
     """Basis of {w in Z^r : w @ rows == 0} for an r-row integer matrix."""
     r = len(rows)
-    mat = [list(row) for row in rows]
-    unim = [[int(i == j) for j in range(r)] for i in range(r)]
-    h = 0
-    for j in range(width):
-        piv = None
-        for i in range(h, r):
-            if mat[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[h], mat[piv] = mat[piv], mat[h]
-        unim[h], unim[piv] = unim[piv], unim[h]
-        for i in range(h + 1, r):
-            if not mat[i][j]:
-                continue
-            a, b = mat[h][j], mat[i][j]
-            g, x, y = xgcd(a, b)
-            u, v = a // g, b // g
-            rh, ri, uh, ui = mat[h], mat[i], unim[h], unim[i]
-            for c in range(width):
-                rh[c], ri[c] = x * rh[c] + y * ri[c], u * ri[c] - v * rh[c]
-            for c in range(r):
-                uh[c], ui[c] = x * uh[c] + y * ui[c], u * ui[c] - v * uh[c]
-        h += 1
-    return unim[h:]
+    mat = [
+        list(row[:width]) + [int(i == j) for j in range(r)]
+        for i, row in enumerate(rows)
+    ]
+    rank = _echelon(mat, width)
+    return [row[width:] for row in mat[rank:]]
 
 
 def smith_invariants(mat) -> list[int]:
     """Nonzero diagonal d_1 | d_2 | ... of the Smith normal form of ``mat``."""
     m = [list(r) for r in mat]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    t = 0
-    while t < min(nr, nc):
-        piv = next(
-            ((i, j) for i in range(t, nr) for j in range(t, nc) if m[i][j]), None
-        )
-        if piv is None:
-            break
-        i, j = piv
-        m[t], m[i] = m[i], m[t]
-        for row in m:
-            row[t], row[j] = row[j], row[t]
-        while True:
-            for i in range(t + 1, nr):
-                if not m[i][t]:
-                    continue
-                rt, ri = m[t], m[i]
-                if m[i][t] % m[t][t] == 0:
-                    q = m[i][t] // m[t][t]
-                    for c in range(t, nc):
-                        ri[c] -= q * rt[c]
-                    continue
-                g, x, y = xgcd(m[t][t], m[i][t])
-                u, v = m[t][t] // g, m[i][t] // g
-                for c in range(t, nc):
-                    rt[c], ri[c] = x * rt[c] + y * ri[c], u * ri[c] - v * rt[c]
-            col_dirty = False
-            for j in range(t + 1, nc):
-                if not m[t][j]:
-                    continue
-                if m[t][j] % m[t][t] == 0:
-                    # plain column subtraction never re-dirties column t
-                    q = m[t][j] // m[t][t]
-                    for row in m:
-                        row[j] -= q * row[t]
-                    continue
-                g, x, y = xgcd(m[t][t], m[t][j])
-                u, v = m[t][t] // g, m[t][j] // g
-                for row in m:
-                    row[t], row[j] = x * row[t] + y * row[j], u * row[j] - v * row[t]
-                col_dirty = True
-            if not col_dirty and all(m[i][t] == 0 for i in range(t + 1, nr)):
-                break
-        t += 1
-    diags = [abs(m[i][i]) for i in range(t)]
+    # row passes on m and on its transpose, dropping zero rows, until diagonal
+    while any(x for i, row in enumerate(m) for j, x in enumerate(row) if i != j):
+        rank = _echelon(m, len(m[0]))
+        m = [list(col) for col in zip(*m[:rank])]
+    diags = [abs(row[i]) for i, row in enumerate(m) if i < len(row) and row[i]]
     for i in range(len(diags)):
         for j in range(i + 1, len(diags)):
             a, b = diags[i], diags[j]
@@ -197,8 +163,6 @@ class PGroup:
             raise ValueError("exponents must be >= 1")
         if any(a < b for a, b in zip(self.exponents, self.exponents[1:])):
             raise ValueError("exponents must be non-increasing")
-        if self.order > ORDER_CAP:
-            raise BudgetExceeded(f"|A| = {self.order} exceeds cap {ORDER_CAP}")
 
     @property
     def rank(self) -> int:

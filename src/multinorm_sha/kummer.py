@@ -18,6 +18,7 @@ from .abelian import (
     Character,
     PGroup,
     Subgroup,
+    _is_prime,
     annihilator,
     intersect,
 )
@@ -97,17 +98,6 @@ def _classify_prime(pi):
     if b == 0 and _is_prime(abs(a)) and abs(a) % 4 == 3:
         return "inert", (abs(a), 0), abs(a)
     raise ValueError(f"{pi} is not a Gaussian prime")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _reduce_mod_power(z, k: int) -> tuple[int, int]:

@@ -27,34 +27,11 @@ from .places import (
     Classification,
     LocalData,
     delta,
-    dominates,
     fail_set,
     generic_place_candidates,
     i_n,
-    omega_contains,
-    sigma_contains,
     sigma_threshold,
 )
-
-__all__ = [
-    "Classification",
-    "InternalCheckError",
-    "ShaReport",
-    "aprime",
-    "classify",
-    "classify_fast",
-    "compute_G_and_Gomega",
-    "delta",
-    "dominates",
-    "enumerate_members",
-    "i_n",
-    "omega_contains",
-    "oracle_report",
-    "quotient_by_D",
-    "sigma_contains",
-    "subtorus_groups",
-    "varpi_r",
-]
 
 DEFAULT_BUDGET = 2 ** 24
 _SENTINEL = 10 ** 6  # stands for "dominated, condition vacuous"
@@ -124,7 +101,8 @@ class _SweepContext:
         self.p = cfg.p
         self.e1 = self.exps[0]
         self.n_range = cfg.p ** self.e1
-        self.tables = [_delta_table(cfg.p, self.e1, e) for e in self.exps]
+        # thresholds first: the cyclic-candidate sweep refuses an oversized A
+        # before the delta tables, quadratic in p^{e_1}, are built
         cyc = [
             tuple(sigma_threshold(cfg, sub, i) for i in self.indices)
             for sub in generic_place_candidates(cfg)
@@ -135,6 +113,7 @@ class _SweepContext:
         ]
         self.cyclic_tvecs = _maximal_vectors(cyc)
         self.exc_tvecs = _maximal_vectors(exc)
+        self.tables = [_delta_table(cfg.p, self.e1, e) for e in self.exps]
         self.members = None  # (G slice, G_omega slice), set by the sweep
 
     def classify(self, a) -> Classification:
@@ -167,12 +146,15 @@ def _context(cfg: NormalizedConfig, localdata: LocalData, indices=None) -> _Swee
     return cache[key]
 
 
-def classify_fast(cfg, localdata, a, indices=None) -> Classification:
+def classify(cfg: NormalizedConfig, localdata: LocalData, a, indices=None) -> Classification:
+    """Membership of the vector a in G, in G_omega only, or in neither.
+
+    Generic failures (some cyclic subgroup of A fails every n) are infinite
+    sets of places, so they exclude a from G_omega; exceptional failures are
+    finite and only exclude a from G.  ``indices`` restricts the
+    classification to a sub-configuration (default: all fields).
+    """
     return _context(cfg, localdata, indices).classify(a)
-
-
-def classify(cfg: NormalizedConfig, localdata: LocalData, a) -> Classification:
-    return classify_fast(cfg, localdata, a)
 
 
 def enumerate_members(cfg, localdata, indices=None, budget=DEFAULT_BUDGET):

@@ -152,18 +152,6 @@ def _passes_place(cfg, d_sub, a) -> bool:
     )
 
 
-def classify(cfg: NormalizedConfig, localdata: LocalData, a) -> Classification:
-    """Membership of the vector a in G, in G_omega only, or in neither.
-
-    Generic failures (some cyclic subgroup of A fails every n) are infinite
-    sets of places, so they exclude a from G_omega; exceptional failures are
-    finite and only exclude a from G.
-    """
-    from .oracle import classify_fast
-
-    return classify_fast(cfg, localdata, a)
-
-
 def fail_set(cfg: NormalizedConfig, localdata: LocalData, a):
     """Labels of all failing candidates: canonical cyclic bases + place labels."""
     failures = set()

@@ -19,7 +19,7 @@ from .fields import FieldConfig, NormalizedConfig, ShaInputError, validate_and_n
 from .places import Classification, LocalData, Place
 from .oracle import (
     aprime,
-    classify_fast,
+    classify,
     compute_G_and_Gomega,
     enumerate_members,
     oracle_report,
@@ -213,14 +213,14 @@ def check_invariants(
     for cert in result.generators:
         indices = cfg.U(cert.r)
         _require(
-            classify_fast(cfg, local, cert.x_omega, indices=indices)
+            classify(cfg, local, cert.x_omega, indices=indices)
             is not Classification.OUTSIDE,
             f"generator x_omega over U_{cert.r} not in G_omega",
             cfg,
             local,
         )
         _require(
-            classify_fast(cfg, local, cert.x, indices=indices)
+            classify(cfg, local, cert.x, indices=indices)
             is Classification.IN_G,
             f"generator x over U_{cert.r} not in G",
             cfg,
@@ -231,14 +231,14 @@ def check_invariants(
     for a in _sample_outside_diagonal(rng, cfg, gw_slice, 4):
         ap = aprime(cfg, local, a)  # asserts a' not diagonal, failure set shrinks
         _require(
-            classify_fast(cfg, local, ap) is not Classification.OUTSIDE,
+            classify(cfg, local, ap) is not Classification.OUTSIDE,
             "a' left G_omega",
             cfg,
             local,
         )
-        if classify_fast(cfg, local, a) is Classification.IN_G:
+        if classify(cfg, local, a) is Classification.IN_G:
             _require(
-                classify_fast(cfg, local, ap) is Classification.IN_G,
+                classify(cfg, local, ap) is Classification.IN_G,
                 "a' left G",
                 cfg,
                 local,

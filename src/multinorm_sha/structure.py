@@ -307,11 +307,6 @@ def _class_generators(cfg, r, node: ClassNode):
     return out
 
 
-def generators(cfg: NormalizedConfig, localdata: LocalData) -> list[GeneratorCert]:
-    """All generator certificates: block vectors x_{U_r} and class vectors x_c."""
-    return assemble(cfg, localdata).generators
-
-
 def criterion_trivial(cfg: NormalizedConfig) -> bool:
     """Intersection criterion: cap of K_0 K_i over i in U_0 equals K_0.
 

@@ -18,6 +18,7 @@ from multinorm_sha.abelian import (
     image_is_cyclic,
     intersect,
     join,
+    left_kernel,
     quotient_invariants,
     smith_invariants,
     subgroup_from_generators,
@@ -270,8 +271,10 @@ def test_pgroup_validation():
         PGroup(2, (1, 2))
     with pytest.raises(ValueError):
         PGroup(2, (0,))
+    # no cap on the order itself; the enumerations carry their own
+    assert PGroup(2, (80, 80)).order == 2 ** 160
     with pytest.raises(BudgetExceeded):
-        PGroup(2, (21,))
+        cyclic_subgroups(PGroup(2, (21,)))
 
 
 def test_character_validation_and_kernel():
@@ -300,6 +303,29 @@ def test_smith_invariants_divisibility_chain():
         hnf = hermite_normal_form(mat, k)
         if len(hnf) == k:
             assert prod(diags) == prod(hnf[i][i] for i in range(k))
+
+
+def test_smith_invariants_cases():
+    # alternating row and column passes cycle on this one unless an entry
+    # the pivot divides is cleared by plain subtraction
+    assert smith_invariants([[0, -2], [1, 1], [1, 1], [-1, -2], [1, -2]]) == [1, 1]
+    assert smith_invariants([[2, 0], [0, 3]]) == [1, 6]
+    assert smith_invariants([[0, 0], [0, 4]]) == [4]
+    assert smith_invariants([]) == []
+
+
+def test_left_kernel_random():
+    rng = random.Random(29)
+    for _ in range(400):
+        k, r = rng.randint(1, 5), rng.randint(0, 7)
+        rows = [[rng.randint(-5, 5) * rng.choice([0, 1, 2]) for _ in range(k)] for _ in range(r)]
+        rank = len(hermite_normal_form(rows, k))
+        kernel = left_kernel(rows, k)
+        assert len(kernel) == r - rank
+        for w in kernel:
+            assert all(sum(c * row[j] for c, row in zip(w, rows)) == 0 for j in range(k))
+        # a basis: the returned vectors are independent
+        assert len(hermite_normal_form(kernel, r)) == len(kernel)
 
 
 @settings(max_examples=60)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -197,6 +198,31 @@ def test_cli_disagreement_path(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "DISAGREEMENT" in err
     assert '"methods"' in err  # full dump of the offending component
+
+
+def homocyclic_doc(n, coeffs):
+    return {
+        "mode": "abstract",
+        "p": 2,
+        "exponents": [n, n],
+        "characters": [
+            {"label": f"K{t}", "target_exponent": n, "coeffs": list(c)}
+            for t, c in enumerate(coeffs)
+        ],
+    }
+
+
+def test_cli_large_groups(tmp_path, capsys):
+    # the formula route has no order cap: five fields on (Z/2^80)^2
+    five = [(1, 0), (0, 1), (1, 1), (1, 3), (1, 5)]
+    path = write(tmp_path, homocyclic_doc(80, five), "big.json")
+    assert main(["compute", path, "--method", "formula"]) == EXIT_OK
+    # the oracle's cyclic-candidate cap refuses (Z/2^11)^2 before any table
+    path = write(tmp_path, homocyclic_doc(11, five[:3]), "mid.json")
+    start = time.perf_counter()
+    assert main(["compute", path, "--method", "both"]) == EXIT_BUDGET
+    assert time.perf_counter() - start < 1.0
+    capsys.readouterr()
 
 
 def test_kummer_document_mode(tmp_path, capsys):

@@ -12,7 +12,6 @@ from multinorm_sha.oracle import (
     ShaReport,
     aprime,
     classify,
-    classify_fast,
     compute_G_and_Gomega,
     enumerate_members,
     in_diagonal,
@@ -166,7 +165,7 @@ def test_classification_is_constant_on_diagonal_cosets(seed, data):
         moduli = [cfg.p ** cfg.e_i(i) for i in indices]
         a = tuple(data.draw(st.integers(0, q - 1)) for q in moduli)
         c = data.draw(st.integers(1, moduli[0] - 1)) if moduli[0] > 1 else 0
-        assert classify_fast(cfg, local, a, indices) is classify_fast(
+        assert classify(cfg, local, a, indices) is classify(
             cfg, local, _shift(a, c, moduli), indices
         )
 
@@ -184,7 +183,7 @@ def _reference_groups(cfg, local, indices):
     ambient = PGroup(cfg.p, tuple(cfg.e_i(i) for i in indices))
     g, gw = [], []
     for a in ambient.elements():
-        cls = classify_fast(cfg, local, a, indices)
+        cls = classify(cfg, local, a, indices)
         if cls is not Classification.OUTSIDE:
             gw.append(a)
         if cls is Classification.IN_G:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import prod
 
 import pytest
 
@@ -20,6 +21,7 @@ from multinorm_sha.places import (
     sigma_contains_literal,
 )
 from multinorm_sha.oracle import classify
+from multinorm_sha.selftest import random_config
 
 from conftest import NO_PLACES, abstract_config
 
@@ -162,6 +164,26 @@ def test_classify_paper_example(quartic_17_13):
     double = (2, 0)
     assert classify(cfg, local, double) is Classification.IN_G
     assert classify(cfg, NO_PLACES, gen) is Classification.IN_G
+
+
+def test_classify_matches_fail_set():
+    # the threshold engine against the literal place-by-place path
+    rng = random.Random(41)
+    checked = 0
+    while checked < 40:
+        cfg, local = random_config(rng)
+        if prod(cfg.p ** e for e in cfg.eis) > 64:
+            continue
+        checked += 1
+        for a in itertools.product(*(range(cfg.p ** e) for e in cfg.eis)):
+            kinds = {kind for kind, _ in fail_set(cfg, local, a)}
+            if "cyclic" in kinds:
+                expected = Classification.OUTSIDE
+            elif kinds:
+                expected = Classification.IN_G_OMEGA_ONLY
+            else:
+                expected = Classification.IN_G
+            assert classify(cfg, local, a) is expected, (cfg, local, a)
 
 
 def test_fail_set_shapes(quartic_17_13):

@@ -12,7 +12,7 @@ from multinorm_sha.abelian import (
 from multinorm_sha.fields import FieldConfig, ShaInputError, validate_and_normalize
 from multinorm_sha.places import Classification, LocalData, Place, delta, locally_cyclic
 from multinorm_sha.oracle import (
-    classify_fast,
+    classify,
     enumerate_members,
     in_diagonal,
     oracle_report,
@@ -149,7 +149,7 @@ def test_generators_disjoint_shape(quartic_17_409):
     assert len(class_certs) == cfg.m - 1
     for cert in class_certs:
         assert cert.order == cert.order_omega == 4
-        assert classify_fast(cfg, local, cert.x, indices=cfg.U(0)) \
+        assert classify(cfg, local, cert.x, indices=cfg.U(0)) \
             is Classification.IN_G
 
 
