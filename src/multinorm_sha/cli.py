@@ -478,7 +478,10 @@ def _load_json(path):
 def _write_json(report, path):
     text = json.dumps(report, indent=2, sort_keys=True)
     if path == "-":
-        sys.stdout.write(text + "\n")
+        # the JSON stands alone on stdout (the text report is left out); the
+        # leading newline is JSON whitespace and keeps the report at a "\n{"
+        # boundary, where perfbench/verify.py and its tests look for it
+        sys.stdout.write("\n" + text + "\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -505,7 +508,8 @@ def cmd_compute(args) -> int:
         budget_override=args.budget,
         debug_override=args.debug_monotonicity or None,
     )
-    print_report(report)
+    if args.json != "-":
+        print_report(report)
     if args.json:
         _write_json(report, args.json)
     if report["agreement"] is False:
@@ -528,18 +532,20 @@ def cmd_examples(args) -> int:
         raise SchemaError(
             f"unknown example {unknown[0]!r}; choose from {', '.join(EXAMPLES)} or 'all'"
         )
+    show_text = args.json != "-"
     status = EXIT_OK
     collected = {}
     for name in names:
         report, failures = run_example(name, method=args.method, budget=args.budget)
-        print(f"=== example {name}")
-        print_report(report)
+        if show_text:
+            print(f"=== example {name}")
+            print_report(report)
         collected[name] = report
         if failures:
             status = EXIT_DISAGREEMENT
             for f in failures:
                 print(f"  GOLDEN MISMATCH: {f}", file=sys.stderr)
-        else:
+        elif show_text:
             print("  golden values reproduced")
     if args.json:
         payload = collected if args.name == "all" else collected[names[0]]
@@ -559,17 +565,20 @@ def cmd_kummer(args) -> int:
     components = parse_document(document)
     cfg_raw, local, _budget, _debug = components[0]
     cfg = validate_and_normalize(cfg_raw)
-    print(f"Kummer configuration over Q(i), p = 2, A = "
-          f"{group_name(2, cfg.group.exponents)}")
-    for chi, label in zip(cfg.chars, cfg.labels):
-        print(f"  {label}: exponent vector {list(chi.coeffs)}, degree "
-              f"{2 ** chi.exponent}")
-    for pl in local.exceptional:
-        print(f"  place {pl.label}: decomposition subgroup of order {pl.group.order}")
+    show_text = not (args.compute and args.json == "-")
+    if show_text:
+        print(f"Kummer configuration over Q(i), p = 2, A = "
+              f"{group_name(2, cfg.group.exponents)}")
+        for chi, label in zip(cfg.chars, cfg.labels):
+            print(f"  {label}: exponent vector {list(chi.coeffs)}, degree "
+                  f"{2 ** chi.exponent}")
+        for pl in local.exceptional:
+            print(f"  place {pl.label}: decomposition subgroup of order {pl.group.order}")
     if not args.compute:
         return EXIT_OK
     report = build_report(components, args.method, budget_override=args.budget)
-    print_report(report)
+    if show_text:
+        print_report(report)
     if args.json:
         _write_json(report, args.json)
     if report["agreement"] is False:

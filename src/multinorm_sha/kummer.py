@@ -4,16 +4,20 @@ Builds the abstract configuration (group, characters, exceptional places)
 for K_i = Q(i)(b_i^{1/4}) from integer radicands.  Gaussian integers are
 (a, b) tuples; Z[i] is a PID, so valuations and exact division settle
 everything.  Local fourth-power membership is decided in the residue field
-at odd primes and by a bounded, exact Hensel search at 1+i.
+at odd primes and by a table of fourth powers mod (1+i)^9 at 1+i.
+Radicands are factored by Pollard rho under a step budget, with
+deterministic Miller-Rabin deciding primality exactly below MR_BOUND.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import isqrt
+from functools import lru_cache
+from math import gcd, isqrt
 
 from .abelian import (
+    MR_BASES,
     BudgetExceeded,
     Character,
     PGroup,
@@ -26,6 +30,8 @@ from .fields import FieldConfig, ShaInputError
 from .places import LocalData, Place
 
 GENERATOR_BUDGET = 4
+FACTOR_BUDGET = 2 ** 18  # Pollard rho steps per radicand
+RHO_BATCH = 128  # rho steps per gcd
 RAMIFIED_PRECISION = 9  # x^4 - a needs valuation >= 9 at 1+i; exact by Hensel
 
 
@@ -57,12 +63,6 @@ def gmul(z, w) -> tuple[int, int]:
     return a * c - b * d, a * d + b * c
 
 
-def gsub(z, w) -> tuple[int, int]:
-    a, b = _gauss(z)
-    c, d = _gauss(w)
-    return a - c, b - d
-
-
 def gdiv_exact(z, w) -> tuple[int, int] | None:
     """z / w in Z[i], or None when w does not divide z."""
     a, b = gmul(z, (_gauss(w)[0], -_gauss(w)[1]))
@@ -85,18 +85,22 @@ def _v2_norm(z) -> int:
 
 
 def _classify_prime(pi):
-    """('ramified'|'split'|'inert', canonical pi, residue prime q)."""
-    z = _gauss(pi)
-    n = gnorm(z)
-    if n == 2:
-        return "ramified", (1, 1), 2
-    if n > 2 and _is_prime(n) and n % 4 == 1:
-        return "split", z, n
-    a, b = z
-    if a == 0:
-        a, b = b, 0
-    if b == 0 and _is_prime(abs(a)) and abs(a) % 4 == 3:
-        return "inert", (abs(a), 0), abs(a)
+    """('ramified'|'split'|'inert', canonical pi, residue prime q).
+
+    Decided by shape: a Gaussian prime on an axis is an inert rational
+    prime q = 3 mod 4; any other has prime norm 2 or 1 mod 4.
+    """
+    a, b = _gauss(pi)
+    if a == 0 or b == 0:
+        q = abs(a + b)
+        if q % 4 == 3 and _is_prime(q):
+            return "inert", (q, 0), q
+    else:
+        n = a * a + b * b
+        if n == 2:
+            return "ramified", (1, 1), 2
+        if n % 4 == 1 and _is_prime(n):
+            return "split", (a, b), n
     raise ValueError(f"{pi} is not a Gaussian prime")
 
 
@@ -119,21 +123,25 @@ def _reduce_mod_power(z, k: int) -> tuple[int, int]:
     return a, b
 
 
-def _ramified_unit_is_fourth_power(u) -> bool:
-    """Bounded Hensel search: u in (Z_2[i]^x)^4 iff some unit x mod (1+i)^9
-    has v(x^4 - u) >= 9 (v(4 x^3) = 4 for units, so 9 = 2*4 + 1 is exact)."""
+@lru_cache(maxsize=None)
+def _ramified_fourth_powers() -> frozenset:
+    """x^4 mod (1+i)^9 for every unit residue x mod (1+i)^9."""
     k = RAMIFIED_PRECISION
     m = 2 ** (k // 2)
-    target = _reduce_mod_power(u, k)
+    table = set()
     for a in range(2 * m):
         for b in range(m):
-            if (a + b) % 2 == 0:
-                continue
-            x2 = gmul((a, b), (a, b))
-            z = gsub(gmul(x2, x2), target)
-            if z == (0, 0) or _v2_norm(z) >= k:
-                return True
-    return False
+            if (a + b) % 2:
+                x2 = gmul((a, b), (a, b))
+                table.add(_reduce_mod_power(gmul(x2, x2), k))
+    return frozenset(table)
+
+
+def _ramified_unit_is_fourth_power(u) -> bool:
+    """u in (Z_2[i]^x)^4 iff u = x^4 mod (1+i)^9 for some unit x, by Hensel
+    (v(4 x^3) = 4 for units, so 9 = 2*4 + 1 is exact); _reduce_mod_power
+    is canonical, so that is a lookup."""
+    return _reduce_mod_power(u, RAMIFIED_PRECISION) in _ramified_fourth_powers()
 
 
 def _split_residue(z, pi, q: int) -> int:
@@ -211,26 +219,84 @@ class KummerSpec:
 
 
 def _factor_odd(n: int) -> dict[int, int]:
+    """Prime factorization of an odd n >= 1, keys ascending.
+
+    The Miller-Rabin bases are divided out (rho is unreliable on tiny
+    factors), squares go through isqrt, and any other composite is split by
+    Pollard rho, at most FACTOR_BUDGET steps for the whole of n.  The key
+    order fixes the order of the generators.
+    """
     out: dict[int, int] = {}
-    d = 3
-    while d * d <= n:
+    for d in MR_BASES:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    steps = [FACTOR_BUDGET]
+    pending = [(n, 1)]
+    while pending:
+        m, mult = pending.pop()
+        r = isqrt(m)
+        if r * r == m:
+            if m > 1:
+                pending.append((r, 2 * mult))
+            continue
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + mult
+            continue
+        d = _rho_divisor(m, steps)
+        pending += [(d, mult), (m // d, mult)]
+    return dict(sorted(out.items()))
+
+
+def _rho_divisor(n: int, steps: list[int]) -> int:
+    """A proper divisor of the composite n by Pollard rho with Brent's cycle
+    finding and batched gcds; ``steps[0]`` is the number of steps left."""
+    for c in itertools.count(1):
+        y, q, g, power = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            steps[0] -= 2 * power
+            if steps[0] < 0:
+                raise BudgetExceeded(
+                    f"factoring {n} needs more than {FACTOR_BUDGET} Pollard rho steps"
+                )
+            for _ in range(power):
+                y = (y * y + c) % n
+            done = 0
+            while done < power and g == 1:
+                ys = y
+                for _ in range(min(RHO_BATCH, power - done)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                done += RHO_BATCH
+            power *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def split_prime_above(q: int) -> tuple[int, int]:
-    """The Gaussian prime a+bi over a split q with a odd, b even, both > 0."""
-    for b in range(2, isqrt(q) + 1, 2):
-        a2 = q - b * b
-        a = isqrt(a2)
-        if a * a == a2:
-            return a, b
-    raise ValueError(f"{q} is not a sum of two squares")
+    """The Gaussian prime a+bi over a split prime q, a odd, b even, both > 0.
+
+    A square root of -1 mod q comes from a quadratic non-residue; Euclid on
+    (q, root) stops at the first remainder below sqrt(q), which is a or b.
+    """
+    if q % 4 != 1 or not _is_prime(q):
+        raise ValueError(f"{q} is not a prime = 1 mod 4")
+    root = next(
+        r for c in itertools.count(2)
+        if (r := pow(c, (q - 1) // 4, q)) * r % q == q - 1
+    )
+    x, y = q, root
+    while y * y > q:
+        x, y = y, x % y
+    z = isqrt(q - y * y)
+    return (y, z) if y % 2 else (z, y)
 
 
 def decomposition_place(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from multinorm_sha.abelian import (
     ALL_SUBGROUPS_CAP,
+    MR_BOUND,
     BudgetExceeded,
     Character,
     PGroup,
@@ -23,9 +24,22 @@ from multinorm_sha.abelian import (
     smith_invariants,
     subgroup_from_generators,
     xgcd,
+    _is_prime,
 )
 
 Z44 = PGroup(2, (2, 2))
+
+
+def trial_division_is_prime(n):
+    """Reference primality test: trial division by every integer."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 SMALL_GROUPS = [
     PGroup(2, (2, 2)),
@@ -351,3 +365,29 @@ def test_join_commutes_and_absorbs(g1, g2):
     assert intersect(h1, h2) == intersect(h2, h1)
     assert join(h1, intersect(h1, h2)) == h1
     assert intersect(h1, join(h1, h2)) == h1
+
+
+def test_is_prime_matches_trial_division():
+    wrong = [n for n in range(2 * 10 ** 5) if _is_prime(n) != trial_division_is_prime(n)]
+    assert wrong == []
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 3215031751 is a strong pseudoprime to bases 2, 3, 5, 7;
+    # 3825123056546413051 to every prime base up to 31;
+    # 318665857834031151167461 to every prime base up to 37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(2 ** 61 - 1) and _is_prime(1000000007)
+    assert not _is_prime((2 ** 31 - 1) * (2 ** 19 - 1))
+
+
+def test_is_prime_refuses_above_exact_range():
+    # the bound is itself a strong pseudoprime to all thirteen bases
+    with pytest.raises(BudgetExceeded):
+        _is_prime(MR_BOUND)
+    with pytest.raises(BudgetExceeded):
+        _is_prime(2 ** 89 - 1)
+    # a small factor still decides it exactly
+    assert not _is_prime(3 * MR_BOUND)
+    assert not _is_prime(2 ** 100)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -278,3 +282,49 @@ def test_cli_out_of_range_options_exit_2(argv, capsys):
     assert exc.value.code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "CFG", "--json", "-"],
+        ["kummer", "--radicands", "17,221,13", "--compute", "--json", "-"],
+        ["examples", "all", "--json", "-"],
+    ],
+)
+def test_json_to_stdout_is_parseable(argv, tmp_path, capsys):
+    argv = [write(tmp_path, ABSTRACT_17_13) if a == "CFG" else a for a in argv]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)
+    assert captured.err == ""
+
+
+def test_kummer_refusals_are_bounded(capsys):
+    p = 1099511627791  # the least prime above 2^40
+    q = 1099511627803  # the next one; p * q is below MR_BOUND
+    t0 = time.process_time()
+    assert main(["kummer", "--radicands", f"{p * q},3", "--compute"]) == EXIT_BUDGET
+    assert time.process_time() - t0 < 2.0
+    assert "Pollard rho" in capsys.readouterr().err
+    # a prime above MR_BOUND, where Miller-Rabin would only be probable
+    t0 = time.process_time()
+    assert main(["kummer", "--radicands", f"{2 ** 89 - 1},3"]) == EXIT_BUDGET
+    assert time.process_time() - t0 < 0.1
+    assert "not decided exactly" in capsys.readouterr().err
+
+
+def test_kummer_json_under_python_O():
+    import multinorm_sha
+
+    src = str(Path(multinorm_sha.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["kummer", "--radicands", "1000003,1000033,3", "--compute", "--json", "-"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "multinorm_sha.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["agreement"] is True
+    assert len(report["components"][0]["exceptional_places"]) == 5

@@ -1,8 +1,11 @@
 import itertools
+import random
+import time
+from math import prod
 
 import pytest
 
-from multinorm_sha.abelian import BudgetExceeded, PGroup
+from multinorm_sha.abelian import BudgetExceeded, PGroup, _is_prime
 from multinorm_sha.fields import TooFewFields, validate_and_normalize
 from multinorm_sha.kummer import (
     DependentRadicands,
@@ -16,9 +19,13 @@ from multinorm_sha.kummer import (
     is_fourth_power_local,
     split_prime_above,
     verify_quoted_local_facts,
+    _classify_prime,
+    _factor_odd,
+    _ramified_unit_is_fourth_power,
     _reduce_mod_power,
     _v2_norm,
 )
+from test_abelian import trial_division_is_prime
 
 
 def odd_primes(limit):
@@ -26,6 +33,36 @@ def odd_primes(limit):
     for n in range(3, limit, 2):
         if all(n % d for d in range(3, int(n ** 0.5) + 1, 2)):
             yield n
+
+
+def hensel_search_is_fourth_power(u):
+    """Reference 1+i test: some unit x mod (1+i)^9 with v(x^4 - u) >= 9."""
+    target = _reduce_mod_power(u, 9)
+    for a in range(32):
+        for b in range(16):
+            if (a + b) % 2 == 0:
+                continue
+            x2 = gmul((a, b), (a, b))
+            x4 = gmul(x2, x2)
+            z = (x4[0] - target[0], x4[1] - target[1])
+            if z == (0, 0) or _v2_norm(z) >= 9:
+                return True
+    return False
+
+
+def reference_classify_prime(pi):
+    """Reference classification by trial division on the norm and on |a|."""
+    a, b = pi
+    n = a * a + b * b
+    if n == 2:
+        return "ramified", (1, 1), 2
+    if n > 2 and trial_division_is_prime(n) and n % 4 == 1:
+        return "split", (a, b), n
+    if a == 0:
+        a, b = b, 0
+    if b == 0 and trial_division_is_prime(abs(a)) and abs(a) % 4 == 3:
+        return "inert", (abs(a), 0), abs(a)
+    return None
 
 
 def test_gaussian_helpers():
@@ -207,3 +244,84 @@ def test_decomposition_group_is_annihilator_dual():
         assert kv.order == len(members)  # the member set is a subgroup
         assert place.group == annihilator(ambient, kv)
         assert kv.order * place.group.order == ambient.order
+
+
+def test_ramified_table_matches_hensel_search():
+    units = [(a, b) for a in range(32) for b in range(16) if (a + b) % 2]
+    assert len(units) == 256
+    for u in units:
+        assert _ramified_unit_is_fourth_power(u) == hensel_search_is_fourth_power(u), u
+    rng = random.Random(4)
+    for _ in range(300):
+        a, b = rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(-10 ** 6, 10 ** 6)
+        if (a + b) % 2:
+            assert _ramified_unit_is_fourth_power((a, b)) == hensel_search_is_fourth_power((a, b))
+
+
+def test_classify_prime_matches_reference():
+    for a in range(-60, 61):
+        for b in range(-60, 61):
+            want = reference_classify_prime((a, b))
+            if want is None:
+                with pytest.raises(ValueError):
+                    _classify_prime((a, b))
+            else:
+                assert _classify_prime((a, b)) == want, (a, b)
+
+
+def check_factorization(n):
+    fac = _factor_odd(n)
+    assert prod(q ** e for q, e in fac.items()) == n
+    assert all(_is_prime(q) and e >= 1 for q, e in fac.items())
+    assert list(fac) == sorted(fac)
+    return fac
+
+
+def test_factor_odd_random():
+    rng = random.Random(7)
+    for _ in range(2000):
+        check_factorization(rng.randrange(1, 10 ** 9, 2))
+    # prime powers and products of primes above the divided-out bases
+    primes = [q for q in range(43, 3000) if trial_division_is_prime(q)]
+    for _ in range(300):
+        n = prod(rng.choice(primes) ** rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
+        if n < 10 ** 20:  # stays below MR_BOUND with the cofactor
+            check_factorization(n * rng.choice([1, 3, 3 ** 5 * 41]))
+    assert _factor_odd(3 ** 4 * 43 ** 3 * 1000003) == {3: 4, 43: 3, 1000003: 1}
+    # a square above MR_BOUND is taken apart by isqrt before any primality test
+    assert _factor_odd(10000000000037 ** 2) == {10000000000037: 2}
+
+
+def test_split_prime_above_large():
+    for q in (13, 17, 409, 1000000009, 10 ** 18 + 9):
+        a, b = split_prime_above(q)
+        assert a * a + b * b == q and a % 2 == 1 and b % 2 == 0 and a > 0 and b > 0
+    with pytest.raises(ValueError):
+        split_prime_above(21)
+    with pytest.raises(ValueError):
+        split_prime_above(7)
+
+
+def test_semiprime_radicand_factors():
+    assert _factor_odd(1000000007 * 1000000009) == {1000000007: 1, 1000000009: 1}
+    cfg, local = build_kummer(KummerSpec((1000000007 * 1000000009, 1000000009, 3)))
+    assert len(local.exceptional) == 1 + 1 + 2 + 1
+
+
+@pytest.mark.parametrize(
+    "radicands", [(1000003, 1000033, 3), (1000000007, 1000000009, 3)]
+)
+def test_build_large_radicand_primes_is_fast(radicands):
+    t0 = time.process_time()
+    cfg, local = build_kummer(KummerSpec(radicands))
+    assert time.process_time() - t0 < 1.0
+    assert cfg.group == PGroup(2, (2, 2, 2))
+    # 1+i, one inert place, two places over the split prime, one over 3
+    assert len(local.exceptional) == 5
+
+
+def test_factoring_budget_refuses_large_semiprimes():
+    p = 1099511627791  # the least prime above 2^40
+    q = 1099511627803  # the next one; p * q is below MR_BOUND
+    with pytest.raises(BudgetExceeded):
+        _factor_odd(p * q)
