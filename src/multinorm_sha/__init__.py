@@ -17,7 +17,6 @@ from .abelian import (
     intersect,
     join,
     quotient_invariants,
-    subgroup_from_generators,
 )
 from .fields import (
     FieldConfig,
@@ -56,5 +55,3 @@ from .structure import (
     shortcut_linearly_disjoint,
 )
 from .kummer import KummerSpec, build_kummer, is_fourth_power_local
-
-__all__ = [name for name in dir() if not name.startswith("_")]

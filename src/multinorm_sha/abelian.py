@@ -338,11 +338,6 @@ def _p_exponents(p: int, diags) -> list[int]:
     return out
 
 
-def subgroup_from_generators(ambient: PGroup, gens) -> Subgroup:
-    """Canonical form of <gens>; idempotent under re-canonicalization."""
-    return Subgroup.span(ambient, gens)
-
-
 def join(h1: Subgroup, h2: Subgroup) -> Subgroup:
     """Smallest subgroup containing both."""
     if h1.ambient != h2.ambient:

@@ -19,7 +19,7 @@ import json
 import sys
 import time
 
-from .abelian import BudgetExceeded, Character, PGroup, subgroup_from_generators
+from .abelian import BudgetExceeded, Character, PGroup, Subgroup
 from .fields import FieldConfig, ShaInputError, validate_and_normalize
 from .places import LocalData, Place
 from .oracle import DEFAULT_BUDGET, InternalCheckError, ShaReport, oracle_report
@@ -135,7 +135,7 @@ def parse_abstract(obj) -> tuple[FieldConfig, LocalData, int, bool]:
                     f"exceptional_places[{t}]: generator needs {group.rank} entries"
                 )
         try:
-            sub = subgroup_from_generators(group, gens)
+            sub = Subgroup.span(group, gens)
         except ValueError as exc:
             raise SchemaError(f"exceptional_places[{t}]: {exc}") from exc
         places.append(Place(entry["label"], sub))
@@ -202,24 +202,30 @@ def _tree_json(node):
 
 
 def _report_json(rep: ShaReport):
-    out = {
+    return {
         "method": rep.method,
         "sha_invariants": list(rep.sha_invariants),
         "sha_omega_invariants": list(rep.sha_omega_invariants),
+        "quotient_invariants": list(rep.quotient_invariants),
     }
-    if rep.quotient_invariants is not None:
-        out["quotient_invariants"] = list(rep.quotient_invariants)
-    if rep.quotient_annotation is not None:
-        out["quotient_annotation"] = list(rep.quotient_annotation)
-    if rep.agreement is not None:
-        out["agreement"] = rep.agreement
-    return out
 
 
-def group_name(p: int, exponents) -> str:
-    if not exponents:
-        return "0"
-    return " x ".join(f"Z/{p ** e}" for e in exponents)
+def _fields_json(cfg):
+    return [
+        {"label": lab, "epsilon": eps, "e0": e0} for lab, eps, e0 in cfg.field_table()
+    ]
+
+
+def group_name(orders) -> str:
+    """`Z/d_1 x Z/d_2 x ...` for the cyclic orders d_t; `0` when there are none."""
+    return " x ".join(f"Z/{d}" for d in orders) or "0"
+
+
+def _print_fields(p, fields, indent):
+    """The field table of `print_report` and `validate`, in normalized order."""
+    for t, f in enumerate(fields):
+        extra = "" if t == 0 else f", e0 = {f['e0']}"
+        print(f"{indent}K{t} = {f['label']}: degree {p ** f['epsilon']}{extra}")
 
 
 def compute_component(cfg_raw, local, method, budget, debug):
@@ -243,10 +249,7 @@ def compute_component(cfg_raw, local, method, budget, debug):
     component = {
         "p": cfg.p,
         "group_exponents": list(cfg.group.exponents),
-        "fields": [
-            {"label": lab, "epsilon": eps, "e0": e0}
-            for lab, eps, e0 in cfg.field_table()
-        ],
+        "fields": _fields_json(cfg),
         "permutation": list(cfg.permutation),
         "eij": [list(r) for r in cfg.eij],
         "u_partition": {str(r): list(cfg.U(r)) for r in cfg.R},
@@ -315,15 +318,17 @@ def build_report(components, method, budget_override=None, debug_override=None):
     }
 
 
-def print_report(report, stream=None):
-    w = (stream or sys.stdout).write
+def print_report(report):
+    w = sys.stdout.write
     for row in report["components"]:
         p = row["p"]
-        w(f"component p = {p}, A = {group_name(p, row['group_exponents'])}\n")
+
+        def name(exponents):
+            return group_name(p ** e for e in exponents)
+
+        w(f"component p = {p}, A = {name(row['group_exponents'])}\n")
         w("  fields (normalized order):\n")
-        for t, f in enumerate(row["fields"]):
-            extra = "" if t == 0 else f", e0 = {f['e0']}"
-            w(f"    K{t} = {f['label']}: degree {p ** f['epsilon']}{extra}\n")
+        _print_fields(p, row["fields"], "    ")
         if row["exceptional_places"]:
             labels = ", ".join(pl["label"] for pl in row["exceptional_places"])
             w(f"  exceptional places: {labels}\n")
@@ -335,52 +340,40 @@ def print_report(report, stream=None):
                 )
             if row.get("criterion_trivial"):
                 w("  triviality criterion holds: both groups vanish\n")
-        for name, rep in sorted(row["methods"].items()):
+        for method, rep in sorted(row["methods"].items()):
             w(
-                f"  [{name}] sha = {group_name(p, rep['sha_invariants'])}, "
-                f"sha_omega = {group_name(p, rep['sha_omega_invariants'])}\n"
+                f"  [{method}] sha = {name(rep['sha_invariants'])}, "
+                f"sha_omega = {name(rep['sha_omega_invariants'])}\n"
             )
-            if "quotient_invariants" in rep:
-                w(
-                    "  [oracle] sha_omega/sha = "
-                    f"{group_name(p, rep['quotient_invariants'])}\n"
-                )
+            w(f"  [{method}] sha_omega/sha = {name(rep['quotient_invariants'])}\n")
         if row["agreement"] is not None:
             w(f"  agreement: {'yes' if row['agreement'] else 'NO'}\n")
     combined = report["combined"]
     w(
-        "combined: sha = "
-        + _ed_name(combined["sha_elementary_divisors"])
-        + ", sha_omega = "
-        + _ed_name(combined["sha_omega_elementary_divisors"])
-        + "\n"
+        f"combined: sha = {group_name(combined['sha_elementary_divisors'])}, "
+        f"sha_omega = {group_name(combined['sha_omega_elementary_divisors'])}\n"
     )
-
-
-def _ed_name(divisors):
-    if not divisors:
-        return "0"
-    return " x ".join(f"Z/{d}" for d in divisors)
 
 
 # ---------------------------------------------------------------------------
 # Embedded example configurations.
 
+# Golden values are combined elementary divisors, over all components.
 EXAMPLES = {
     "17-13": {
         "document": {"mode": "kummer", "radicands": [17, 17 * 13, 13]},
-        "expected_sha": [1],
-        "expected_sha_omega": [2],
+        "expected_sha": [2],
+        "expected_sha_omega": [4],
     },
     "17-409": {
         "document": {"mode": "kummer", "radicands": [17, 17 * 409, 409]},
-        "expected_sha": [2],
-        "expected_sha_omega": [2],
+        "expected_sha": [4],
+        "expected_sha_omega": [4],
     },
     "13-17-bicyclic": {
         "document": {"mode": "kummer", "radicands": [13, 17, 13 * 17 * 17]},
-        "expected_sha": [1],
-        "expected_sha_omega": [1],
+        "expected_sha": [2],
+        "expected_sha_omega": [2],
         "expected_patching": {"1": 2},
     },
     # p-power parts of the cyclotomic fields of conductors 7, 13, 19: the
@@ -418,36 +411,22 @@ EXAMPLES = {
 
 def run_example(name, method="both", budget=None):
     entry = EXAMPLES[name]
-    document = entry["document"]
-    if isinstance(document, dict) and document.get("mode") == "kummer":
-        verify_quoted_local_facts()
-    components = parse_document(document)
-    report = build_report(components, method, budget_override=budget)
+    report = build_report(parse_document(entry["document"]), method, budget_override=budget)
     return report, _check_example(report, entry)
 
 
 def _check_example(report, entry):
+    """Golden failures of an example's report; a Kummer example also
+    rechecks the local facts the builder quotes (AssertionError, exit 5)."""
+    document = entry["document"]
+    if isinstance(document, dict) and document.get("mode") == "kummer":
+        verify_quoted_local_facts()
     failures = []
     combined = report["combined"]
-    ps = [row["p"] for row in report["components"]]
-    if len(ps) == 1:
-        want_sha = sorted((ps[0] ** e for e in entry["expected_sha"]), reverse=True)
-        want_omega = sorted(
-            (ps[0] ** e for e in entry["expected_sha_omega"]), reverse=True
-        )
-    else:
-        # the embedded multi-prime example is trivial in every component
-        want_sha = [ps[0] ** e for e in entry["expected_sha"]]
-        want_omega = [ps[0] ** e for e in entry["expected_sha_omega"]]
-    if combined["sha_elementary_divisors"] != want_sha:
-        failures.append(
-            f"sha = {combined['sha_elementary_divisors']}, expected {want_sha}"
-        )
-    if combined["sha_omega_elementary_divisors"] != want_omega:
-        failures.append(
-            f"sha_omega = {combined['sha_omega_elementary_divisors']}, "
-            f"expected {want_omega}"
-        )
+    for key in ("sha", "sha_omega"):
+        got, want = combined[f"{key}_elementary_divisors"], entry[f"expected_{key}"]
+        if got != want:
+            failures.append(f"{key} = {got}, expected {want}")
     if report["agreement"] is False:
         failures.append("methods disagree")
     for r, want in entry.get("expected_patching", {}).items():
@@ -488,41 +467,62 @@ def _write_json(report, path):
 
 
 def cmd_validate(args) -> int:
-    components = parse_document(_load_json(args.file))
-    for cfg_raw, local, budget, _debug in components:
+    return _describe(_load_json(args.file))
+
+
+def _describe(document) -> int:
+    for cfg_raw, local, _budget, _debug in parse_document(document):
         cfg = validate_and_normalize(cfg_raw)
         print(f"component p = {cfg.p}: valid")
-        for t, (label, eps, e0) in enumerate(cfg.field_table()):
-            extra = "" if t == 0 else f", e0 = {e0}"
-            print(f"  K{t} = {label}: degree {cfg.p ** eps}{extra}")
+        _print_fields(cfg.p, _fields_json(cfg), "  ")
         print(f"  blocks U_r: { {r: list(cfg.U(r)) for r in cfg.R} }")
         print(f"  exceptional places: {[pl.label for pl in local.exceptional]}")
     return EXIT_OK
 
 
-def cmd_compute(args) -> int:
-    components = parse_document(_load_json(args.file))
-    report = build_report(
-        components,
-        args.method,
-        budget_override=args.budget,
-        debug_override=args.debug_monotonicity or None,
-    )
-    if args.json != "-":
-        print_report(report)
+def _run(args, documents, golden=False) -> int:
+    """The one path of `compute`, `kummer --compute` and `examples`.
+
+    `documents` maps names to config documents.  Each is reported with the
+    command's --method, --budget and --debug-monotonicity; with `golden`,
+    each name is a built-in example, checked against its golden values.
+    The text report goes to stdout unless `--json -`; several reports are
+    written as one JSON object keyed by name.  A disagreement between the
+    routes or a golden mismatch exits with 4.
+    """
+    show_text = args.json != "-"
+    status, reports = EXIT_OK, {}
+    for name, document in documents.items():
+        report = build_report(
+            parse_document(document),
+            args.method or "both",
+            budget_override=args.budget,
+            debug_override=args.debug_monotonicity or None,
+        )
+        failures = _check_example(report, EXAMPLES[name]) if golden else []
+        if show_text:
+            if golden:
+                print(f"=== example {name}")
+            print_report(report)
+            if golden and not failures:
+                print("  golden values reproduced")
+        if report["agreement"] is False:
+            print("DISAGREEMENT between computation routes", file=sys.stderr)
+            for row in report["components"]:
+                if row["agreement"] is False:
+                    print(json.dumps(row, indent=2, sort_keys=True), file=sys.stderr)
+        for f in failures:
+            print(f"  GOLDEN MISMATCH: {f}", file=sys.stderr)
+        if failures or report["agreement"] is False:
+            status = EXIT_DISAGREEMENT
+        reports[name] = report
     if args.json:
-        _write_json(report, args.json)
-    if report["agreement"] is False:
-        _dump_disagreement(report)
-        return EXIT_DISAGREEMENT
-    return EXIT_OK
+        _write_json(reports if len(reports) > 1 else report, args.json)
+    return status
 
 
-def _dump_disagreement(report):
-    print("DISAGREEMENT between computation routes", file=sys.stderr)
-    for row in report["components"]:
-        if row["agreement"] is False:
-            print(json.dumps(row, indent=2, sort_keys=True), file=sys.stderr)
+def cmd_compute(args) -> int:
+    return _run(args, {args.file: _load_json(args.file)})
 
 
 def cmd_examples(args) -> int:
@@ -532,25 +532,7 @@ def cmd_examples(args) -> int:
         raise SchemaError(
             f"unknown example {unknown[0]!r}; choose from {', '.join(EXAMPLES)} or 'all'"
         )
-    show_text = args.json != "-"
-    status = EXIT_OK
-    collected = {}
-    for name in names:
-        report, failures = run_example(name, method=args.method, budget=args.budget)
-        if show_text:
-            print(f"=== example {name}")
-            print_report(report)
-        collected[name] = report
-        if failures:
-            status = EXIT_DISAGREEMENT
-            for f in failures:
-                print(f"  GOLDEN MISMATCH: {f}", file=sys.stderr)
-        elif show_text:
-            print("  golden values reproduced")
-    if args.json:
-        payload = collected if args.name == "all" else collected[names[0]]
-        _write_json(payload, args.json)
-    return status
+    return _run(args, {n: EXAMPLES[n]["document"] for n in names}, golden=True)
 
 
 def cmd_kummer(args) -> int:
@@ -558,33 +540,21 @@ def cmd_kummer(args) -> int:
         radicands = [int(tok) for tok in args.radicands.split(",") if tok]
     except ValueError as exc:
         raise SchemaError(f"--radicands must be comma-separated integers: {exc}")
-    labels = tuple(args.labels.split(",")) if args.labels else ()
     document = {"mode": "kummer", "radicands": radicands}
-    if labels:
-        document["labels"] = list(labels)
-    components = parse_document(document)
-    cfg_raw, local, _budget, _debug = components[0]
-    cfg = validate_and_normalize(cfg_raw)
-    show_text = not (args.compute and args.json == "-")
-    if show_text:
-        print(f"Kummer configuration over Q(i), p = 2, A = "
-              f"{group_name(2, cfg.group.exponents)}")
-        for chi, label in zip(cfg.chars, cfg.labels):
-            print(f"  {label}: exponent vector {list(chi.coeffs)}, degree "
-                  f"{2 ** chi.exponent}")
-        for pl in local.exceptional:
-            print(f"  place {pl.label}: decomposition subgroup of order {pl.group.order}")
-    if not args.compute:
-        return EXIT_OK
-    report = build_report(components, args.method, budget_override=args.budget)
-    if show_text:
-        print_report(report)
-    if args.json:
-        _write_json(report, args.json)
-    if report["agreement"] is False:
-        _dump_disagreement(report)
-        return EXIT_DISAGREEMENT
-    return EXIT_OK
+    if args.labels:
+        document["labels"] = args.labels.split(",")
+    if args.compute:
+        return _run(args, {"kummer": document})
+    flags = {
+        "--method": args.method,
+        "--budget": args.budget,
+        "--json": args.json,
+        "--debug-monotonicity": args.debug_monotonicity,
+    }
+    refused = [flag for flag, value in flags.items() if value]
+    if refused:
+        raise SchemaError(f"without --compute, kummer takes no {', '.join(refused)}")
+    return _describe(document)
 
 
 def cmd_selftest(args) -> int:
@@ -660,7 +630,7 @@ def _add_compute_flags(sp):
     sp.add_argument(
         "--method",
         choices=["formula", "oracle", "both"],
-        default="both",
+        help="default: both",
     )
     sp.add_argument("--budget", type=_int_at_least(1), default=None)
     sp.add_argument("--json", default="", help="write the JSON report to this path")

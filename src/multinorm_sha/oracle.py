@@ -43,15 +43,13 @@ class InternalCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class ShaReport:
-    """Invariant factors (p-exponents, non-increasing) of the two groups."""
+    """Invariant factors (p-exponents, non-increasing) of sha, sha_omega and
+    sha_omega/sha, as found by one route."""
 
     sha_invariants: tuple[int, ...]
     sha_omega_invariants: tuple[int, ...]
-    quotient_invariants: tuple[int, ...] | None
+    quotient_invariants: tuple[int, ...]
     method: str
-    agreement: bool | None = None
-    quotient_annotation: tuple[int, ...] | None = None
-    generators: tuple | None = None
 
     def __post_init__(self):
         for seq in (self.sha_invariants, self.sha_omega_invariants):

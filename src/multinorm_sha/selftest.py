@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from math import prod
 
-from .abelian import Character, PGroup, subgroup_from_generators
+from .abelian import Character, PGroup, Subgroup
 from .fields import FieldConfig, NormalizedConfig, ShaInputError, validate_and_normalize
 from .places import Classification, LocalData, Place
 from .oracle import (
@@ -125,7 +125,7 @@ def random_config(rng: random.Random) -> tuple[NormalizedConfig, LocalData]:
                 tuple(rng.randrange(m) for m in group.moduli)
                 for _ in range(rng.randint(1, 2))
             ]
-            places.append(Place(f"v{t}", subgroup_from_generators(group, gens)))
+            places.append(Place(f"v{t}", Subgroup.span(group, gens)))
         return cfg, LocalData(tuple(places))
 
 

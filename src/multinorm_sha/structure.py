@@ -67,10 +67,9 @@ class StructureResult:
         return ShaReport(
             sha_invariants=self.sha_invariants,
             sha_omega_invariants=self.sha_omega_invariants,
-            quotient_invariants=None,
+            # equal to sha_omega/sha: the generator pairs are aligned
+            quotient_invariants=self.quotient_annotation,
             method="formula",
-            quotient_annotation=self.quotient_annotation,
-            generators=tuple(self.generators),
         )
 
 

@@ -14,6 +14,7 @@ from multinorm_sha.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     SchemaError,
+    _check_example,
     build_report,
     main,
     parse_document,
@@ -188,7 +189,24 @@ def test_cli_selftest_command(capsys):
     assert "25/25 configs agree" in out
 
 
-def test_cli_disagreement_path(tmp_path, capsys, monkeypatch):
+KUMMER_17_13 = {"mode": "kummer", "radicands": [17, 221, 13]}
+
+# the same report through each of the three commands of the one report path
+REPORT_COMMANDS = {
+    "compute": ["compute", "KUMMER"],
+    "kummer": ["kummer", "--radicands", "17,221,13", "--compute"],
+    "examples": ["examples", "17-13"],
+}
+
+
+def report_argv(tmp_path, command, *flags):
+    argv = [write(tmp_path, KUMMER_17_13) if a == "KUMMER" else a
+            for a in REPORT_COMMANDS[command]]
+    return argv + list(flags)
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
+def test_cli_disagreement_path(command, tmp_path, capsys, monkeypatch):
     # force the brute-force route to lie: the cross-check must exit 4
     import multinorm_sha.cli as cli
     from multinorm_sha.oracle import ShaReport
@@ -197,11 +215,81 @@ def test_cli_disagreement_path(tmp_path, capsys, monkeypatch):
         return ShaReport((3,), (3,), (0,), "oracle")
 
     monkeypatch.setattr(cli, "oracle_report", lying_oracle)
-    path = write(tmp_path, ABSTRACT_17_13)
-    assert main(["compute", path, "--method", "both"]) == 4
+    assert main(report_argv(tmp_path, command, "--method", "both")) == 4
     err = capsys.readouterr().err
-    assert "DISAGREEMENT" in err
+    assert "DISAGREEMENT" in err or "GOLDEN MISMATCH" in err
     assert '"methods"' in err  # full dump of the offending component
+    assert main(report_argv(tmp_path, command, "--json", "-")) == 4
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["agreement"] is False
+    assert "DISAGREEMENT" in captured.err or "GOLDEN MISMATCH" in captured.err
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
+def test_debug_monotonicity_on_every_command(command, tmp_path, capsys, monkeypatch):
+    import multinorm_sha.cli as cli
+
+    def broken_scan(cfg, local):
+        raise AssertionError("delta scan not monotone at r=0, d=1")
+
+    monkeypatch.setattr(cli, "check_monotone_scans", broken_scan)
+    assert main(report_argv(tmp_path, command)) == EXIT_OK
+    assert main(report_argv(tmp_path, command, "--debug-monotonicity")) == EXIT_INTERNAL
+    assert "not monotone" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--json", "OUT"],
+        ["--method", "formula"],
+        ["--method", "both"],
+        ["--budget", "5"],
+        ["--debug-monotonicity"],
+    ],
+    ids=["json", "method-formula", "method-both", "budget", "debug-monotonicity"],
+)
+def test_kummer_compute_flags_need_compute(flags, tmp_path, capsys):
+    out = tmp_path / "k.json"
+    argv = ["kummer", "--radicands", "17,221,13"]
+    argv += [str(out) if f == "OUT" else f for f in flags]
+    assert main(argv) == EXIT_VALIDATION
+    assert "--compute" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kummer_without_compute_describes(capsys):
+    assert main(["kummer", "--radicands", "17,221,13", "--labels", "a,b,c"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("component p = 2: valid\n")
+    assert "exceptional places: ['1+i', '17|1+4i', '17|1-4i', '13|3+2i', '13|3-2i']" in out
+
+
+def test_every_method_prints_its_quotient(tmp_path, capsys):
+    path = write(tmp_path, ABSTRACT_17_13)
+    assert main(["compute", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "  [formula] sha_omega/sha = Z/2\n" in out
+    assert "  [oracle] sha_omega/sha = Z/2\n" in out
+    out_json = tmp_path / "r.json"
+    assert main(["compute", path, "--method", "formula", "--json", str(out_json)]) == 0
+    rep = json.loads(out_json.read_text())["components"][0]["methods"]["formula"]
+    assert rep["quotient_invariants"] == [1] and "quotient_annotation" not in rep
+    capsys.readouterr()
+
+
+def test_check_example_multi_prime():
+    # Z/2 and Z/4 at p = 2 plus Z/3 and Z/9 at p = 3, as combined divisors
+    abstract_3 = {
+        **ABSTRACT_17_13,
+        "p": 3,
+        "exceptional_places": [{"label": "w", "generators": [[3, 0], [0, 1]]}],
+    }
+    report = build_report(parse_document([ABSTRACT_17_13, abstract_3]), "both")
+    entry = {"document": [], "expected_sha": [3, 2], "expected_sha_omega": [9, 4]}
+    assert _check_example(report, entry) == []
+    wrong = {**entry, "expected_sha_omega": [9, 2]}
+    assert _check_example(report, wrong) == ["sha_omega = [9, 4], expected [9, 2]"]
 
 
 def homocyclic_doc(n, coeffs):

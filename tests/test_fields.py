@@ -9,7 +9,6 @@ from multinorm_sha.abelian import (
     intersect,
     join,
     quotient_invariants,
-    subgroup_from_generators,
 )
 from multinorm_sha.fields import (
     FieldConfig,
@@ -181,7 +180,7 @@ def test_intersection_exponent():
 def test_is_sub_bicyclic():
     cfg = abstract_config(2, (2, 2), [(2, (1, 0)), (2, (0, 1)), (2, (1, 1))])
     assert cfg.is_sub_bicyclic(Subgroup.full(cfg.group))
-    assert cfg.is_sub_bicyclic(subgroup_from_generators(cfg.group, [(2, 2)]))
+    assert cfg.is_sub_bicyclic(Subgroup.span(cfg.group, [(2, 2)]))
     g3 = PGroup(2, (1, 1, 1))
     cfg3 = abstract_config(
         2, (1, 1, 1), [(1, (1, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1))]

@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from multinorm_sha.abelian import PGroup, Subgroup, subgroup_from_generators
+from multinorm_sha.abelian import PGroup, Subgroup
 from multinorm_sha.places import (
     Classification,
     LocalData,
@@ -73,7 +73,7 @@ def test_sigma_derived_example():
     cfg = abstract_config(2, (2, 2), [(2, (1, 0)), (2, (0, 1)), (2, (1, 1))])
     # field with character (0,1) sits at some index i; D = <(1,0)> = its kernel
     i = cfg.permutation.index(1)
-    d_sub = subgroup_from_generators(cfg.group, [(1, 0)])
+    d_sub = Subgroup.span(cfg.group, [(1, 0)])
     assert not sigma_contains(cfg, d_sub, i, 0)
     assert sigma_contains(cfg, d_sub, i, 2)
 
@@ -96,7 +96,7 @@ def test_sigma_matches_literal_definition():
                 tuple(rng.randrange(m) for m in cfg.group.moduli)
                 for _ in range(2)
             ]
-            d_sub = subgroup_from_generators(cfg.group, gens)
+            d_sub = Subgroup.span(cfg.group, gens)
             for i in range(1, cfg.m + 1):
                 for d in range(cfg.eps[0] + 1):
                     assert sigma_contains(cfg, d_sub, i, d) == \
@@ -148,7 +148,7 @@ def test_omega_improvement_closure():
 def test_classify_diagonal_is_in_g():
     cfg = four_field_config()
     places = LocalData(
-        (Place("w", subgroup_from_generators(cfg.group, [(1, 0), (0, 1)])),)
+        (Place("w", Subgroup.span(cfg.group, [(1, 0), (0, 1)])),)
     )
     p = cfg.p
     for n in range(p ** cfg.e_i(1)):

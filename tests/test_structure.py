@@ -6,8 +6,8 @@ import pytest
 from multinorm_sha.abelian import (
     Character,
     PGroup,
+    Subgroup,
     intersect,
-    subgroup_from_generators,
 )
 from multinorm_sha.fields import FieldConfig, ShaInputError, validate_and_normalize
 from multinorm_sha.places import Classification, LocalData, Place, delta, locally_cyclic
@@ -247,7 +247,7 @@ def random_disjoint_instance(rng):
         places = []
         for t in range(rng.randint(0, 2)):
             gens = [tuple(rng.randrange(m) for m in group.moduli)]
-            places.append(Place(f"v{t}", subgroup_from_generators(group, gens)))
+            places.append(Place(f"v{t}", Subgroup.span(group, gens)))
         return cfg, LocalData(tuple(places))
 
 
@@ -276,7 +276,7 @@ def random_bicyclic_subfields_instance(rng):
         places = []
         for t in range(rng.randint(0, 2)):
             gens = [tuple(rng.randrange(m) for m in group.moduli)]
-            places.append(Place(f"v{t}", subgroup_from_generators(group, gens)))
+            places.append(Place(f"v{t}", Subgroup.span(group, gens)))
         return cfg, LocalData(tuple(places))
 
 
@@ -342,3 +342,16 @@ def test_quotient_annotation_matches_oracle_when_defined(quartic_17_13):
     res = assemble(cfg, local)
     rep = oracle_report(cfg, local)
     assert res.quotient_annotation == rep.quotient_invariants
+
+
+def test_formula_quotient_invariants_match_oracle():
+    # the formula's generator pairs are aligned, so its termwise quotient is
+    # sha_omega/sha itself: both routes report the same quotient_invariants
+    rng = random.Random(1)
+    nontrivial = 0
+    for _ in range(150):
+        cfg, local = random_config(rng)
+        rep = oracle_report(cfg, local)
+        assert assemble(cfg, local).report().quotient_invariants == rep.quotient_invariants
+        nontrivial += bool(rep.quotient_invariants)
+    assert nontrivial > 20
