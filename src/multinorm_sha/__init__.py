@@ -1,8 +1,8 @@
 """Tate-Shafarevich groups of multinorm-one tori over global fields.
 
 Two independent computation routes for the obstruction groups attached to a
-product of cyclic p-power extensions: an exhaustive combinatorial sweep and a
-closed-form assembly from patching degrees and degrees of freedom.  The CLI
+product of cyclic p-power extensions: the definition, read as congruence
+subgroups cut out place by place, and a closed-form assembly from patching degrees and degrees of freedom.  The CLI
 cross-checks them.
 """
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 
-CYCLIC_SWEEP_CAP = 2 ** 16  # default bound for cyclic-subgroup enumeration
+CYCLIC_SWEEP_CAP = 2 ** 16  # bound on |A| for passes over its elements
 ALL_SUBGROUPS_CAP = 256    # exhaustive subgroup enumeration is a test-only tool
 
 

@@ -7,7 +7,7 @@ integers are exact; reports are plain JSON-compatible data.
 Exit codes: 0 success, 2 validation error (including an out-of-range
 command-line option), 3 budget exceeded, 4 disagreement between computation
 routes (or a failed golden example), 5 an internal consistency check failed
-(the oracle's closure or subgroup-chain check, the scan check of
+(the oracle's subgroup-chain check, the scan check of
 --debug-monotonicity, the normalized-config conventions, or the Kummer
 builder's check of its quoted local facts).
 """
@@ -576,8 +576,8 @@ def make_parser() -> argparse.ArgumentParser:
         prog="multinorm-sha",
         description=(
             "Obstruction groups of multinorm-one tori attached to products "
-            "of cyclic prime-power extensions, computed by brute-force "
-            "enumeration and by closed-form assembly, cross-checked."
+            "of cyclic prime-power extensions, computed from the definition "
+            "place by place and by closed-form assembly, cross-checked."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

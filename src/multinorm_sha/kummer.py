@@ -166,7 +166,11 @@ def _inert_pow(base, e: int, q: int) -> tuple[int, int]:
 
 def is_fourth_power_local(alpha, pi) -> bool:
     """Whether alpha lies in (k_v^x)^4 for the completion of Q(i) at pi."""
-    kind, pi, q = _classify_prime(pi)
+    return _is_fourth_power_at(alpha, *_classify_prime(pi))
+
+
+def _is_fourth_power_at(alpha, kind: str, pi, q: int) -> bool:
+    """is_fourth_power_local at a prime classified by _classify_prime."""
     z = _gauss(alpha)
     if z == (0, 0):
         raise ValueError("alpha must be nonzero")
@@ -305,12 +309,13 @@ def decomposition_place(
     """Decomposition subgroup at pi by duality: the annihilator of the
     exponent vectors m with prod(gen_j^{m_j}) a local fourth power."""
     g = len(generators)
+    prime = _classify_prime(pi)  # once per place, not once per test
     members = []
     for m in _exponent_vectors(g):
         value = 1
         for gen, e in zip(generators, m):
             value *= gen ** e
-        if is_fourth_power_local(value, pi):
+        if _is_fourth_power_at(value, *prime):
             members.append(m)
     fourth_powers = Subgroup.span(ambient, members)
     return Place(label=label, group=annihilator(ambient, fourth_powers))

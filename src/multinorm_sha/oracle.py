@@ -1,44 +1,72 @@
-"""Definitional brute-force computation of the obstruction groups.
+"""Definitional computation of the obstruction groups.
 
-Classifies vectors of the ambient sum (+) Z/p^{e_i} against all candidate
-decomposition subgroups and returns G and G_omega as explicit subgroups,
-together with the invariant factors of sha = G/D and sha_omega = G_omega/D,
-D the diagonal.  This is the slow, trusted route; the closed-form route must
-match it.
+Returns G and G_omega as explicit subgroups of the ambient sum
+(+) Z/p^{e_i}, together with the invariant factors of sha = G/D and
+sha_omega = G_omega/D, D the diagonal.  This is the trusted route: the
+definition rewritten, sharing no logic with the closed-form route, which
+must match it.
 
-Only the slice H = {a : a_1 = 0} is swept, one vector per coset of D.  The
-classification of a depends on each a_i only through n - a_i, with n running
-over all of Z/p^{e_1} and e_1 the largest swept exponent, so a and
-a + c(1,...,1) are classified alike.  H is a complement of D, hence
-G = (G cap H) (+) D and G/D is isomorphic to G cap H; likewise for G_omega.
-The sweep budget still counts the whole ambient sum.
+Pass groups.  A place has a threshold vector t, t_i the least degree d with
+the place in Sigma_i^d (places.sigma_threshold).  A vector a passes the
+place iff some n in Z/p^{e_1} (e_1 the largest exponent) satisfies
+n = a_i mod p^{r_i} for every i, where r_i = min(t_i, e_i).  Each condition
+is a ball in the ultrametric space Z/p^{e_1}.  Two balls are nested or
+disjoint, so the balls share a point iff every pair of them meets, and the
+vectors passing the place form the congruence subgroup
+
+    P_t = {a : a_i = a_j mod p^min(r_i, r_j) for all i < j}.
+
+G_omega is the intersection of P_t over the generic places, and G the
+further intersection over the exceptional ones.  With M_ij the largest
+min(r_i, r_j) over the generic threshold vectors,
+
+    G_omega = {a : a_i = a_j mod p^{M_ij} for all i < j},
+
+and G is the same with the exceptional vectors folded into M.  Both contain
+D, and G/D is isomorphic to the slice G cap {a_1 = 0}.  Nothing is swept.
+
+Generic thresholds.  Every cyclic subgroup <g> of A is the decomposition
+group of infinitely many unramified places.  Write s_i = v_p(chi_i(g)),
+capped at eps_i, for the valuation signature of g.  Then
+<g> cap H_i = <p^{eps_i - s_i} g>, whose image under chi_0 has valuation
+min(eps_0, eps_i - s_i + s_0), so
+
+    t_i = eps_0 - min(eps_0, eps_i - s_i + s_0).
+
+The generic threshold vectors are read off the signatures of the elements
+of A in one pass, refused above CYCLIC_SWEEP_CAP.  Exceptional places keep
+places.sigma_threshold, because their groups need not be cyclic.  The
+budget bounds the whole ambient sum p^{sum e_i} of the index set.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 
-from .abelian import BudgetExceeded, PGroup, Subgroup
+from .abelian import (
+    CYCLIC_SWEEP_CAP,
+    BudgetExceeded,
+    PGroup,
+    Subgroup,
+    intersect,
+    left_kernel,
+)
 from .fields import NormalizedConfig
 from .places import (
     Classification,
     LocalData,
     delta,
     fail_set,
-    generic_place_candidates,
     i_n,
     sigma_threshold,
 )
 
 DEFAULT_BUDGET = 2 ** 24
-_SENTINEL = 10 ** 6  # stands for "dominated, condition vacuous"
 
 
 class InternalCheckError(RuntimeError):
-    """An enumeration-time invariant failed; the oracle itself is broken."""
+    """A consistency check of the oracle failed; the oracle itself is broken."""
 
 
 @dataclass(frozen=True)
@@ -61,86 +89,112 @@ class ShaReport:
             raise ValueError("sha must embed in sha_omega factor by factor")
 
 
-@lru_cache(maxsize=None)
-def _delta_table(p: int, e1: int, e: int):
-    """table[n][y] = delta(n, y), with a large sentinel when n dominates y."""
-    q1, q = p ** e1, p ** e
-    table = []
-    for n in range(q1):
-        row = []
-        for y in range(q):
-            if (n - y) % q == 0:
-                row.append(_SENTINEL)
-            else:
-                row.append(delta(p, n, e1, y, e))
-        table.append(row)
+def _valuations(p: int, eps: int) -> list[int]:
+    """v_p(x) capped at eps, for every residue x mod p^eps."""
+    q = p ** eps
+    table = [0] * q
+    for k in range(1, eps + 1):
+        table[::p ** k] = [k] * (q // p ** k)
     return table
 
 
-def _maximal_vectors(vecs):
-    distinct = set(vecs)
-    out = [
-        s
-        for s in distinct
-        if not any(t != s and all(x >= y for x, y in zip(t, s)) for t in distinct)
-    ]
-    return sorted(out, reverse=True)
+def signature_thresholds(cfg: NormalizedConfig, s) -> tuple[int, ...]:
+    """(t_1, ..., t_m) of the generic places with decomposition group <g>,
+    s = (s_0, ..., s_m) the valuation signature of g."""
+    eps = cfg.eps
+    return tuple(
+        eps[0] - min(eps[0], eps[i] - s[i] + s[0]) for i in range(1, cfg.m + 1)
+    )
 
 
-class _SweepContext:
-    """Precomputed classification data for one (config, places, index set)."""
+def _generic_thresholds(cfg: NormalizedConfig) -> frozenset:
+    """The threshold vectors of all cyclic subgroups of A, by signature."""
+    tvecs = cfg.__dict__.get("_generic_thresholds")
+    if tvecs is None:
+        group = cfg.group
+        if group.order > CYCLIC_SWEEP_CAP:
+            raise BudgetExceeded(
+                f"signature sweep over |A| = {group.order} exceeds cap "
+                f"{CYCLIC_SWEEP_CAP}"
+            )
+        # one column per character: its valuations over A in product order
+        columns = []
+        for chi in cfg.chars:
+            q = chi.modulus
+            vals = [0]
+            for c, m in zip(chi.coeffs, group.moduli):
+                steps = [c * x % q for x in range(m)]
+                vals = [(v + s) % q for v in vals for s in steps]
+            table = _valuations(cfg.p, chi.exponent)
+            columns.append([table[v] for v in vals])
+        tvecs = frozenset(signature_thresholds(cfg, s) for s in set(zip(*columns)))
+        cfg.__dict__["_generic_thresholds"] = tvecs
+    return tvecs
+
+
+def _congruences(p: int, tvecs, positions, exps) -> tuple[tuple[int, int, int], ...]:
+    """(x, y, p^M_xy) for each M_xy > 0, M_xy the largest min(r_x, r_y) over
+    the threshold vectors, r_x = min(t_x, e_x)."""
+    rs = [[min(t[i], e) for i, e in zip(positions, exps)] for t in tvecs]
+    out = []
+    for x in range(len(exps)):
+        for y in range(x + 1, len(exps)):
+            lv = max((min(r[x], r[y]) for r in rs), default=0)
+            if lv:
+                out.append((x, y, p ** lv))
+    return tuple(out)
+
+
+def _congruence_subgroup(ambient: PGroup, congruences) -> Subgroup:
+    """{a : a_x = a_y mod q for every (x, y, q)}: the lattice part of the
+    left kernel of the difference columns stacked on the moduli."""
+    k, c = ambient.rank, len(congruences)
+    if not c:
+        return Subgroup.full(ambient)
+    rows = [[(x == cx) - (x == cy) for cx, cy, _ in congruences] for x in range(k)]
+    rows += [[q * (j == t) for j in range(c)] for t, (_, _, q) in enumerate(congruences)]
+    return Subgroup._span_rows(ambient, [w[:k] for w in left_kernel(rows, c)])
+
+
+def _meets(a, congruences) -> bool:
+    return all((a[x] - a[y]) % q == 0 for x, y, q in congruences)
+
+
+class _PassLevels:
+    """The congruences of G_omega and G over one (config, places, index set)."""
 
     def __init__(self, cfg: NormalizedConfig, localdata: LocalData, indices):
-        self.cfg = cfg
-        self.indices = tuple(indices)
-        self.exps = tuple(cfg.e_i(i) for i in self.indices)
+        self.exps = tuple(cfg.e_i(i) for i in indices)
         if any(a < b for a, b in zip(self.exps, self.exps[1:])):
             raise InternalCheckError("index set must have non-increasing e_i")
-        self.p = cfg.p
-        self.e1 = self.exps[0]
-        self.n_range = cfg.p ** self.e1
-        # thresholds first: the cyclic-candidate sweep refuses an oversized A
-        # before the delta tables, quadratic in p^{e_1}, are built
-        cyc = [
-            tuple(sigma_threshold(cfg, sub, i) for i in self.indices)
-            for sub in generic_place_candidates(cfg)
-        ]
-        exc = [
-            tuple(sigma_threshold(cfg, pl.group, i) for i in self.indices)
+        self.ambient = PGroup(cfg.p, self.exps)
+        positions = [i - 1 for i in indices]
+        generic = list(_generic_thresholds(cfg))
+        exceptional = [
+            tuple(sigma_threshold(cfg, pl.group, i) for i in range(1, cfg.m + 1))
             for pl in localdata.exceptional
         ]
-        self.cyclic_tvecs = _maximal_vectors(cyc)
-        self.exc_tvecs = _maximal_vectors(exc)
-        self.tables = [_delta_table(cfg.p, self.e1, e) for e in self.exps]
-        self.members = None  # (G slice, G_omega slice), set by the sweep
+        self.omega = _congruences(cfg.p, generic, positions, self.exps)
+        self.g = _congruences(cfg.p, generic + exceptional, positions, self.exps)
+        self.groups = None  # (G, G_omega), built on first use
+        self.members = None  # sorted slice elements of (G, G_omega)
 
     def classify(self, a) -> Classification:
-        cyc = set(self.cyclic_tvecs)
-        exc = set(self.exc_tvecs)
-        tables = self.tables
-        width = len(self.exps)
-        first = a[0]
-        for n in itertools.chain((first,), range(self.n_range)):
-            vals = tuple(tables[pos][n][a[pos]] for pos in range(width))
-            if cyc:
-                cyc = {s for s in cyc if any(v < t for v, t in zip(vals, s))}
-            if exc:
-                exc = {s for s in exc if any(v < t for v, t in zip(vals, s))}
-            if not cyc and not exc:
-                return Classification.IN_G
-        if cyc:
+        if not _meets(a, self.omega):
             return Classification.OUTSIDE
-        return Classification.IN_G_OMEGA_ONLY
+        if not _meets(a, self.g):
+            return Classification.IN_G_OMEGA_ONLY
+        return Classification.IN_G
 
 
-def _context(cfg: NormalizedConfig, localdata: LocalData, indices=None) -> _SweepContext:
+def _engine(cfg: NormalizedConfig, localdata: LocalData, indices=None) -> _PassLevels:
     if indices is None:
-        indices = tuple(range(1, cfg.m + 1))
+        indices = range(1, cfg.m + 1)
     indices = tuple(indices)
-    cache = cfg.__dict__.setdefault("_sweep_cache", {})
+    cache = cfg.__dict__.setdefault("_oracle_cache", {})
     key = (localdata, indices)
     if key not in cache:
-        cache[key] = _SweepContext(cfg, localdata, indices)
+        cache[key] = _PassLevels(cfg, localdata, indices)
     return cache[key]
 
 
@@ -152,67 +206,58 @@ def classify(cfg: NormalizedConfig, localdata: LocalData, a, indices=None) -> Cl
     finite and only exclude a from G.  ``indices`` restricts the
     classification to a sub-configuration (default: all fields).
     """
-    return _context(cfg, localdata, indices).classify(a)
+    return _engine(cfg, localdata, indices).classify(a)
 
 
-def enumerate_members(cfg, localdata, indices=None, budget=DEFAULT_BUDGET):
-    """The vectors of G and of G_omega whose first swept coordinate is 0.
+def _pass_groups(cfg: NormalizedConfig, localdata: LocalData, indices=None):
+    """G and G_omega over an index set, as congruence subgroups (cached)."""
+    eng = _engine(cfg, localdata, indices)
+    if eng.groups is None:
+        eng.groups = (
+            _congruence_subgroup(eng.ambient, eng.g),
+            _congruence_subgroup(eng.ambient, eng.omega),
+        )
+    return eng.groups
 
-    That is one member per coset of the diagonal, over the given index set
-    (default: all).  Each index set is swept once per config; later calls
-    return the stored tuples.  The budget bounds the whole ambient sum.
-    """
+
+def _checked_groups(cfg, localdata, indices=None, budget=DEFAULT_BUDGET):
+    """_pass_groups after the budget, with the chain D <= G <= G_omega
+    verified, not assumed.  The budget bounds the whole ambient sum."""
     if indices is None:
         indices = range(1, cfg.m + 1)
     total = prod(cfg.p ** cfg.e_i(i) for i in indices)
     if total > budget:
         raise BudgetExceeded(
-            f"oracle sweep over {total} candidate vectors exceeds budget {budget}"
+            f"oracle over {total} candidate vectors exceeds budget {budget}"
         )
-    ctx = _context(cfg, localdata, indices)
-    if ctx.members is None:
-        g_members, gw_members = [], []
-        ranges = [range(1)] + [range(cfg.p ** e) for e in ctx.exps[1:]]
-        for a in itertools.product(*ranges):
-            cls = ctx.classify(a)
-            if cls is Classification.OUTSIDE:
-                continue
-            gw_members.append(a)
-            if cls is Classification.IN_G:
-                g_members.append(a)
-        ctx.members = (tuple(g_members), tuple(gw_members))
-    return ctx.members
-
-
-def _as_subgroup(ambient: PGroup, members) -> Subgroup:
-    sub = Subgroup.span(ambient, members)
-    if sub.order != len(members):
-        raise InternalCheckError(
-            "classified member set is not closed under addition"
-        )
-    return sub
-
-
-def _slice_subgroups(cfg, localdata, indices=None, budget=DEFAULT_BUDGET):
-    """The spans of the swept slices, G cap H and G_omega cap H.
-
-    Closure and the chain D <= G <= G_omega, read on the slices as
-    0 in G cap H <= G_omega cap H, are verified, not assumed.
-    """
-    g_members, gw_members = enumerate_members(cfg, localdata, indices, budget)
-    ambient = PGroup(cfg.p, _context(cfg, localdata, indices).exps)
-    if not g_members or g_members[0] != ambient.zero():
+    g_sub, gw_sub = _pass_groups(cfg, localdata, indices)
+    if not g_sub.contains((1,) * g_sub.ambient.rank):
         raise InternalCheckError("expected D <= G")
-    g_sub = _as_subgroup(ambient, g_members)
-    gw_sub = _as_subgroup(ambient, gw_members)
     if not g_sub.issubset(gw_sub):
         raise InternalCheckError("expected G <= G_omega")
     return g_sub, gw_sub
 
 
-def _plus_diagonal(sub: Subgroup) -> Subgroup:
-    ambient = sub.ambient
-    return Subgroup._span_rows(ambient, list(sub.basis) + [(1,) * ambient.rank])
+def enumerate_members(cfg, localdata, indices=None, budget=DEFAULT_BUDGET):
+    """The sorted vectors of G and of G_omega whose first coordinate is 0.
+
+    That is one member per coset of the diagonal, over the given index set
+    (default: all).  They are listed once per config and index set; later
+    calls return the stored tuples.  The budget is checked first.
+    """
+    g_sub, gw_sub = _checked_groups(cfg, localdata, indices, budget)
+    eng = _engine(cfg, localdata, indices)
+    if eng.members is None:
+        ambient = eng.ambient
+        k = ambient.rank
+        first_zero = Subgroup.span(
+            ambient, [tuple(int(j == x) for j in range(k)) for x in range(1, k)]
+        )
+        eng.members = tuple(
+            tuple(sorted(intersect(sub, first_zero).elements()))
+            for sub in (g_sub, gw_sub)
+        )
+    return eng.members
 
 
 def compute_G_and_Gomega(
@@ -221,16 +266,14 @@ def compute_G_and_Gomega(
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[Subgroup, Subgroup]:
     """G and G_omega as canonical subgroups of (+) Z/p^{e_i}."""
-    g_sub, gw_sub = _slice_subgroups(cfg, localdata, budget=budget)
-    return _plus_diagonal(g_sub), _plus_diagonal(gw_sub)
+    return _checked_groups(cfg, localdata, budget=budget)
 
 
 def subtorus_groups(cfg, localdata, r: int, budget: int = DEFAULT_BUDGET):
     """G and G_omega of the block (K_0, K_{U_r}), as subgroups of (+)_{U_r}."""
     if r not in cfg.R:
         raise ValueError(f"no fields with e_0i = {r}")
-    g_sub, gw_sub = _slice_subgroups(cfg, localdata, cfg.U(r), budget)
-    return _plus_diagonal(g_sub), _plus_diagonal(gw_sub)
+    return _checked_groups(cfg, localdata, cfg.U(r), budget)
 
 
 def quotient_by_D(group: Subgroup) -> list[int]:
@@ -291,11 +334,10 @@ def aprime(cfg: NormalizedConfig, localdata: LocalData, a) -> tuple[int, ...]:
 
 
 def oracle_report(cfg, localdata, budget: int = DEFAULT_BUDGET) -> ShaReport:
-    g_sub, gw_sub = _slice_subgroups(cfg, localdata, budget=budget)
-    zero = Subgroup.trivial(g_sub.ambient)
+    g_sub, gw_sub = _checked_groups(cfg, localdata, budget=budget)
     return ShaReport(
-        sha_invariants=tuple(g_sub.invariants_mod(zero)),
-        sha_omega_invariants=tuple(gw_sub.invariants_mod(zero)),
+        sha_invariants=tuple(quotient_by_D(g_sub)),
+        sha_omega_invariants=tuple(quotient_by_D(gw_sub)),
         quotient_invariants=tuple(gw_sub.invariants_mod(g_sub)),
         method="oracle",
     )

@@ -2,7 +2,7 @@
 
 Generates random configurations (p in {2, 3}, |A| <= 729, 3..5 fields,
 up to 3 exceptional places), asserts that the closed-form assembly equals
-the brute-force oracle, and checks the structural invariants: the subgroup
+the definitional oracle, and checks the structural invariants: the subgroup
 chain, patching-degree monotonicity between blocks, the degree-of-freedom
 chain, the block product decomposition, generator membership, and the
 two-valued-approximation properties.
@@ -26,8 +26,8 @@ from .oracle import (
 )
 from .structure import StructureResult, assemble, check_monotone_scans
 
-# keeps the brute-force sweep affordable; the bounds in the docstring above
-# are outer limits, not a coverage promise
+# keeps the member lists and the literal fail_set checks affordable; the
+# bounds in the docstring above are outer limits, not a coverage promise
 AMBIENT_CAP = 4096
 
 
@@ -135,7 +135,8 @@ def _require(condition: bool, message: str, cfg, local):
 
 
 def _sample_outside_diagonal(rng: random.Random, cfg: NormalizedConfig, members, k: int):
-    """k random vectors of (members (+) D) minus D, members a swept slice.
+    """k random vectors of (members (+) D) minus D, members the elements of
+    a slice G_omega cap {a_1 = 0}, sorted.
 
     Draws from rng exactly as rng.sample would from the lexicographically
     sorted list of those vectors: the vectors with first coordinate c are

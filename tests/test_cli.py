@@ -330,16 +330,17 @@ def test_cli_internal_check_failures_exit_5(tmp_path, capsys, monkeypatch):
     import multinorm_sha.cli as cli
     import multinorm_sha.oracle as oracle
 
-    # {0, (0, 1)} in Z/4 x Z/4 is not closed under addition
-    monkeypatch.setattr(
-        oracle,
-        "enumerate_members",
-        lambda *a, **k: (((0, 0), (0, 1)), ((0, 0), (0, 1), (0, 2), (0, 3))),
-    )
+    # G and G_omega swapped: sha = Z/2 < sha_omega = Z/4 breaks G <= G_omega
+    def swapped(*args, **kwargs):
+        g_sub, gw_sub = build(*args, **kwargs)
+        return gw_sub, g_sub
+
+    build = oracle._pass_groups
+    monkeypatch.setattr(oracle, "_pass_groups", swapped)
     path = write(tmp_path, ABSTRACT_17_13)
     assert main(["compute", path, "--method", "oracle"]) == EXIT_INTERNAL
     err = capsys.readouterr().err
-    assert err.startswith("internal check failed:") and "closed" in err
+    assert err.startswith("internal check failed:") and "G <= G_omega" in err
     assert len(err.splitlines()) == 1
 
     def broken_scan(cfg, local):

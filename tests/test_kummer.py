@@ -5,7 +5,13 @@ from math import prod
 
 import pytest
 
-from multinorm_sha.abelian import BudgetExceeded, PGroup, _is_prime
+from multinorm_sha.abelian import (
+    BudgetExceeded,
+    PGroup,
+    Subgroup,
+    _is_prime,
+    annihilator,
+)
 from multinorm_sha.fields import TooFewFields, validate_and_normalize
 from multinorm_sha.kummer import (
     DependentRadicands,
@@ -325,3 +331,50 @@ def test_factoring_budget_refuses_large_semiprimes():
     q = 1099511627803  # the next one; p * q is below MR_BOUND
     with pytest.raises(BudgetExceeded):
         _factor_odd(p * q)
+
+
+# the radicand triples of the kummer benchmark workload, seed 0
+BENCH_RADICANDS = [
+    (1021, 1410001, 1381), (1039, 1433, 2133575071), (2053, 5565683, 2711),
+    (3067, 4007, 49243902283), (4013, 21722369, 5413),
+    (6047, 8017, 388654531583), (9001, 108975107, 12107),
+    (13043, 17383, 3941186210627), (20113, 536876309, 26693),
+    (28099, 37409, 39322675762819), (41081, 2248239887, 54727),
+    (60107, 80051, 385175429458307), (86029, 9872429953, 114757),
+    (125003, 166669, 3472402780791683), (182057, 44214909191, 242863),
+]
+
+
+def test_decomposition_place_classifies_once(monkeypatch):
+    # every place matches is_fourth_power_local test by test, and each
+    # place classifies its prime once
+    import multinorm_sha.kummer as kummer
+
+    classified = []
+    classify_prime = kummer._classify_prime
+
+    def counting(pi):
+        classified.append(pi)
+        return classify_prime(pi)
+
+    monkeypatch.setattr(kummer, "_classify_prime", counting)
+    for radicands in BENCH_RADICANDS:
+        classified.clear()
+        _raw, local = build_kummer(KummerSpec(radicands))
+        assert len(classified) == len(local.exceptional)
+        generators = list(dict.fromkeys(q for b in radicands for q in _factor_odd(b)))
+        primes = [(1, 1)]
+        for q in generators:
+            if q % 4 == 1:
+                a, b = split_prime_above(q)
+                primes += [(a, b), (a, -b)]
+            else:
+                primes.append((q, 0))
+        ambient = PGroup(2, (2,) * len(generators))
+        for place, pi in zip(local.exceptional, primes, strict=True):
+            members = [
+                m for m in itertools.product(range(4), repeat=len(generators))
+                if is_fourth_power_local(prod(q ** e for q, e in zip(generators, m)), pi)
+            ]
+            want = annihilator(ambient, Subgroup.span(ambient, members))
+            assert place.group == want, (radicands, place.label)

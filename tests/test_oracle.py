@@ -1,11 +1,19 @@
 import random
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from multinorm_sha.abelian import BudgetExceeded, PGroup, Subgroup
-from multinorm_sha.places import Classification
+from multinorm_sha.abelian import BudgetExceeded, Character, PGroup, Subgroup
+from multinorm_sha.fields import FieldConfig, ShaInputError, validate_and_normalize
+from multinorm_sha.places import (
+    Classification,
+    LocalData,
+    Place,
+    generic_place_candidates,
+    sigma_threshold,
+)
 from multinorm_sha.selftest import random_config
 from multinorm_sha.oracle import (
     InternalCheckError,
@@ -17,11 +25,13 @@ from multinorm_sha.oracle import (
     in_diagonal,
     oracle_report,
     quotient_by_D,
+    signature_thresholds,
     subtorus_groups,
     varpi_r,
 )
 
 from conftest import NO_PLACES, abstract_config
+from oracle_reference import SweepContext, as_subgroup, reference_groups
 
 
 def test_rank_three_compositum_collapses():
@@ -139,9 +149,7 @@ def test_closure_check_fires_on_inconsistent_input():
     amb = PGroup(2, (1, 1))
     with pytest.raises(InternalCheckError):
         # not a subgroup: {0, e1} plus a stray element
-        from multinorm_sha.oracle import _as_subgroup
-
-        _as_subgroup(amb, [(0, 0), (1, 0), (1, 1)])
+        as_subgroup(amb, [(0, 0), (1, 0), (1, 1)])
 
 
 def test_sha_report_invariant_validation():
@@ -179,18 +187,17 @@ def test_enumerate_members_is_the_slice_and_is_cached(quartic_17_13):
 
 
 def _reference_groups(cfg, local, indices):
-    """G and G_omega over an index set, by classifying every vector."""
+    """G and G_omega over an index set, by sweeping every vector."""
     ambient = PGroup(cfg.p, tuple(cfg.e_i(i) for i in indices))
+    ctx = SweepContext(cfg, local, indices)
     g, gw = [], []
     for a in ambient.elements():
-        cls = classify(cfg, local, a, indices)
+        cls = ctx.classify(a)
         if cls is not Classification.OUTSIDE:
             gw.append(a)
         if cls is Classification.IN_G:
             g.append(a)
-    g_sub, gw_sub = Subgroup.span(ambient, g), Subgroup.span(ambient, gw)
-    assert (g_sub.order, gw_sub.order) == (len(g), len(gw))
-    return g_sub, gw_sub
+    return as_subgroup(ambient, g), as_subgroup(ambient, gw)
 
 
 def test_slice_sweep_matches_full_reference_sweep():
@@ -225,10 +232,127 @@ def test_budget_counts_the_whole_ambient_before_the_cache(quartic_17_13):
 def test_chain_check_fires_when_zero_is_not_in_G(monkeypatch, quartic_17_13):
     import multinorm_sha.oracle as oracle
 
+    # a G without the diagonal: the zero of the slice a_1 = 0 stands for D
+    def without_diagonal(*args, **kwargs):
+        g_sub, gw_sub = build(*args, **kwargs)
+        return Subgroup.trivial(g_sub.ambient), gw_sub
+
     cfg, local = quartic_17_13
-    g_members, gw_members = enumerate_members(cfg, local)
-    monkeypatch.setattr(
-        oracle, "enumerate_members", lambda *a, **k: (g_members[1:], gw_members)
-    )
-    with pytest.raises(InternalCheckError):
+    build = oracle._pass_groups
+    monkeypatch.setattr(oracle, "_pass_groups", without_diagonal)
+    with pytest.raises(InternalCheckError, match="D <= G"):
         oracle_report(cfg, local)
+
+
+def test_engine_matches_reference_sweep():
+    # G, G_omega and every block against the sweep, on 1,000 configs; on
+    # small ambients, classify on every vector too
+    vectors = 0
+    for seed in (0, 7):
+        rng = random.Random(seed)
+        for _ in range(500):
+            cfg, local = random_config(rng)
+            assert compute_G_and_Gomega(cfg, local) == reference_groups(cfg, local)
+            for r in cfg.R:
+                assert subtorus_groups(cfg, local, r) == reference_groups(
+                    cfg, local, cfg.U(r)
+                )
+            ambient = PGroup(cfg.p, cfg.eis)
+            if ambient.order <= 256:
+                ctx = SweepContext(cfg, local, range(1, cfg.m + 1))
+                for a in ambient.elements():
+                    assert classify(cfg, local, a) is ctx.classify(a), (cfg, local, a)
+                vectors += ambient.order
+    assert vectors > 30_000
+
+
+def _valuation(p, x, cap):
+    v = 0
+    while v < cap and x % p ** (v + 1) == 0:
+        v += 1
+    return v
+
+
+def test_signature_threshold_is_sigma_threshold():
+    # on every cyclic subgroup <g> of 300 configs, through every generator g
+    rng = random.Random(3)
+    subgroups = 0
+    for _ in range(300):
+        cfg, _local = random_config(rng)
+        group = cfg.group
+        seen = {sub.basis for sub in generic_place_candidates(cfg)}
+        for g in group.elements():
+            sub = Subgroup.span(group, [g])
+            s = tuple(_valuation(cfg.p, chi.value(g), chi.exponent) for chi in cfg.chars)
+            want = tuple(sigma_threshold(cfg, sub, i) for i in range(1, cfg.m + 1))
+            assert signature_thresholds(cfg, s) == want, (cfg, g)
+            seen.discard(sub.basis)
+        assert not seen
+        subgroups += len(generic_place_candidates(cfg))
+    assert subgroups > 5_000
+
+
+@st.composite
+def configs_p5_p7(draw):
+    """A valid config with p in {5, 7}, |A| <= 625 and a swept ambient of at
+    most 4,096 vectors: coordinate characters keep it separating, and the
+    further characters have two unit coefficients (see formula-scale)."""
+    p = draw(st.sampled_from([5, 7]))
+    shapes = [(1, 1), (2, 1), (2, 2), (1, 1, 1)] if p == 5 else [(1, 1), (2, 1)]
+    exps = draw(st.sampled_from(shapes))
+    group = PGroup(p, exps)
+    unit = st.integers(1, p - 1)
+    chars = [
+        Character(group, n, tuple(draw(unit) if l == j else 0 for l in range(len(exps))))
+        for j, n in enumerate(exps)
+    ]
+    for _ in range(draw(st.integers(1, 2))):
+        eps = draw(st.integers(1, exps[1]))
+        pair = draw(st.permutations([l for l, n in enumerate(exps) if n >= eps]))[:2]
+        coeffs = []
+        for l, n in enumerate(exps):
+            if l in pair:
+                coeffs.append(draw(unit))
+            else:
+                c = draw(st.integers(0, p ** eps - 1))
+                coeffs.append(c - c % p ** max(0, eps - n))
+        chars.append(Character(group, eps, tuple(coeffs)))
+    chars = draw(st.permutations(chars))
+    try:
+        cfg = validate_and_normalize(FieldConfig(group, tuple(chars), ()))
+    except ShaInputError:
+        assume(False)
+    assume(prod(p ** e for e in cfg.eis) <= 4096)
+    places = [
+        Place(f"v{t}", Subgroup.span(group, [
+            tuple(draw(st.integers(0, m - 1)) for m in group.moduli)
+            for _ in range(draw(st.integers(1, 2)))
+        ]))
+        for t in range(draw(st.integers(0, 2)))
+    ]
+    return cfg, LocalData(tuple(places))
+
+
+@settings(max_examples=40, deadline=None)
+@given(configs_p5_p7())
+def test_engine_matches_reference_sweep_p5_p7(config):
+    cfg, local = config
+    assert cfg.p in (5, 7)
+    assert compute_G_and_Gomega(cfg, local) == reference_groups(cfg, local)
+    for r in cfg.R:
+        assert subtorus_groups(cfg, local, r) == reference_groups(cfg, local, cfg.U(r))
+
+
+def test_report_path_builds_no_cyclic_subgroups(monkeypatch, quartic_17_13):
+    import multinorm_sha.abelian as abelian
+    import multinorm_sha.places as places
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle swept the cyclic subgroups")
+
+    monkeypatch.setattr(abelian, "cyclic_subgroups", refuse)
+    monkeypatch.setattr(places, "cyclic_subgroups", refuse)
+    monkeypatch.setattr(places, "generic_place_candidates", refuse)
+    cfg, local = quartic_17_13
+    rep = oracle_report(cfg, local)
+    assert (rep.sha_invariants, rep.sha_omega_invariants) == ((1,), (2,))
