@@ -45,7 +45,6 @@ from .oracle import (
     delta,
     i_n,
     quotient_by_D,
-    varpi_r,
 )
 from .structure import (
     StructureResult,

@@ -208,18 +208,6 @@ class PGroup:
     def add(self, a, b) -> tuple[int, ...]:
         return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
 
-    def neg(self, a) -> tuple[int, ...]:
-        return tuple((-x) % m for x, m in zip(a, self.moduli))
-
-    def scale(self, c: int, a) -> tuple[int, ...]:
-        return tuple((c * x) % m for x, m in zip(a, self.moduli))
-
-    def element_order(self, a) -> int:
-        n = 1
-        for x, m in zip(a, self.moduli):
-            n = max(n, m // gcd(x, m))
-        return n
-
     def elements(self):
         """Iterate over all elements (tuples of residues)."""
         return itertools.product(*(range(m) for m in self.moduli))

@@ -15,6 +15,7 @@ builder's check of its quoted local facts).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -67,7 +68,7 @@ def _expect_int_list(value, what):
     return [_expect_int(v, f"entry of {what}") for v in value]
 
 
-_COMMON_OPTIONAL = {"budget", "debug_monotonicity", "seed"}
+_COMMON_OPTIONAL = {"budget", "debug_monotonicity"}
 
 
 def _parse_options(obj):
@@ -76,8 +77,6 @@ def _parse_options(obj):
     debug = obj.get("debug_monotonicity", False)
     if not isinstance(debug, bool):
         raise SchemaError("debug_monotonicity must be a boolean")
-    if "seed" in obj:
-        _expect_int(obj["seed"], "seed")
     return budget, debug
 
 
@@ -571,7 +570,9 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="multinorm-sha",
         description=(

@@ -161,9 +161,6 @@ class NormalizedConfig:
             sub = intersect(sub, self.subfield(i, d))
         return sub
 
-    def intersection_exponent(self, i: int, j: int) -> int:
-        return self.eij[i][j]
-
     def is_sub_bicyclic(self, h: Subgroup) -> bool:
         """True when the field of h embeds in a bicyclic extension (rank <= 2)."""
         return len(quotient_invariants(self.group, h)) <= 2

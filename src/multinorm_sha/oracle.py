@@ -37,6 +37,11 @@ The generic threshold vectors are read off the signatures of the elements
 of A in one pass, refused above CYCLIC_SWEEP_CAP.  Exceptional places keep
 places.sigma_threshold, because their groups need not be cyclic.  The
 budget bounds the whole ambient sum p^{sum e_i} of the index set.
+
+The same pass groups are the only membership test here: classify, and the
+post-condition of the two-valued approximation a' (no place fails for a'
+that did not fail for a), read them.  The literal sweep of places.fail_set
+over every place and every n is the tests' reference, not called here.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from .places import (
     Classification,
     LocalData,
     delta,
-    fail_set,
     i_n,
     sigma_threshold,
 )
@@ -176,6 +180,10 @@ class _PassLevels:
         ]
         self.omega = _congruences(cfg.p, generic, positions, self.exps)
         self.g = _congruences(cfg.p, generic + exceptional, positions, self.exps)
+        # the pass group P_t of each exceptional place on its own
+        self.places = tuple(
+            _congruences(cfg.p, [t], positions, self.exps) for t in exceptional
+        )
         self.groups = None  # (G, G_omega), built on first use
         self.members = None  # sorted slice elements of (G, G_omega)
 
@@ -285,13 +293,6 @@ def quotient_by_D(group: Subgroup) -> list[int]:
     return group.invariants_mod(diag)
 
 
-def varpi_r(cfg: NormalizedConfig, a, r: int) -> tuple[int, ...]:
-    """Coordinate restriction of a to the block U_r."""
-    if r not in cfg.R:
-        raise ValueError(f"no fields with e_0i = {r}")
-    return tuple(a[i - 1] for i in cfg.U(r))
-
-
 def in_diagonal(cfg: NormalizedConfig, a) -> bool:
     p = cfg.p
     return all(
@@ -299,11 +300,24 @@ def in_diagonal(cfg: NormalizedConfig, a) -> bool:
     )
 
 
+def _no_new_failures(cfg: NormalizedConfig, localdata: LocalData, a, b) -> bool:
+    """Whether every place failing for b already fails for a, a in G_omega.
+
+    a passes every generic place, so b must lie in G_omega; and b must lie
+    in the pass group P_t of every exceptional place whose P_t holds a.
+    """
+    eng = _engine(cfg, localdata)
+    return _meets(b, eng.omega) and all(
+        _meets(b, place) for place in eng.places if _meets(a, place)
+    )
+
+
 def aprime(cfg: NormalizedConfig, localdata: LocalData, a) -> tuple[int, ...]:
     """The two-valued approximation a' of a with no larger failure set.
 
-    Requires a in G_omega \\ D.  Asserts the defining properties: a' is not
-    diagonal and every candidate place failing for a' already failed for a.
+    Requires a in G_omega \\ D.  Checks the defining properties, raising
+    InternalCheckError: a' is not diagonal, and every place failing for a'
+    already failed for a (_no_new_failures, through the pass groups).
     """
     if in_diagonal(cfg, a):
         raise ValueError("a lies in the diagonal subgroup")
@@ -328,7 +342,7 @@ def aprime(cfg: NormalizedConfig, localdata: LocalData, a) -> tuple[int, ...]:
     res = tuple(out)
     if in_diagonal(cfg, res):
         raise InternalCheckError("a' landed in the diagonal subgroup")
-    if not fail_set(cfg, localdata, res) <= fail_set(cfg, localdata, a):
+    if not _no_new_failures(cfg, localdata, a, res):
         raise InternalCheckError("failure set of a' is not contained in that of a")
     return res
 

@@ -7,6 +7,12 @@ A.  The finitely many exceptional places (ramified ones, or any the user
 wants to pin down) are listed explicitly with their decomposition subgroups.
 A failure at a cyclic candidate therefore means an infinite set of failing
 places; a failure at an exceptional place means a finite one.
+
+The runtime reads the place model (Place, LocalData), sigma_threshold and
+local cyclicity from here.  The literal membership path, fail_set over
+generic_place_candidates through omega_contains and sigma_contains, tries
+every place and every n; no runtime path calls it.  It is the reference the
+tests hold the oracle's pass groups against.
 """
 
 from __future__ import annotations

@@ -26,7 +26,8 @@ from .oracle import (
 )
 from .structure import StructureResult, assemble, check_monotone_scans
 
-# keeps the member lists and the literal fail_set checks affordable; the
+# keeps the member lists that check_invariants reads affordable, and decides
+# which configurations a seed yields, so changing it changes every run; the
 # bounds in the docstring above are outer limits, not a coverage promise
 AMBIENT_CAP = 4096
 

@@ -110,16 +110,6 @@ def level(cfg: NormalizedConfig, members) -> int:
     )
 
 
-def level_and_classes(cfg: NormalizedConfig, members):
-    """(L(C), {l: partition of C under ~_l}) for l = 0 .. max level + 1."""
-    members = tuple(sorted(members))
-    if not members:
-        raise ValueError("empty index set")
-    top = max(level(cfg, members), max(cfg.eps[i] for i in members))
-    parts = {l: l_classes(cfg, members, l) for l in range(top + 2)}
-    return level(cfg, members), parts
-
-
 # ---------------------------------------------------------------------------
 # Patching degrees.
 

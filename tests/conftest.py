@@ -42,3 +42,22 @@ def quartic_17_409():
 def quartic_bicyclic():
     """K = Q(i)(4rt 13), Q(i)(4rt 17), Q(i)(4rt 13*17^2)."""
     return kummer_config([13, 17, 13 * 17 * 17])
+
+
+@pytest.fixture
+def no_literal_places(monkeypatch):
+    """Make the literal place sweep raise: fail_set, the cyclic candidates
+    and both bindings of the cyclic-subgroup enumeration behind them."""
+    import multinorm_sha.abelian as abelian
+    import multinorm_sha.places as places
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the literal place sweep ran")
+
+    for module, name in (
+        (places, "fail_set"),
+        (places, "generic_place_candidates"),
+        (places, "cyclic_subgroups"),
+        (abelian, "cyclic_subgroups"),
+    ):
+        monkeypatch.setattr(module, name, refuse)

@@ -17,6 +17,7 @@ from multinorm_sha.cli import (
     _check_example,
     build_report,
     main,
+    make_parser,
     parse_document,
     run_example,
 )
@@ -403,17 +404,70 @@ def test_kummer_refusals_are_bounded(capsys):
     assert "not decided exactly" in capsys.readouterr().err
 
 
-def test_kummer_json_under_python_O():
+def _run_under_python_O(argv):
     import multinorm_sha
 
     src = str(Path(multinorm_sha.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    argv = ["kummer", "--radicands", "1000003,1000033,3", "--compute", "--json", "-"]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-O", "-m", "multinorm_sha.cli", *argv],
         env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def test_kummer_json_under_python_O():
+    argv = ["kummer", "--radicands", "1000003,1000033,3", "--compute", "--json", "-"]
+    proc = _run_under_python_O(argv)
     assert proc.returncode == EXIT_OK, proc.stderr
     report = json.loads(proc.stdout)
     assert report["agreement"] is True
     assert len(report["components"][0]["exceptional_places"]) == 5
+
+
+def test_selftest_under_python_O():
+    # the selftest path's checks are explicit raises, so they survive -O
+    proc = _run_under_python_O(["selftest", "--seed", "0", "--count", "25"])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "25/25 configs agree" in proc.stdout
+
+
+def test_parser_is_built_once():
+    assert make_parser() is make_parser()
+
+
+def test_consecutive_mains_parse_independently(tmp_path, capsys):
+    path = write(tmp_path, ABSTRACT_17_13)
+    assert main(["compute", path, "--method", "oracle"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "[oracle] sha" in out and "[formula]" not in out
+    assert main(["selftest", "--seed", "3", "--count", "2"]) == EXIT_OK
+    assert "2/2 configs agree" in capsys.readouterr().out
+    assert main(["compute", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "[formula] sha" in out and "[oracle] sha" in out
+
+
+def test_seed_key_is_unknown(tmp_path, capsys):
+    path = write(tmp_path, {**ABSTRACT_17_13, "seed": 0})
+    assert main(["compute", path]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "unknown key(s): seed" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["selftest", "--seed", "0", "--count", "25"], ["examples", "all"]],
+    ids=["selftest", "examples"],
+)
+def test_commands_run_without_the_literal_sweep(no_literal_places, argv, capsys):
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_aprime_postcondition_failure_exits_5(monkeypatch, capsys):
+    import multinorm_sha.oracle as oracle
+
+    monkeypatch.setattr(oracle, "_no_new_failures", lambda *args: False)
+    assert main(["selftest", "--seed", "0", "--count", "3"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed: failure set of a'")

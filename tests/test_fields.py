@@ -171,10 +171,10 @@ def test_composite():
 
 def test_intersection_exponent():
     cfg = abstract_config(2, (2, 2), [(2, (1, 0)), (2, (0, 1)), (2, (1, 2))])
-    assert cfg.intersection_exponent(0, 0) == 2
-    assert cfg.intersection_exponent(0, 1) == 0
+    assert cfg.eij[0][0] == 2
+    assert cfg.eij[0][1] == 0
     idx = cfg.permutation.index(2)
-    assert cfg.intersection_exponent(0, idx) == 1
+    assert cfg.eij[0][idx] == 1
 
 
 def test_is_sub_bicyclic():

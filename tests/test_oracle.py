@@ -11,13 +11,15 @@ from multinorm_sha.places import (
     Classification,
     LocalData,
     Place,
+    fail_set,
     generic_place_candidates,
     sigma_threshold,
 )
-from multinorm_sha.selftest import random_config
+from multinorm_sha.selftest import random_config, run_selftest
 from multinorm_sha.oracle import (
     InternalCheckError,
     ShaReport,
+    _no_new_failures,
     aprime,
     classify,
     compute_G_and_Gomega,
@@ -27,7 +29,6 @@ from multinorm_sha.oracle import (
     quotient_by_D,
     signature_thresholds,
     subtorus_groups,
-    varpi_r,
 )
 
 from conftest import NO_PLACES, abstract_config
@@ -85,18 +86,6 @@ def test_budget():
         compute_G_and_Gomega(cfg, NO_PLACES, budget=8)
 
 
-def test_varpi_r():
-    cfg = abstract_config(
-        2, (2, 2), [(2, (1, 0)), (2, (0, 1)), (2, (1, 1)), (2, (1, 2))]
-    )
-    assert cfg.U(1) == (3,)
-    assert varpi_r(cfg, (1, 2, 1), 1) == (1,)
-    assert varpi_r(cfg, (1, 2, 1), 0) == (1, 2)
-    assert varpi_r(cfg, (0, 0, 0), 1) == (0,)
-    with pytest.raises(ValueError):
-        varpi_r(cfg, (1, 2, 1), 2)
-
-
 def test_subtorus_groups(quartic_bicyclic):
     cfg, local = quartic_bicyclic
     g1, gw1 = subtorus_groups(cfg, local, 1)
@@ -138,8 +127,9 @@ def test_aprime_preserves_membership(quartic_17_13, quartic_bicyclic):
         rng = random.Random(0)
         pool = [a for a in gw_members if not in_diagonal(cfg, a)]
         for a in rng.sample(pool, min(6, len(pool))):
-            ap = aprime(cfg, local, a)  # postconditions asserted inside
+            ap = aprime(cfg, local, a)  # postconditions checked inside
             assert not in_diagonal(cfg, ap)
+            assert fail_set(cfg, local, ap) <= fail_set(cfg, local, a)
             assert classify(cfg, local, ap) is not Classification.OUTSIDE
             if a in g_set:
                 assert classify(cfg, local, ap) is Classification.IN_G
@@ -343,16 +333,39 @@ def test_engine_matches_reference_sweep_p5_p7(config):
         assert subtorus_groups(cfg, local, r) == reference_groups(cfg, local, cfg.U(r))
 
 
-def test_report_path_builds_no_cyclic_subgroups(monkeypatch, quartic_17_13):
-    import multinorm_sha.abelian as abelian
-    import multinorm_sha.places as places
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the oracle swept the cyclic subgroups")
-
-    monkeypatch.setattr(abelian, "cyclic_subgroups", refuse)
-    monkeypatch.setattr(places, "cyclic_subgroups", refuse)
-    monkeypatch.setattr(places, "generic_place_candidates", refuse)
+def test_report_path_builds_no_cyclic_subgroups(no_literal_places, quartic_17_13):
     cfg, local = quartic_17_13
     rep = oracle_report(cfg, local)
     assert (rep.sha_invariants, rep.sha_omega_invariants) == ((1,), (2,))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_selftest_runs_without_the_literal_sweep(no_literal_places, seed):
+    summary = run_selftest(seed, 25)
+    assert summary.ok, summary.failures
+    assert summary.invariant_checks == 25
+
+
+def test_no_new_failures_matches_fail_set():
+    # a from G_omega, as aprime requires; b a vector of G_omega or of the
+    # whole ambient, so both outcomes and both halves of the check occur
+    rng = random.Random(11)
+    outcomes = {True: 0, False: 0}
+    exceptional_only = 0
+    for _ in range(200):
+        cfg, local = random_config(rng)
+        moduli = [cfg.p ** e for e in cfg.eis]
+        _, gw_members = enumerate_members(cfg, local)
+        for _ in range(4):
+            a = _shift(rng.choice(gw_members), rng.randrange(moduli[0]), moduli)
+            if rng.random() < 0.7:
+                b = _shift(rng.choice(gw_members), rng.randrange(moduli[0]), moduli)
+            else:
+                b = tuple(rng.randrange(q) for q in moduli)
+            want = fail_set(cfg, local, b) <= fail_set(cfg, local, a)
+            assert _no_new_failures(cfg, local, a, b) is want, (cfg, local, a, b)
+            outcomes[want] += 1
+            if not want and classify(cfg, local, b) is not Classification.OUTSIDE:
+                exceptional_only += 1
+    assert min(outcomes.values()) > 50, outcomes
+    assert exceptional_only > 10

@@ -26,7 +26,6 @@ from multinorm_sha.structure import (
     delta_ordinary,
     l_classes,
     level,
-    level_and_classes,
     shortcut_bicyclic_subfields,
     shortcut_linearly_disjoint,
 )
@@ -48,17 +47,16 @@ def test_levels_and_classes():
     cfg = pair_block_config()
     # singleton: level is the field degree exponent
     assert level(cfg, (1,)) == cfg.eps[1]
-    lvl, parts = level_and_classes(cfg, (1, 2))
-    assert lvl == min(cfg.eij[1][2], cfg.eij[1][2])
-    assert parts[0] == [(1, 2)]
-    assert parts[lvl + 1] == [(1,), (2,)]
+    lvl = level(cfg, (1, 2))
+    assert lvl == cfg.eij[1][2]
+    assert l_classes(cfg, (1, 2), 0) == [(1, 2)]
+    assert l_classes(cfg, (1, 2), lvl + 1) == [(1,), (2,)]
 
     cfg2 = disjoint_config()
-    lvl2, parts2 = level_and_classes(cfg2, (1, 2))
-    assert lvl2 == 0
-    assert len(parts2[1]) == 2
+    assert level(cfg2, (1, 2)) == 0
+    assert len(l_classes(cfg2, (1, 2), 1)) == 2
     with pytest.raises(ValueError):
-        level_and_classes(cfg2, ())
+        level(cfg2, ())
 
 
 def test_l_classes_threshold_graph():
