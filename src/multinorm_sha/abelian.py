@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, prod
 
 CYCLIC_SWEEP_CAP = 2 ** 16  # bound on |A| for passes over its elements
@@ -191,7 +191,7 @@ class PGroup:
     def rank(self) -> int:
         return len(self.exponents)
 
-    @property
+    @cached_property
     def moduli(self) -> tuple[int, ...]:
         return tuple(self.p ** n for n in self.exponents)
 
@@ -217,9 +217,16 @@ class PGroup:
             0 <= x < m for x, m in zip(vec, self.moduli)
         )
 
-    def _p_rows(self) -> list[list[int]]:
+    @cached_property
+    def _p_diag(self) -> tuple[tuple[int, ...], ...]:
         k = self.rank
-        return [[self.moduli[i] if j == i else 0 for j in range(k)] for i in range(k)]
+        return tuple(
+            tuple(self.moduli[i] if j == i else 0 for j in range(k)) for i in range(k)
+        )
+
+    def _p_rows(self) -> list[list[int]]:
+        """The rows of P = diag(p^{n_j}), fresh lists (_echelon works in place)."""
+        return [list(r) for r in self._p_diag]
 
 
 def _check_elements(ambient: PGroup, gens) -> list[tuple[int, ...]]:

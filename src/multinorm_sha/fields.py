@@ -2,21 +2,42 @@
 
 The base field k and the cyclic extensions K_0..K_m are never touched
 directly: the tuple (p, A, characters) encodes them, with K_i the fixed
-field of ker(chi_i) inside the compositum whose Galois group is A.  All
-field-level notions (subfields, composites, intersections, bicyclicity)
-become subgroup-lattice computations in A.
+field of ker(chi_i) inside the compositum whose Galois group is A.  Field
+constructions (subfields, composites, bicyclicity) become subgroup-lattice
+computations in A.
+
+Normalization needs no lattice, only congruences of characters.  Write
+chi_i(a) = sum_l c_i[l] a_l mod p^eps_i on A = (+)_l Z/p^{n_l}, and K_i(f)
+for the fixed field of the kernel of chi_i mod p^f.  K_i is cyclic over k,
+so its subfields form the chain k = K_i(0) < K_i(1) < ... < K_i(eps_i), and
+K_i cap K_j = K_i(e_ij), with e_ij the largest f for which K_i(f) = K_j(f).
+Two characters onto Z/p^f have one kernel iff they differ by a unit, so
+e_ij is the largest f <= min(eps_i, eps_j) with chi_i = y chi_j (mod p^f)
+coefficient by coefficient.  A unit coordinate l0 of chi_j fixes
+y = c_i[l0] / c_j[l0] mod p^min(eps_i, eps_j), and e_ij is the least p-adic
+valuation of the c_i[l] - y c_j[l], capped at min(eps_i, eps_j) (:func:`meet`).
+From it:
+
+* K_j <= K_i iff eps_j <= eps_i and e_ij = eps_j (:func:`is_subfield`),
+  and K_j = K_i iff moreover eps_j = eps_i (:func:`same_field`);
+* the K_i meet in K_b(min_i e_bi), for any one of them K_b;
+* the characters separate A (the common kernel is trivial) iff the F_p
+  matrix M[i][l] = c_i[l] p^(n_l - 1) / p^(eps_i - 1) mod p has rank rank(A)
+  (:func:`separates`).  A nonzero subgroup of A meets A[p], whose elements
+  are a_l = p^(n_l - 1) b_l with b in F_p^rank(A), and chi_i takes
+  p^(eps_i - 1) (M b)_i there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .abelian import (
     Character,
     PGroup,
     Subgroup,
     intersect,
-    join,
     quotient_invariants,
 )
 
@@ -83,15 +104,13 @@ class NormalizedConfig:
         self.permutation = tuple(permutation)
         self.m = len(self.chars) - 1
         self.eps = tuple(chi.exponent for chi in self.chars)
-        self._kernels = tuple(chi.kernel() for chi in self.chars)
 
         n = self.m + 1
         eij = [[0] * n for _ in range(n)]
         for i in range(n):
             eij[i][i] = self.eps[i]
             for j in range(i + 1, n):
-                q = quotient_invariants(group, join(self._kernels[i], self._kernels[j]))
-                eij[i][j] = eij[j][i] = sum(q)
+                eij[i][j] = eij[j][i] = meet(self.chars[i], self.chars[j])
         self.eij = tuple(tuple(r) for r in eij)
 
         parts: dict[int, list[int]] = {}
@@ -120,7 +139,7 @@ class NormalizedConfig:
     # -- field-level views ------------------------------------------------
 
     def kernel(self, i: int) -> Subgroup:
-        return self._kernels[i]
+        return self.chars[i].kernel()
 
     def e0(self, i: int) -> int:
         return self.eij[0][i]
@@ -180,6 +199,64 @@ class NormalizedConfig:
         return rows
 
 
+def meet(chi: Character, psi: Character) -> int:
+    """log_p [K_chi cap K_psi : k] for surjective characters on one A."""
+    p = chi.ambient.p
+    top = min(chi.exponent, psi.exponent)
+    q = p ** top
+    for c0, d0 in zip(chi.coeffs, psi.coeffs):
+        if d0 % p:
+            break
+    else:
+        raise ValueError("meet needs a surjective character")
+    y = c0 * pow(d0, -1, q) % q
+    g = q
+    for c, d in zip(chi.coeffs, psi.coeffs):
+        g = gcd(g, c - y * d)
+    e = 0
+    while g % p == 0:
+        g //= p
+        e += 1
+    return e
+
+
+def is_subfield(psi: Character, chi: Character) -> bool:
+    """Whether K_psi <= K_chi."""
+    return psi.exponent <= chi.exponent and meet(psi, chi) == psi.exponent
+
+
+def same_field(chi: Character, psi: Character) -> bool:
+    """Whether K_chi = K_psi, that is ker chi = ker psi."""
+    return chi.exponent == psi.exponent and meet(chi, psi) == chi.exponent
+
+
+def separates(group: PGroup, chars) -> bool:
+    """Whether the common kernel of ``chars`` in A is trivial (rank over F_p)."""
+    p = group.p
+    rows = [
+        [c * p ** (n - 1) // p ** (chi.exponent - 1) % p
+         for c, n in zip(chi.coeffs, group.exponents)]
+        for chi in chars
+    ]
+    rank = 0
+    for j in range(group.rank):
+        for piv in range(rank, len(rows)):
+            if rows[piv][j]:
+                break
+        else:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        inv = pow(top[j], -1, p)
+        for r in rows[rank + 1:]:
+            f = r[j] * inv % p
+            if f:
+                for c in range(j, group.rank):
+                    r[c] = (r[c] - f * top[c]) % p
+        rank += 1
+    return rank == group.rank
+
+
 def validate_and_normalize(cfg: FieldConfig) -> NormalizedConfig:
     """Prune superfields, reindex to the standing conventions, derive constants.
 
@@ -188,22 +265,21 @@ def validate_and_normalize(cfg: FieldConfig) -> NormalizedConfig:
     cyclic p-power extensions with pairwise-incomparable fields, compositum
     Galois group A and common intersection k.
     """
-    group = cfg.group
-    for chi, label in zip(cfg.chars, cfg.labels):
+    chars = cfg.chars
+    for chi, label in zip(chars, cfg.labels):
         if not chi.is_surjective():
             raise NonSurjectiveCharacter(
                 f"character of {label} does not map onto Z/p^{chi.exponent}"
             )
-    kernels = [chi.kernel() for chi in cfg.chars]
 
-    # K_j <= K_i exactly when ker chi_i <= ker chi_j: drop the superfield i.
+    # Drop the superfield K_i of any other K_j; of equal fields keep the first.
     keep = []
-    for i, hi in enumerate(kernels):
+    for i, chi in enumerate(chars):
         redundant = any(
             j != i
-            and hi.issubset(kernels[j])
-            and (hi != kernels[j] or j < i)
-            for j in range(len(kernels))
+            and is_subfield(psi, chi)
+            and (psi.exponent < chi.exponent or j < i)
+            for j, psi in enumerate(chars)
         )
         if not redundant:
             keep.append(i)
@@ -212,36 +288,26 @@ def validate_and_normalize(cfg: FieldConfig) -> NormalizedConfig:
             f"only {len(keep)} field(s) remain after pruning; need at least 3"
         )
 
-    total = kernels[keep[0]]
-    for i in keep[1:]:
-        total = join(total, kernels[i])
-    if total != Subgroup.full(group):
-        fixed = quotient_invariants(group, total)
+    base = chars[keep[0]]
+    common = min(meet(base, chars[i]) for i in keep[1:])
+    if common:
         raise IntersectionNotBase(
             "the fields intersect in a proper extension of k with Galois "
-            f"invariants {fixed}"
+            f"invariants [{common}]"
         )
-    common = kernels[keep[0]]
-    for i in keep[1:]:
-        common = intersect(common, kernels[i])
-    if common.order != 1:
+    if not separates(cfg.group, [chars[i] for i in keep]):
         raise NonSeparatingAmbient(
             "characters do not jointly separate A; pass the Galois group of "
             "the compositum as the ambient group"
         )
 
-    zero = min(keep, key=lambda i: (cfg.chars[i].exponent, i))
-    h0 = kernels[zero]
+    zero = min(keep, key=lambda i: (chars[i].exponent, i))
     rest = [i for i in keep if i != zero]
-
-    def e0_of(i):
-        return sum(quotient_invariants(group, join(h0, kernels[i])))
-
-    rest.sort(key=lambda i: (e0_of(i), i))
+    rest.sort(key=lambda i: (meet(chars[zero], chars[i]), i))
     order = [zero] + rest
     return NormalizedConfig(
-        group,
-        [cfg.chars[i] for i in order],
+        cfg.group,
+        [chars[i] for i in order],
         [cfg.labels[i] for i in order],
         order,
     )

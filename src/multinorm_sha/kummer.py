@@ -24,9 +24,8 @@ from .abelian import (
     Subgroup,
     _is_prime,
     annihilator,
-    intersect,
 )
-from .fields import FieldConfig, ShaInputError
+from .fields import FieldConfig, ShaInputError, same_field, separates
 from .places import LocalData, Place
 
 GENERATOR_BUDGET = 4
@@ -361,18 +360,14 @@ def build_kummer(spec: KummerSpec) -> tuple[FieldConfig, LocalData]:
             chars.append(Character(ambient, 1, tuple(c // 2 % 2 for c in vec)))
         else:
             chars.append(Character(ambient, 2, tuple(vec)))
-    kernels = [chi.kernel() for chi in chars]
-    for i in range(len(kernels)):
-        for j in range(i + 1, len(kernels)):
-            if kernels[i] == kernels[j]:
+    for i in range(len(chars)):
+        for j in range(i + 1, len(chars)):
+            if same_field(chars[i], chars[j]):
                 raise DependentRadicands(
                     f"radicands {spec.radicands[i]} and {spec.radicands[j]} "
                     "generate the same field"
                 )
-    separating = kernels[0]
-    for ker in kernels[1:]:
-        separating = intersect(separating, ker)
-    if separating.order != 1:
+    if not separates(ambient, chars):
         raise UnsupportedRadicand(
             "radicand classes do not span the full Kummer group of their "
             "prime support; present this configuration abstractly instead"

@@ -61,3 +61,17 @@ def no_literal_places(monkeypatch):
         (abelian, "cyclic_subgroups"),
     ):
         monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.fixture
+def no_lattice(monkeypatch):
+    """Make the lattice kernels of abelian.py raise: Hermite form, left
+    kernel and Smith form, behind its spans, joins, intersections and
+    quotient invariants."""
+    import multinorm_sha.abelian as abelian
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice kernel ran")
+
+    for name in ("hermite_normal_form", "left_kernel", "smith_invariants"):
+        monkeypatch.setattr(abelian, name, refuse)

@@ -1,6 +1,9 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multinorm_sha.abelian import (
     Character,
@@ -15,11 +18,16 @@ from multinorm_sha.fields import (
     IntersectionNotBase,
     NonSeparatingAmbient,
     NonSurjectiveCharacter,
+    ShaInputError,
     TooFewFields,
+    meet,
+    same_field,
+    separates,
     validate_and_normalize,
 )
 
 from conftest import abstract_config
+from fields_reference import reference_normalize
 
 Z44 = PGroup(2, (2, 2))
 
@@ -348,3 +356,240 @@ sys.exit(1)
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised:")
+
+
+# ---------------------------------------------------------------------------
+# Normalization by congruences against the lattice reference.
+
+def _coeff(rng, p, eps, n):
+    """A random coefficient of a character Z/p^n -> Z/p^eps."""
+    x = rng.randrange(p ** eps)
+    return x - x % p ** max(0, eps - n)
+
+
+def _char(rng, group, eps):
+    """A random surjective character onto Z/p^eps."""
+    while True:
+        chi = Character(
+            group, eps, tuple(_coeff(rng, group.p, eps, n) for n in group.exponents)
+        )
+        if chi.is_surjective():
+            return chi
+
+
+def _unit(rng, p, eps):
+    while True:
+        u = rng.randrange(1, p ** eps)
+        if u % p:
+            return u
+
+
+def _variant(rng, chi):
+    """A unit multiple of chi, reduced to a level f: the field K_chi(f)."""
+    p = chi.ambient.p
+    f = rng.randint(1, chi.exponent)
+    u = _unit(rng, p, f)
+    return Character(chi.ambient, f, tuple(u * c % p ** f for c in chi.coeffs))
+
+
+def _raw_config(rng, p, exps, nchars):
+    """Random characters, with subfields and duplicates of earlier ones,
+    non-surjective ones, and (in one draw in four) a common subfield."""
+    group = PGroup(p, exps)
+    shared = rng.random() < 0.25
+    base = [c % p for c in _char(rng, group, 1).coeffs]
+    chars = []
+    while len(chars) < nchars:
+        roll = rng.random()
+        if chars and roll < 0.15:
+            chi = _variant(rng, rng.choice(chars))
+        else:
+            chi = _char(rng, group, rng.randint(1, exps[0]))
+            if roll > 0.99:
+                chi = Character(group, chi.exponent, tuple(p * c for c in chi.coeffs))
+            elif shared and any(base):
+                # keep chi only when chi = u * base (mod p): K(1) is common
+                low = [c % p for c in chi.coeffs]
+                if not any(
+                    low == [u * b % p for b in base] for u in range(1, p)
+                ):
+                    continue
+        chars.append(chi)
+    labels = tuple(f"F{i}" for i in range(nchars))
+    return FieldConfig(group, tuple(chars), labels)
+
+
+def _formula_shaped(rng, p, exps, nfields):
+    """Coordinate characters, pair characters with two unit coefficients, and
+    now and then a free character or a duplicate of an earlier field."""
+    group = PGroup(p, exps)
+    rank = len(exps)
+    chars = [
+        Character(group, n, tuple(_unit(rng, p, n) if l == j else 0 for l in range(rank)))
+        for j, n in enumerate(exps)
+    ]
+    while len(chars) < nfields:
+        roll = rng.random()
+        if roll < 0.05:
+            chars.append(_variant(rng, rng.choice(chars)))
+        elif roll < 0.1:
+            chars.append(_char(rng, group, rng.randint(1, exps[0])))
+        else:
+            eps = rng.randint(1, exps[1])
+            pair = rng.sample([l for l in range(rank) if exps[l] >= eps], 2)
+            chars.append(Character(group, eps, tuple(
+                _unit(rng, p, eps) if l in pair else _coeff(rng, p, eps, n)
+                for l, n in enumerate(exps)
+            )))
+    rng.shuffle(chars)
+    return FieldConfig(group, tuple(chars), ())
+
+
+def _outcome(normalize, cfg):
+    try:
+        got = normalize(cfg)
+    except ShaInputError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", (got.permutation, got.labels, got.eij, got.R)
+
+
+def test_normalize_matches_lattice_reference():
+    rng = random.Random(8)
+    outcomes = {}
+    for _ in range(10_000):
+        p = rng.choice((2, 3, 5, 7))
+        rank = rng.choice((1, 2, 2, 3, 3))
+        exps = tuple(sorted((rng.randint(1, 3) for _ in range(rank)), reverse=True))
+        cfg = _raw_config(rng, p, exps, rng.randint(2, 6))
+        got = _outcome(validate_and_normalize, cfg)
+        assert got == _outcome(reference_normalize, cfg), cfg
+        outcomes[got[0]] = outcomes.get(got[0], 0) + 1
+    assert set(outcomes) == {
+        "ok",
+        "NonSurjectiveCharacter",
+        "TooFewFields",
+        "IntersectionNotBase",
+        "NonSeparatingAmbient",
+    }
+    assert min(outcomes.values()) >= 100, outcomes
+
+    ok = 0
+    for _ in range(150):
+        p = rng.choice((2, 3, 5, 7))
+        rank = rng.randint(2, 5)
+        exps = tuple(sorted((rng.randint(1, 10) for _ in range(rank)), reverse=True))
+        cfg = _formula_shaped(rng, p, exps, rng.randint(5, 10))
+        got = _outcome(validate_and_normalize, cfg)
+        assert got == _outcome(reference_normalize, cfg), cfg
+        ok += got[0] == "ok"
+    assert ok >= 100
+
+
+def test_predicates_match_kernels():
+    # same_field and separates, which the Kummer builder also uses, against
+    # kernel equality and the intersection of the kernels
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(400):
+        p = rng.choice((2, 3, 5))
+        exps = tuple(sorted((rng.randint(1, 3) for _ in range(rng.randint(1, 3))),
+                            reverse=True))
+        group = PGroup(p, exps)
+        chars = [_char(rng, group, rng.randint(1, exps[0])) for _ in range(2)]
+        chars += [_variant(rng, chars[0]) for _ in range(rng.randint(0, 2))]
+        for chi in chars:
+            for psi in chars:
+                same = same_field(chi, psi)
+                assert same == (chi.kernel() == psi.kernel())
+                seen.add(("same", same))
+        common = chars[0].kernel()
+        for chi in chars[1:]:
+            common = intersect(common, chi.kernel())
+        sep = separates(group, chars)
+        assert sep == (common.order == 1)
+        seen.add(("separates", sep))
+    assert len(seen) == 4
+
+
+def test_normalize_runs_no_lattice_kernel(golden_raw_configs, no_lattice):
+    group = PGroup(2, (80, 80))
+    chars = tuple(
+        Character(group, 80, c) for c in ((1, 0), (0, 1), (1, 1), (1, 3), (1, 5))
+    )
+    cfg = validate_and_normalize(FieldConfig(group, chars, ()))
+    assert cfg.m == 4 and cfg.eij[1][2] == 0
+    assert len(golden_raw_configs) == 5
+    for raw in golden_raw_configs:
+        assert validate_and_normalize(raw).m >= 2
+
+
+@pytest.fixture(scope="module")
+def golden_raw_configs():
+    """The raw configs of the golden examples, built before any test patches."""
+    from multinorm_sha.cli import EXAMPLES, parse_document
+
+    return [
+        raw
+        for entry in EXAMPLES.values()
+        for raw, _local, _budget, _debug in parse_document(entry["document"])
+    ]
+
+
+@st.composite
+def surjective_chars(draw):
+    """The coordinate characters of A, which separate it, plus 1-4 random
+    surjective characters, in a drawn order."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    rank = draw(st.integers(2, 3))
+    exps = tuple(sorted(draw(st.lists(st.integers(1, 6), min_size=rank, max_size=rank)),
+                        reverse=True))
+    group = PGroup(p, exps)
+    unit = st.integers(1, p - 1)
+    chars = [
+        Character(group, n, tuple(draw(unit) if l == j else 0 for l in range(rank)))
+        for j, n in enumerate(exps)
+    ]
+    for _ in range(draw(st.integers(1, 4))):
+        # a unit at a coordinate l0 with n_l0 >= eps makes the character surjective
+        eps = draw(st.integers(1, exps[0]))
+        l0 = draw(st.sampled_from([l for l, n in enumerate(exps) if n >= eps]))
+        coeffs = []
+        for l, n in enumerate(exps):
+            c = draw(st.integers(0, p ** eps - 1))
+            if l == l0:
+                c += 1 - c % p
+            coeffs.append(c - c % p ** max(0, eps - n))
+        chars.append(Character(group, eps, tuple(coeffs)))
+    return draw(st.permutations(chars))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chars=surjective_chars(), data=st.data())
+def test_meet_symmetric_and_permutation_invariant(chars, data):
+    for chi in chars:
+        assert meet(chi, chi) == chi.exponent
+        for psi in chars:
+            assert meet(chi, psi) == meet(psi, chi)
+    group = chars[0].ambient
+    labels = tuple(f"F{i}" for i in range(len(chars)))
+    order = data.draw(st.permutations(range(len(chars))))
+    permuted = FieldConfig(
+        group, tuple(chars[i] for i in order), tuple(labels[i] for i in order)
+    )
+    try:
+        cfg = validate_and_normalize(FieldConfig(group, tuple(chars), labels))
+    except ShaInputError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            validate_and_normalize(permuted)
+        return
+    again = validate_and_normalize(permuted)
+    for new in (cfg, again):
+        for i, chi in enumerate(new.chars):
+            for j, psi in enumerate(new.chars):
+                assert new.eij[i][j] == meet(chi, psi)
+    # duplicated fields may keep another representative after the permutation
+    if set(again.labels) == set(cfg.labels):
+        pos = {label: i for i, label in enumerate(cfg.labels)}
+        for i, a in enumerate(again.labels):
+            for j, b in enumerate(again.labels):
+                assert again.eij[i][j] == cfg.eij[pos[a]][pos[b]]
