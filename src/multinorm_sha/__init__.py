@@ -16,6 +16,7 @@ from .abelian import (
     image_is_cyclic,
     intersect,
     join,
+    joint_kernel,
     quotient_invariants,
 )
 from .fields import (

@@ -475,11 +475,28 @@ def gcd_many(values) -> int:
 
 @lru_cache(maxsize=None)
 def _kernel_at_level(char: Character, f: int) -> Subgroup:
-    amb = char.ambient
-    if f == 0:
-        return Subgroup.full(amb)
-    k = amb.rank
-    q = amb.p ** f
-    rows = [[c] for c in char.coeffs] + [[q]]
-    gens = [w[:k] for w in left_kernel(rows, 1)]
-    return Subgroup._span_rows(amb, gens)
+    return joint_kernel(char.ambient, [(char, f)])
+
+
+def joint_kernel(ambient: PGroup, pairs) -> Subgroup:
+    """Common kernel of the maps A -> Z/p^exponent -> Z/p^f, one per (chi, f).
+
+    One left kernel: a in Z^rank lies in the kernel iff there is z with
+    a @ C + z @ diag(p^f) == 0, C the characters' coefficients as columns.
+    Pairs with f = 0 impose nothing; with none left the kernel is all of A.
+    """
+    live = []
+    for chi, f in pairs:
+        if chi.ambient != ambient:
+            raise ValueError("ambient mismatch")
+        if not 0 <= f <= chi.exponent:
+            raise ValueError(f"level {f} out of range [0, {chi.exponent}]")
+        if f:
+            live.append((chi, f))
+    if not live:
+        return Subgroup.full(ambient)
+    k, p, t = ambient.rank, ambient.p, len(live)
+    rows = [[chi.coeffs[l] for chi, _ in live] for l in range(k)]
+    rows += [[p ** f if s == c else 0 for c in range(t)] for s, (_, f) in enumerate(live)]
+    gens = [w[:k] for w in left_kernel(rows, t)]
+    return Subgroup._span_rows(ambient, gens)

@@ -4,7 +4,9 @@ The base field k and the cyclic extensions K_0..K_m are never touched
 directly: the tuple (p, A, characters) encodes them, with K_i the fixed
 field of ker(chi_i) inside the compositum whose Galois group is A.  Field
 constructions (subfields, composites, bicyclicity) become subgroup-lattice
-computations in A.
+computations in A.  The composite of the subfields K_i(d), i in C, is the
+common kernel of the chi_i mod p^d: one left kernel
+(:func:`abelian.joint_kernel`), cached per config.
 
 Normalization needs no lattice, only congruences of characters.  Write
 chi_i(a) = sum_l c_i[l] a_l mod p^eps_i on A = (+)_l Z/p^{n_l}, and K_i(f)
@@ -18,8 +20,8 @@ y = c_i[l0] / c_j[l0] mod p^min(eps_i, eps_j), and e_ij is the least p-adic
 valuation of the c_i[l] - y c_j[l], capped at min(eps_i, eps_j) (:func:`meet`).
 From it:
 
-* K_j <= K_i iff eps_j <= eps_i and e_ij = eps_j (:func:`is_subfield`),
-  and K_j = K_i iff moreover eps_j = eps_i (:func:`same_field`);
+* K_j <= K_i iff eps_j <= eps_i and e_ij = eps_j, and K_j = K_i iff
+  moreover eps_j = eps_i (:func:`same_field`);
 * the K_i meet in K_b(min_i e_bi), for any one of them K_b;
 * the characters separate A (the common kernel is trivial) iff the F_p
   matrix M[i][l] = c_i[l] p^(n_l - 1) / p^(eps_i - 1) mod p has rank rank(A)
@@ -37,7 +39,7 @@ from .abelian import (
     Character,
     PGroup,
     Subgroup,
-    intersect,
+    joint_kernel,
     quotient_invariants,
 )
 
@@ -93,10 +95,11 @@ class NormalizedConfig:
     e_{0,i} is non-decreasing.  Derived constants: eps[i] = log_p [K_i:k],
     eij[i][j] = log_p [K_i cap K_j : k] (diagonal carries eps), e0(i) and
     ei(i) for the interaction with K_0, and the partition U_r of 1..m by
-    e_{0,i} = r.
+    e_{0,i} = r.  Built only by :func:`validate_and_normalize`, which hands
+    over eij; composites are cached per instance.
     """
 
-    def __init__(self, group: PGroup, chars, labels, permutation):
+    def __init__(self, group: PGroup, chars, labels, permutation, eij):
         self.group = group
         self.p = group.p
         self.chars = tuple(chars)
@@ -104,15 +107,10 @@ class NormalizedConfig:
         self.permutation = tuple(permutation)
         self.m = len(self.chars) - 1
         self.eps = tuple(chi.exponent for chi in self.chars)
+        self.eij = tuple(tuple(r) for r in eij)
+        self._composites: dict[tuple[tuple[int, ...], int], Subgroup] = {}
 
         n = self.m + 1
-        eij = [[0] * n for _ in range(n)]
-        for i in range(n):
-            eij[i][i] = self.eps[i]
-            for j in range(i + 1, n):
-                eij[i][j] = eij[j][i] = meet(self.chars[i], self.chars[j])
-        self.eij = tuple(tuple(r) for r in eij)
-
         parts: dict[int, list[int]] = {}
         for i in range(1, n):
             parts.setdefault(self.eij[0][i], []).append(i)
@@ -168,16 +166,21 @@ class NormalizedConfig:
         return self.chars[i].kernel_at_level(f)
 
     def composite(self, C, d: int) -> Subgroup:
-        """Subgroup of the composite field of the K_i(d), i in C."""
+        """Subgroup of the composite field of the K_i(d), i in C: the common
+        kernel of the chi_i mod p^d, one left kernel, cached per (set C, d)."""
         C = tuple(C)
-        if not C:
-            raise ValueError("empty index set")
-        for i in C:
-            if d > self.eps[i]:
-                raise ValueError(f"degree {d} exceeds eps_{i} = {self.eps[i]}")
-        sub = self.subfield(C[0], d)
-        for i in C[1:]:
-            sub = intersect(sub, self.subfield(i, d))
+        key = (tuple(sorted(set(C))), d)
+        sub = self._composites.get(key)
+        if sub is None:
+            if not C:
+                raise ValueError("empty index set")
+            for i in C:
+                if d > self.eps[i]:
+                    raise ValueError(f"degree {d} exceeds eps_{i} = {self.eps[i]}")
+            if d < 0:
+                raise ValueError(f"subfield degree {d} out of range [0, {self.eps[C[0]]}]")
+            sub = joint_kernel(self.group, [(self.chars[i], d) for i in key[0]])
+            self._composites[key] = sub
         return sub
 
     def is_sub_bicyclic(self, h: Subgroup) -> bool:
@@ -189,7 +192,7 @@ class NormalizedConfig:
         g = d + self.eij[s][t] - beta
         if g < 0 or g > min(self.eps[s], self.eps[t]):
             raise ValueError(f"degree {g} out of range for pair ({s}, {t})")
-        return intersect(self.subfield(s, g), self.subfield(t, g))
+        return self.composite((s, t), g)
 
     def field_table(self):
         """Rows (label, eps_i, e_{0,i}) in normalized order."""
@@ -218,11 +221,6 @@ def meet(chi: Character, psi: Character) -> int:
         g //= p
         e += 1
     return e
-
-
-def is_subfield(psi: Character, chi: Character) -> bool:
-    """Whether K_psi <= K_chi."""
-    return psi.exponent <= chi.exponent and meet(psi, chi) == psi.exponent
 
 
 def same_field(chi: Character, psi: Character) -> bool:
@@ -272,12 +270,20 @@ def validate_and_normalize(cfg: FieldConfig) -> NormalizedConfig:
                 f"character of {label} does not map onto Z/p^{chi.exponent}"
             )
 
+    # e[i][j] = log_p [K_i cap K_j : k], one meet per pair; the diagonal is eps.
+    n = len(chars)
+    e = [[chi.exponent] * n for chi in chars]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e[i][j] = e[j][i] = meet(chars[i], chars[j])
+
     # Drop the superfield K_i of any other K_j; of equal fields keep the first.
     keep = []
     for i, chi in enumerate(chars):
         redundant = any(
             j != i
-            and is_subfield(psi, chi)
+            and psi.exponent <= chi.exponent
+            and e[i][j] == psi.exponent
             and (psi.exponent < chi.exponent or j < i)
             for j, psi in enumerate(chars)
         )
@@ -288,8 +294,7 @@ def validate_and_normalize(cfg: FieldConfig) -> NormalizedConfig:
             f"only {len(keep)} field(s) remain after pruning; need at least 3"
         )
 
-    base = chars[keep[0]]
-    common = min(meet(base, chars[i]) for i in keep[1:])
+    common = min(e[keep[0]][i] for i in keep[1:])
     if common:
         raise IntersectionNotBase(
             "the fields intersect in a proper extension of k with Galois "
@@ -303,11 +308,12 @@ def validate_and_normalize(cfg: FieldConfig) -> NormalizedConfig:
 
     zero = min(keep, key=lambda i: (chars[i].exponent, i))
     rest = [i for i in keep if i != zero]
-    rest.sort(key=lambda i: (meet(chars[zero], chars[i]), i))
+    rest.sort(key=lambda i: (e[zero][i], i))
     order = [zero] + rest
     return NormalizedConfig(
         cfg.group,
         [chars[i] for i in order],
         [cfg.labels[i] for i in order],
         order,
+        [[e[i][j] for j in order] for i in order],
     )

@@ -5,13 +5,19 @@ degrees of freedom, explicit generator vectors, and the assembled invariant
 factors.  Every scan walks downward from its upper bound and stops at the
 first admissible value, which is the stated maximum; a debug mode checks
 monotonicity below the hit explicitly.
+
+Every field the scans test is a composite K_0(d) K_i(d) ... of subfields,
+read from the config's cache of joint character kernels.  The intersection
+criterion joins the pairs ker chi_0 cap ker chi_i, i in U_0, and stops as
+soon as the join is all of ker chi_0: each pair lies in ker chi_0, so the
+join never leaves it, and a join of the same order is ker chi_0 itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abelian import Subgroup, intersect, join, quotient_invariants
+from .abelian import Subgroup, join, joint_kernel, quotient_invariants
 from .fields import NormalizedConfig
 from .places import LocalData, locally_cyclic
 from .oracle import ShaReport
@@ -134,16 +140,14 @@ def delta_omega(cfg: NormalizedConfig, r: int) -> int:
 def _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt) -> bool:
     if u_gt:
         above = cfg.composite(u_gt, d)
-        k0d = cfg.subfield(0, d)
         for i in u_r:
-            pair = intersect(k0d, cfg.subfield(i, d))
+            pair = cfg.composite((0, i), d)
             if not _contained(cfg, above, pair):
                 return False
     if u_lt:
         block = cfg.composite(u_r, d)
-        k0d = cfg.subfield(0, d)
         for i in u_lt:
-            pair = intersect(k0d, cfg.subfield(i, d))
+            pair = cfg.composite((0, i), d)
             if not _contained(cfg, block, pair):
                 return False
     return True
@@ -164,13 +168,12 @@ def delta_ordinary(cfg: NormalizedConfig, localdata: LocalData, r: int) -> int:
 
 
 def _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt) -> bool:
-    k0d = cfg.subfield(0, d)
     if u_gt:
-        h = intersect(k0d, cfg.composite(u_gt, d))
+        h = cfg.composite((0,) + u_gt, d)
         if not locally_cyclic(cfg, localdata, h):
             return False
     if u_lt:
-        h = intersect(k0d, cfg.composite(u_r, d))
+        h = cfg.composite((0,) + u_r, d)
         if not locally_cyclic(cfg, localdata, h):
             return False
     return True
@@ -299,14 +302,19 @@ def _class_generators(cfg, r, node: ClassNode):
 def criterion_trivial(cfg: NormalizedConfig) -> bool:
     """Intersection criterion: cap of K_0 K_i over i in U_0 equals K_0.
 
-    When it holds both obstruction groups vanish.
+    When it holds both obstruction groups vanish.  Exits at the first join
+    of the order of ker chi_0 (see the module docstring).
     """
-    h0 = cfg.kernel(0)
+    chi0 = cfg.chars[0]
+    target = cfg.kernel(0).order
     acc = None
     for i in cfg.U(0):
-        pair = intersect(h0, cfg.kernel(i))
+        chi = cfg.chars[i]
+        pair = joint_kernel(cfg.group, [(chi0, chi0.exponent), (chi, chi.exponent)])
         acc = pair if acc is None else join(acc, pair)
-    return acc == h0
+        if acc.order == target:
+            return True
+    return False
 
 
 def assemble(cfg: NormalizedConfig, localdata: LocalData) -> StructureResult:
@@ -409,9 +417,7 @@ def shortcut_bicyclic_subfields(cfg: NormalizedConfig) -> tuple[int, ...]:
     n = cfg.eps[0]
     if any(e != n for e in cfg.eps):
         raise ShapeMismatch("fields do not all have the same degree")
-    compositum = cfg.kernel(0)
-    for i in range(1, cfg.m + 1):
-        compositum = intersect(compositum, cfg.kernel(i))
+    compositum = cfg.composite(range(cfg.m + 1), n)
     if len(quotient_invariants(cfg.group, compositum)) > 2:
         raise ShapeMismatch("compositum does not embed in a bicyclic extension")
     exps = []

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multinorm_sha.cli import (
     EXAMPLES,
@@ -15,6 +18,7 @@ from multinorm_sha.cli import (
     EXIT_VALIDATION,
     SchemaError,
     _check_example,
+    _dumps,
     build_report,
     main,
     make_parser,
@@ -471,3 +475,75 @@ def test_aprime_postcondition_failure_exits_5(monkeypatch, capsys):
     assert main(["selftest", "--seed", "0", "--count", "3"]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err.startswith("internal check failed: failure set of a'")
+
+
+# ---------------------------------------------------------------------------
+# The report encoder writes exactly json.dumps(obj, indent=2, sort_keys=True).
+
+def _indented(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+_text = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["", "\u00e9t\u00e9", '"', "\\", "\x00\x1f\x7f", "\n\r\t\b\f",
+                     "\u2028", "\U0001f600", 'a"b\\c\x01'])
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([-(2 ** 80), 2 ** 80, -1, 0]),
+    st.sampled_from([0.0, -0.0, 1e300, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    _text,
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_text, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_values)
+def test_dumps_matches_indented_json(obj):
+    assert _dumps(obj) == _indented(obj)
+
+
+def test_dumps_refuses_other_types():
+    for bad in ({1, 2}, {"a": [set()]}, [b"bytes"], {1: "a"}, {"a": {None: 0}}):
+        with pytest.raises(TypeError):
+            _dumps(bad)
+
+
+@pytest.fixture(scope="module")
+def benchmark_documents():
+    """The eight oracle-ladder rungs and 50 formula-scale documents (seed 0)."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(perfbench))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(perfbench))
+    ladder = [doc for _name, doc in workloads.ladder_inputs(0)]
+    assert len(ladder) == 8
+    return [(doc, "both") for doc in ladder] + [
+        (doc, "formula") for doc in workloads.formula_inputs(0)[::10][:50]
+    ]
+
+
+def test_json_stdout_reencodes_to_itself(benchmark_documents, tmp_path, capsys):
+    runs = [["examples", "all", "--json", "-"]]
+    for t, (doc, method) in enumerate(benchmark_documents):
+        path = write(tmp_path, doc, name=f"doc{t}.json")
+        runs.append(["compute", path, "--method", method, "--json", "-"])
+    assert len(runs) == 59
+    for argv in runs:
+        assert main(argv) == EXIT_OK, argv
+        out = capsys.readouterr().out
+        assert out == "\n" + _indented(json.loads(out)) + "\n", argv

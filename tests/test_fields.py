@@ -26,7 +26,12 @@ from multinorm_sha.fields import (
     validate_and_normalize,
 )
 
-from conftest import abstract_config
+from conftest import (
+    abstract_config,
+    field_variant,
+    formula_shaped,
+    random_char,
+)
 from fields_reference import reference_normalize
 
 Z44 = PGroup(2, (2, 2))
@@ -361,50 +366,19 @@ sys.exit(1)
 # ---------------------------------------------------------------------------
 # Normalization by congruences against the lattice reference.
 
-def _coeff(rng, p, eps, n):
-    """A random coefficient of a character Z/p^n -> Z/p^eps."""
-    x = rng.randrange(p ** eps)
-    return x - x % p ** max(0, eps - n)
-
-
-def _char(rng, group, eps):
-    """A random surjective character onto Z/p^eps."""
-    while True:
-        chi = Character(
-            group, eps, tuple(_coeff(rng, group.p, eps, n) for n in group.exponents)
-        )
-        if chi.is_surjective():
-            return chi
-
-
-def _unit(rng, p, eps):
-    while True:
-        u = rng.randrange(1, p ** eps)
-        if u % p:
-            return u
-
-
-def _variant(rng, chi):
-    """A unit multiple of chi, reduced to a level f: the field K_chi(f)."""
-    p = chi.ambient.p
-    f = rng.randint(1, chi.exponent)
-    u = _unit(rng, p, f)
-    return Character(chi.ambient, f, tuple(u * c % p ** f for c in chi.coeffs))
-
-
 def _raw_config(rng, p, exps, nchars):
     """Random characters, with subfields and duplicates of earlier ones,
     non-surjective ones, and (in one draw in four) a common subfield."""
     group = PGroup(p, exps)
     shared = rng.random() < 0.25
-    base = [c % p for c in _char(rng, group, 1).coeffs]
+    base = [c % p for c in random_char(rng, group, 1).coeffs]
     chars = []
     while len(chars) < nchars:
         roll = rng.random()
         if chars and roll < 0.15:
-            chi = _variant(rng, rng.choice(chars))
+            chi = field_variant(rng, rng.choice(chars))
         else:
-            chi = _char(rng, group, rng.randint(1, exps[0]))
+            chi = random_char(rng, group, rng.randint(1, exps[0]))
             if roll > 0.99:
                 chi = Character(group, chi.exponent, tuple(p * c for c in chi.coeffs))
             elif shared and any(base):
@@ -417,32 +391,6 @@ def _raw_config(rng, p, exps, nchars):
         chars.append(chi)
     labels = tuple(f"F{i}" for i in range(nchars))
     return FieldConfig(group, tuple(chars), labels)
-
-
-def _formula_shaped(rng, p, exps, nfields):
-    """Coordinate characters, pair characters with two unit coefficients, and
-    now and then a free character or a duplicate of an earlier field."""
-    group = PGroup(p, exps)
-    rank = len(exps)
-    chars = [
-        Character(group, n, tuple(_unit(rng, p, n) if l == j else 0 for l in range(rank)))
-        for j, n in enumerate(exps)
-    ]
-    while len(chars) < nfields:
-        roll = rng.random()
-        if roll < 0.05:
-            chars.append(_variant(rng, rng.choice(chars)))
-        elif roll < 0.1:
-            chars.append(_char(rng, group, rng.randint(1, exps[0])))
-        else:
-            eps = rng.randint(1, exps[1])
-            pair = rng.sample([l for l in range(rank) if exps[l] >= eps], 2)
-            chars.append(Character(group, eps, tuple(
-                _unit(rng, p, eps) if l in pair else _coeff(rng, p, eps, n)
-                for l, n in enumerate(exps)
-            )))
-    rng.shuffle(chars)
-    return FieldConfig(group, tuple(chars), ())
 
 
 def _outcome(normalize, cfg):
@@ -478,7 +426,7 @@ def test_normalize_matches_lattice_reference():
         p = rng.choice((2, 3, 5, 7))
         rank = rng.randint(2, 5)
         exps = tuple(sorted((rng.randint(1, 10) for _ in range(rank)), reverse=True))
-        cfg = _formula_shaped(rng, p, exps, rng.randint(5, 10))
+        cfg = formula_shaped(rng, p, exps, rng.randint(5, 10))
         got = _outcome(validate_and_normalize, cfg)
         assert got == _outcome(reference_normalize, cfg), cfg
         ok += got[0] == "ok"
@@ -495,8 +443,8 @@ def test_predicates_match_kernels():
         exps = tuple(sorted((rng.randint(1, 3) for _ in range(rng.randint(1, 3))),
                             reverse=True))
         group = PGroup(p, exps)
-        chars = [_char(rng, group, rng.randint(1, exps[0])) for _ in range(2)]
-        chars += [_variant(rng, chars[0]) for _ in range(rng.randint(0, 2))]
+        chars = [random_char(rng, group, rng.randint(1, exps[0])) for _ in range(2)]
+        chars += [field_variant(rng, chars[0]) for _ in range(rng.randint(0, 2))]
         for chi in chars:
             for psi in chars:
                 same = same_field(chi, psi)

@@ -8,6 +8,7 @@ from multinorm_sha.abelian import (
     PGroup,
     Subgroup,
     intersect,
+    joint_kernel,
 )
 from multinorm_sha.fields import FieldConfig, ShaInputError, validate_and_normalize
 from multinorm_sha.places import Classification, LocalData, Place, delta, locally_cyclic
@@ -31,7 +32,12 @@ from multinorm_sha.structure import (
 )
 from multinorm_sha.selftest import check_invariants, random_config
 
-from conftest import NO_PLACES, abstract_config
+from conftest import NO_PLACES, abstract_config, formula_shaped, random_coeff
+from structure_reference import (
+    reference_composite,
+    reference_criterion_trivial,
+    reference_kernel_at_level,
+)
 
 
 def pair_block_config():
@@ -353,3 +359,156 @@ def test_formula_quotient_invariants_match_oracle():
         assert assemble(cfg, local).report().quotient_invariants == rep.quotient_invariants
         nontrivial += bool(rep.quotient_invariants)
     assert nontrivial > 20
+
+
+# ---------------------------------------------------------------------------
+# Joint character kernels against the intersection chains they replace.
+
+def test_joint_kernel_matches_intersection_of_kernels():
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(500):
+        p = rng.choice((2, 3, 5, 7))
+        rank = rng.randint(1, 5)
+        exps = tuple(sorted((rng.randint(1, 4) for _ in range(rank)), reverse=True))
+        group = PGroup(p, exps)
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            eps = rng.randint(1, exps[0])
+            chi = Character(group, eps, tuple(random_coeff(rng, p, eps, n) for n in exps))
+            f = rng.choice((0, eps, rng.randint(0, eps)))
+            seen.add("zero" if f == 0 else "top" if f == eps else "middle")
+            pairs.append((chi, f))
+        want = Subgroup.full(group)
+        for chi, f in pairs:
+            want = intersect(want, reference_kernel_at_level(chi, f))
+        got = joint_kernel(group, pairs)
+        assert got == want, pairs
+        if group.order <= 256:
+            assert set(got.elements()) == {
+                a for a in group.elements()
+                if all(chi.value(a) % p ** f == 0 for chi, f in pairs)
+            }
+    assert seen == {"zero", "middle", "top"}
+    group = PGroup(3, (2, 1))
+    chi = Character(group, 2, (1, 3))
+    assert joint_kernel(group, []) == Subgroup.full(group)
+    assert joint_kernel(group, [(chi, 0)]) == Subgroup.full(group)
+    for bad in ([(chi, 3)], [(chi, -1)], [(Character(PGroup(3, (2,)), 2, (1,)), 1)]):
+        with pytest.raises(ValueError):
+            joint_kernel(group, bad)
+
+
+def _check_against_reference(rng, cfg, local):
+    """Criterion and composites (cached, C in any order) against the chains."""
+    assemble(cfg, local)  # fills the composite cache as the scans use it
+    trivial = criterion_trivial(cfg)
+    assert trivial == reference_criterion_trivial(cfg)
+    n = cfg.m + 1
+    for _ in range(3):
+        C = rng.sample(range(n), rng.randint(1, min(n, 4)))
+        top = min(cfg.eps[i] for i in C)
+        for d in rng.sample(range(top + 1), top + 1):
+            want = reference_composite(cfg, C, d)
+            assert cfg.composite(C, d) == want, (C, d)
+            assert cfg.composite(rng.sample(C, len(C)), d) == want, (C, d)
+    return trivial
+
+
+def test_composite_and_criterion_match_reference():
+    rng = random.Random(43)
+    outcomes = {True: 0, False: 0}
+    for _ in range(1000):
+        cfg, local = random_config(rng)
+        outcomes[_check_against_reference(rng, cfg, local)] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+    shaped = {True: 0, False: 0}
+    for _ in range(150):
+        p = rng.choice((2, 3, 5, 7))
+        rank = rng.randint(2, 5)
+        exps = tuple(sorted((rng.randint(1, 10) for _ in range(rank)), reverse=True))
+        try:
+            cfg = validate_and_normalize(formula_shaped(rng, p, exps, rng.randint(5, 10)))
+        except ShaInputError:
+            continue
+        shaped[_check_against_reference(rng, cfg, NO_PLACES)] += 1
+    assert sum(shaped.values()) >= 100, shaped
+
+
+def test_composite_keeps_its_errors():
+    cfg = pair_block_config()
+    with pytest.raises(ValueError, match="empty index set"):
+        cfg.composite((), 1)
+    with pytest.raises(ValueError, match="exceeds eps_1"):
+        cfg.composite((1, 0), 3)
+    with pytest.raises(ValueError, match="out of range"):
+        cfg.composite((0, 1), -1)
+    with pytest.raises(ValueError, match="out of range for pair"):
+        cfg.pair_composite(3, 1, 2, 0)
+
+
+# ---------------------------------------------------------------------------
+# The formula route runs without abelian.intersect.
+
+@pytest.fixture(scope="module")
+def golden_components():
+    """(raw config, local data) of every golden example, parsed unpatched."""
+    from multinorm_sha.cli import EXAMPLES, parse_document
+
+    return [
+        (raw, local)
+        for entry in EXAMPLES.values()
+        for raw, local, _budget, _debug in parse_document(entry["document"])
+    ]
+
+
+def test_formula_route_makes_no_intersect_call(golden_components, no_intersect):
+    group = PGroup(2, (80, 80))
+    chars = tuple(
+        Character(group, 80, c) for c in ((1, 0), (0, 1), (1, 1), (1, 3), (1, 5))
+    )
+    ran = {"disjoint": 0, "bicyclic": 0}
+    for raw, local in [(FieldConfig(group, chars, ()), NO_PLACES)] + golden_components:
+        cfg = validate_and_normalize(raw)
+        assemble(cfg, local)
+        check_monotone_scans(cfg, local)
+        for name, shortcut in (
+            ("disjoint", lambda: shortcut_linearly_disjoint(cfg, local)),
+            ("bicyclic", lambda: shortcut_bicyclic_subfields(cfg)),
+        ):
+            try:
+                shortcut()
+            except ShapeMismatch:
+                continue
+            ran[name] += 1
+    assert min(ran.values()) >= 1, ran
+
+
+def test_formula_command_makes_no_intersect_call(no_intersect, tmp_path, capsys):
+    import json
+
+    from multinorm_sha.cli import main
+
+    doc = {
+        "mode": "abstract",
+        "p": 2,
+        "exponents": [10, 9],
+        "characters": [
+            {"label": f"K{t}", "target_exponent": eps, "coeffs": coeffs}
+            for t, (eps, coeffs) in enumerate([
+                (10, [1, 0]), (9, [0, 3]), (5, [3, 7]), (7, [5, 1]),
+                (9, [1, 3]), (3, [1, 1]), (8, [7, 5]),
+            ])
+        ],
+        "exceptional_places": [
+            {"label": "v0", "generators": [[5, 17]]},
+            {"label": "v1", "generators": [[3, 2], [100, 6]]},
+        ],
+        "debug_monotonicity": True,
+    }
+    path = tmp_path / "formula.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compute", str(path), "--method", "formula", "--json", "-"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["components"][0]["methods"]["formula"]
