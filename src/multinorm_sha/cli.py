@@ -467,45 +467,71 @@ def _floatstr(x: float) -> str:
 _escape = json.encoder.encode_basestring_ascii
 
 
-def _encode(obj, nl: str, emit) -> None:
+_INT_ONLY = {int}
+
+
+def _scalar(obj) -> str | None:
+    """JSON text of a non-container; None for a list, tuple or dict."""
     if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _floatstr(obj)
+    if isinstance(obj, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _encode(obj, nl: str, emit) -> None:
+    kind = type(obj)
+    if kind is str:
         emit(_escape(obj))
-    elif obj is None:
-        emit("null")
-    elif obj is True:
-        emit("true")
-    elif obj is False:
-        emit("false")
-    elif isinstance(obj, int):
+        return
+    if kind is int:
         emit(int.__repr__(obj))
-    elif isinstance(obj, float):
-        emit(_floatstr(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            emit("[]")
+        return
+    if kind is not dict and kind is not list and kind is not tuple:
+        text = _scalar(obj)  # bool, None, float and subclasses
+        if text is not None:
+            emit(text)
             return
-        inner = nl + "  "
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            kind = type(value)
+            if kind is int:
+                emit(sep + _escape(key) + ": " + int.__repr__(value))
+            elif kind is str:
+                emit(sep + _escape(key) + ": " + _escape(value))
+            else:
+                emit(sep + _escape(key) + ": ")
+                _encode(value, inner, emit)
+            sep = "," + inner
+        emit(nl + "}")
+    elif not obj:
+        emit("[]")
+    elif {*map(type, obj)} == _INT_ONLY:
+        emit("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
+    else:
         sep = "[" + inner
         for value in obj:
             emit(sep)
             _encode(value, inner, emit)
             sep = "," + inner
         emit(nl + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            emit("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            emit(sep + _escape(key) + ": ")
-            _encode(value, inner, emit)
-            sep = "," + inner
-        emit(nl + "}")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dumps(obj) -> str:
@@ -514,8 +540,9 @@ def _dumps(obj) -> str:
     With ``indent`` set the standard library leaves its C encoder for a
     pure-Python one; this writes the same text for the report's own types
     (dict with str keys, list, tuple, str, int, float, bool and None) with
-    the C string escaper, at about half the cost.  Any other type, and any
-    other key, raises TypeError.
+    the C string escaper.  Exact types are dispatched first, a str or int
+    value goes out with its key, and a list of exact ints is one join.  Any
+    other type, and any other key, raises TypeError.
     """
     out: list[str] = []
     _encode(obj, "\n", out.append)

@@ -3,10 +3,27 @@
 Builds the abstract configuration (group, characters, exceptional places)
 for K_i = Q(i)(b_i^{1/4}) from integer radicands.  Gaussian integers are
 (a, b) tuples; Z[i] is a PID, so valuations and exact division settle
-everything.  Local fourth-power membership is decided in the residue field
-at odd primes and by a table of fourth powers mod (1+i)^9 at 1+i.
-Radicands are factored by Pollard rho under a step budget, with
-deterministic Miller-Rabin deciding primality exactly below MR_BOUND.
+everything.
+
+The radicands generate a subgroup of k^x/(k^x)^4 with basis the prime
+generators gen_1..gen_g; an exponent vector m stands for prod gen_j^{m_j}.
+By Kummer duality the decomposition group at v is the annihilator, under
+sum(a_j m_j) mod 4, of the vectors m whose product is a local fourth power.
+
+At an odd prime pi the residue field F_Q (Q = q or q^2) has 4 | Q - 1 and
+1 + pi O_v is pro-q, so k_v^x/(k_v^x)^4 = Z/4 x mu_4: the valuation mod 4
+and the quartic residue symbol u^{(Q-1)/4} of the unit part u.  Both are
+homomorphisms, so one local class per generator decides the place: the
+valuation v_j and the log c_j in Z/4 of the symbol, with the image of i as
+base.  The fourth powers are then {m : m.v = m.c = 0 mod 4}, the
+annihilator of <v, c>; the pairing on (Z/4)^g is perfect, so the
+decomposition group, their annihilator, is <v mod 4, c> itself.  At 1+i
+the unit quotient has rank 3, and each of the 4^g vectors is tested
+against a table of fourth powers mod (1+i)^9.
+
+Radicands are first split along their pairwise gcds into a coprime base;
+each base element is factored once, by Pollard rho under a step budget,
+with deterministic Miller-Rabin deciding primality exactly below MR_BOUND.
 """
 
 from __future__ import annotations
@@ -14,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .abelian import (
     MR_BASES,
@@ -26,10 +43,11 @@ from .abelian import (
     annihilator,
 )
 from .fields import FieldConfig, ShaInputError, same_field, separates
+from .oracle import InternalCheckError
 from .places import LocalData, Place
 
 GENERATOR_BUDGET = 4
-FACTOR_BUDGET = 2 ** 18  # Pollard rho steps per radicand
+FACTOR_BUDGET = 2 ** 18  # Pollard rho steps per coprime-base element
 RHO_BATCH = 128  # rho steps per gcd
 RAMIFIED_PRECISION = 9  # x^4 - a needs valuation >= 9 at 1+i; exact by Hensel
 
@@ -153,14 +171,15 @@ def _split_residue(z, pi, q: int) -> int:
 
 def _inert_pow(base, e: int, q: int) -> tuple[int, int]:
     """base^e in F_{q^2} = F_q[i]."""
-    res = (1, 0)
-    b = (_gauss(base)[0] % q, _gauss(base)[1] % q)
+    x, y = _gauss(base)
+    x, y = x % q, y % q
+    rx, ry = 1, 0
     while e:
         if e & 1:
-            res = tuple(c % q for c in gmul(res, b))
-        b = tuple(c % q for c in gmul(b, b))
+            rx, ry = (rx * x - ry * y) % q, (rx * y + ry * x) % q
+        x, y = (x * x - y * y) % q, 2 * x * y % q
         e >>= 1
-    return res
+    return rx, ry
 
 
 def is_fourth_power_local(alpha, pi) -> bool:
@@ -170,29 +189,43 @@ def is_fourth_power_local(alpha, pi) -> bool:
 
 def _is_fourth_power_at(alpha, kind: str, pi, q: int) -> bool:
     """is_fourth_power_local at a prime classified by _classify_prime."""
+    if kind != "ramified":
+        v, c = _local_class(alpha, kind, pi, q)
+        return v % 4 == 0 and c == 0
     z = _gauss(alpha)
     if z == (0, 0):
         raise ValueError("alpha must be nonzero")
-    if kind == "ramified":
-        v = _v2_norm(z)
-        if v % 4:
-            return False
-        for _ in range(v):
-            z = gdiv_exact(z, (1, 1))
-        return _ramified_unit_is_fourth_power(z)
-    divisor = pi if kind == "split" else (q, 0)
-    v = 0
-    while True:
-        w = gdiv_exact(z, divisor)
-        if w is None:
-            break
-        z = w
-        v += 1
+    v = _v2_norm(z)
     if v % 4:
         return False
+    for _ in range(v):
+        z = gdiv_exact(z, (1, 1))
+    return _ramified_unit_is_fourth_power(z)
+
+
+def _local_class(alpha, kind: str, pi, q: int) -> tuple[int, int]:
+    """(v, c) at an odd prime: alpha = pi^v u with u a unit, and
+    u^{(Q-1)/4} = i^c in the residue field F_Q, c in Z/4."""
+    z = _gauss(alpha)
+    if z == (0, 0):
+        raise ValueError("alpha must be nonzero")
+    divisor = pi if kind == "split" else (q, 0)
+    v = 0
+    while (w := gdiv_exact(z, divisor)) is not None:
+        z = w
+        v += 1
     if kind == "split":
-        return pow(_split_residue(z, pi, q), (q - 1) // 4, q) == 1
-    return _inert_pow(z, (q * q - 1) // 4, q) == (1, 0)
+        iota = _split_residue((0, 1), pi, q)
+        symbol = pow(_split_residue(z, pi, q), (q - 1) // 4, q)
+        powers_of_i = (1, iota, q - 1, q - iota)
+    else:
+        symbol = _inert_pow(z, (q * q - 1) // 4, q)
+        powers_of_i = ((1, 0), (0, 1), (q - 1, 0), (0, q - 1))
+    if symbol not in powers_of_i:
+        raise InternalCheckError(
+            f"quartic residue symbol {symbol} of {alpha} at {pi} is not in mu_4"
+        )
+    return v, powers_of_i.index(symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +252,47 @@ class KummerSpec:
             object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         if len(self.labels) != len(self.radicands):
             raise ShaInputError("one label per radicand required")
+
+
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers > 1 of which every number is a product of
+    powers: a shared factor d of x and b replaces them by d, x/d and b/d."""
+    base: list[int] = []
+    for n in numbers:
+        pending = [n]
+        while pending:
+            x = pending.pop()
+            if x == 1:
+                continue
+            for k, b in enumerate(base):
+                d = gcd(x, b)
+                if d > 1:
+                    del base[k]
+                    pending += [d, x // d, b // d]
+                    break
+            else:
+                base.append(x)
+    return base
+
+
+def _factor_jointly(radicands) -> list[dict[int, int]]:
+    """[_factor_odd(b) for b in radicands], with each element of their
+    coprime base factored once, so a shared factor costs one rho run and
+    each element has its own FACTOR_BUDGET."""
+    primes = sorted(q for n in _coprime_base(radicands) for q in _factor_odd(n))
+    out = []
+    for b in radicands:
+        fac, rest = {}, b
+        for q in primes:
+            while rest % q == 0:
+                fac[q] = fac.get(q, 0) + 1
+                rest //= q
+        if rest != 1:
+            raise InternalCheckError(
+                f"coprime-base factorization of {b} leaves the cofactor {rest}"
+            )
+        out.append(fac)
+    return out
 
 
 def _factor_odd(n: int) -> dict[int, int]:
@@ -306,22 +380,22 @@ def decomposition_place(
     ambient: PGroup, generators, pi, label: str
 ) -> Place:
     """Decomposition subgroup at pi by duality: the annihilator of the
-    exponent vectors m with prod(gen_j^{m_j}) a local fourth power."""
-    g = len(generators)
+    exponent vectors m with prod(gen_j^{m_j}) a local fourth power.  At an
+    odd prime that is <v mod 4, c> for the generators' local classes."""
     prime = _classify_prime(pi)  # once per place, not once per test
-    members = []
-    for m in _exponent_vectors(g):
-        value = 1
-        for gen, e in zip(generators, m):
-            value *= gen ** e
-        if _is_fourth_power_at(value, *prime):
-            members.append(m)
+    if prime[0] != "ramified":
+        classes = [_local_class(gen, *prime) for gen in generators]
+        vc = [tuple(v % 4 for v, _ in classes), tuple(c for _, c in classes)]
+        return Place(label=label, group=Subgroup.span(ambient, vc))
+    members = [
+        m
+        for m in itertools.product(range(4), repeat=len(generators))
+        if _is_fourth_power_at(
+            prod(gen ** e for gen, e in zip(generators, m)), *prime
+        )
+    ]
     fourth_powers = Subgroup.span(ambient, members)
     return Place(label=label, group=annihilator(ambient, fourth_powers))
-
-
-def _exponent_vectors(g: int):
-    return itertools.product(range(4), repeat=g)
 
 
 def build_kummer(spec: KummerSpec) -> tuple[FieldConfig, LocalData]:
@@ -337,7 +411,7 @@ def build_kummer(spec: KummerSpec) -> tuple[FieldConfig, LocalData]:
                 f"radicand {b} unsupported: need an odd integer > 1 "
                 "(units and the even prime would need extra bookkeeping)"
             )
-    factored = [_factor_odd(b) for b in spec.radicands]
+    factored = _factor_jointly(spec.radicands)
     generators: list[int] = []
     for fac in factored:
         for prime in fac:

@@ -428,6 +428,17 @@ def test_kummer_json_under_python_O():
     assert len(report["components"][0]["exceptional_places"]) == 5
 
 
+def test_kummer_local_classes_under_python_O():
+    # the local-class and coprime-base checks are explicit raises too
+    argv = ["kummer", "--radicands", "3,5,7,11", "--compute", "--json", "-"]
+    proc = _run_under_python_O(argv)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["agreement"] is True
+    labels = [pl["label"] for pl in report["components"][0]["exceptional_places"]]
+    assert labels == ["1+i", "3", "5|1+2i", "5|1-2i", "7", "11"]
+
+
 def test_selftest_under_python_O():
     # the selftest path's checks are explicit raises, so they survive -O
     proc = _run_under_python_O(["selftest", "--seed", "0", "--count", "25"])

@@ -1,7 +1,7 @@
 import itertools
 import random
 import time
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -12,8 +12,10 @@ from multinorm_sha.abelian import (
     _is_prime,
     annihilator,
 )
+from multinorm_sha.cli import EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, main
 from multinorm_sha.fields import TooFewFields, validate_and_normalize
 from multinorm_sha.kummer import (
+    GENERATOR_BUDGET,
     DependentRadicands,
     KummerSpec,
     UnsupportedRadicand,
@@ -26,10 +28,18 @@ from multinorm_sha.kummer import (
     split_prime_above,
     verify_quoted_local_facts,
     _classify_prime,
+    _factor_jointly,
     _factor_odd,
+    _local_class,
     _ramified_unit_is_fourth_power,
     _reduce_mod_power,
     _v2_norm,
+)
+from kummer_reference import (
+    reference_decomposition_place,
+    reference_factor_each,
+    reference_is_fourth_power,
+    reference_local_class,
 )
 from test_abelian import trial_division_is_prime
 
@@ -378,3 +388,201 @@ def test_decomposition_place_classifies_once(monkeypatch):
             ]
             want = annihilator(ambient, Subgroup.span(ambient, members))
             assert place.group == want, (radicands, place.label)
+
+
+# ---------------------------------------------------------------------------
+# Local classes and joint factoring against the per-vector reference.
+
+SMALL_PRIMES = [q for q in range(3, 400) if trial_division_is_prime(q)]
+MEDIUM_PRIMES = [q for q in range(10007, 10400) if trial_division_is_prime(q)]
+LARGE_PRIMES = [1000003, 1000033, 1000037, 1000039, 1000000007, 1000000009]
+P40 = 1099511627791  # the least prime above 2^40
+Q40 = 1099511627803  # the next one
+
+
+def _places_over(q, rng):
+    """The Gaussian primes over the odd prime q, as random associates."""
+    if q % 4 == 1:
+        a, b = split_prime_above(q)
+        out = [(a, b), (a, -b)]
+    else:
+        out = [(q, 0)]
+    unit = rng.choice([(1, 0), (0, 1), (-1, 0), (0, -1)])
+    return [gmul(pi, unit) for pi in out]
+
+
+def _random_generators(rng, g):
+    """g distinct nonzero generators: mostly odd primes, some composite,
+    negative or even."""
+    gens = []
+    while len(gens) < g:
+        pool = rng.choice([SMALL_PRIMES, SMALL_PRIMES, MEDIUM_PRIMES, LARGE_PRIMES])
+        gen = rng.choice(pool)
+        roll = rng.random()
+        if roll < 0.1:
+            gen *= rng.choice(SMALL_PRIMES)
+        elif roll < 0.15:
+            gen = -gen
+        elif roll < 0.2:
+            gen *= 2
+        if gen not in gens:
+            gens.append(gen)
+    return gens
+
+
+def _odd_part(n):
+    n = abs(n)
+    while n % 2 == 0:
+        n //= 2
+    return n
+
+
+def test_decomposition_place_matches_per_vector_reference():
+    rng = random.Random(10)
+    counts = {"ramified": 0, "split": 0, "inert": 0, "away": 0}
+    while sum(counts.values()) < 2000:
+        g = rng.choice([1, 2, 2, 3, 3, 3, GENERATOR_BUDGET])
+        gens = _random_generators(rng, g)
+        ambient = PGroup(2, (2,) * g)
+        support = sorted({q for gen in gens for q in _factor_odd(_odd_part(gen))})
+        away = [q for q in SMALL_PRIMES if all(gen % q for gen in gens)]
+        primes = [(1, 1)]
+        for q in support:
+            primes += _places_over(q, rng)
+        for q in rng.sample(away, 2):
+            primes += _places_over(q, rng)[:1]
+        for pi in primes:
+            kind, _pi, q = _classify_prime(pi)
+            on_support = kind == "ramified" or any(gen % q == 0 for gen in gens)
+            counts[kind if on_support else "away"] += 1
+            want = reference_decomposition_place(ambient, gens, pi, "v")
+            assert decomposition_place(ambient, gens, pi, "v") == want, (gens, pi)
+    assert min(counts.values()) >= 100, counts
+
+
+def test_local_class_matches_definition():
+    # the class itself, with i (not -i) as the base of the log
+    rng = random.Random(11)
+    primes = [q for q in SMALL_PRIMES if q < 120]
+    for q in primes:
+        for pi in _places_over(q, rng):
+            prime = _classify_prime(pi)
+            for _ in range(40):
+                alpha = (rng.randrange(-500, 500), rng.randrange(-500, 500))
+                if alpha == (0, 0):
+                    continue
+                alpha = gmul(alpha, gmul(pi, pi) if rng.random() < 0.3 else (1, 0))
+                assert _local_class(alpha, *prime) == reference_local_class(alpha, pi), (alpha, pi)
+
+
+def test_local_class_of_i_times_unit():
+    # q = 5 mod 8: i has class (q-1)/4, odd, so u * i^t is a fourth power for
+    # exactly one t, and c(u) = -t (q-1)/4 mod 4; no residue symbol involved
+    rng = random.Random(12)
+    for q in [p for p in SMALL_PRIMES if p % 8 == 5][:12]:
+        k = (q - 1) // 4
+        for pi in _places_over(q, rng):
+            prime = _classify_prime(pi)
+            for u in range(1, 60):
+                if u % q == 0:
+                    continue
+                t = [t for t, unit in enumerate([(1, 0), (0, 1), (-1, 0), (0, -1)])
+                     if reference_is_fourth_power(gmul(u, unit), pi)]
+                assert len(t) == 1
+                assert _local_class(u, *prime) == (0, -t[0] * k % 4), (u, pi)
+
+
+def _random_radicands(rng):
+    pool = rng.sample(SMALL_PRIMES[:20] + MEDIUM_PRIMES + LARGE_PRIMES[:4], rng.randint(2, 5))
+    out = []
+    for _ in range(rng.randint(1, 5)):
+        if out and rng.random() < 0.2:
+            out.append(rng.choice(out))  # a repeat
+            continue
+        while True:
+            k = rng.randint(1, min(3, len(pool)))
+            n = prod(q ** rng.randint(1, 3) for q in rng.sample(pool, k))
+            if n < 10 ** 20:  # below MR_BOUND, where primality is exact
+                break
+        out.append(n)
+    return out
+
+
+def test_factor_jointly_matches_per_radicand_factoring(monkeypatch):
+    import multinorm_sha.kummer as kummer
+
+    factored = []
+    factor_odd = kummer._factor_odd
+
+    def recording(n):
+        factored.append(n)
+        return factor_odd(n)
+
+    monkeypatch.setattr(kummer, "_factor_odd", recording)
+    rng = random.Random(13)
+    shared = 0
+    for _ in range(400):
+        radicands = _random_radicands(rng)
+        factored.clear()
+        got = _factor_jointly(radicands)
+        want = reference_factor_each(radicands)
+        assert [list(f.items()) for f in got] == [list(f.items()) for f in want], radicands
+        # rho sees a coprime base only: each shared factor is factored once
+        assert all(gcd(a, b) == 1 for a, b in itertools.combinations(factored, 2)), (radicands, factored)
+        assert prod(factored) <= prod(set(radicands))
+        shared += any(gcd(a, b) > 1 for a, b in itertools.combinations(set(radicands), 2))
+    assert shared >= 100
+
+
+def test_local_tests_only_at_one_plus_i(monkeypatch):
+    import multinorm_sha.kummer as kummer
+
+    kinds = []
+    test_at = kummer._is_fourth_power_at
+
+    def counting(alpha, kind, pi, q):
+        kinds.append(kind)
+        return test_at(alpha, kind, pi, q)
+
+    monkeypatch.setattr(kummer, "_is_fourth_power_at", counting)
+    for radicands in BENCH_RADICANDS + [(3, 5, 7, 11), (1000003, 1000033, 1000037, 1000039)]:
+        kinds.clear()
+        cfg, _local = build_kummer(KummerSpec(radicands))
+        assert kinds == ["ramified"] * 4 ** cfg.group.rank, radicands
+
+
+def test_shared_factor_is_split_before_rho(capsys):
+    # P*Q alone needs more rho steps than the budget; next to P, the gcd
+    # splits it, and no rho run is needed
+    t0 = time.process_time()
+    assert main(["kummer", "--radicands", f"{P40 * Q40},{P40},3", "--compute"]) == EXIT_OK
+    assert time.process_time() - t0 < 2.0
+    cfg, local = build_kummer(KummerSpec((P40 * Q40, P40, 3)))
+    assert [chi.coeffs for chi in cfg.chars] == [(1, 1, 0), (1, 0, 0), (0, 0, 1)]
+    assert len(local.exceptional) == 1 + 3  # 1+i, and P40, Q40 and 3 are inert
+    capsys.readouterr()
+    t0 = time.process_time()
+    assert main(["kummer", "--radicands", f"{P40 * Q40},3", "--compute"]) == EXIT_BUDGET
+    assert time.process_time() - t0 < 2.0
+
+
+@pytest.mark.parametrize(
+    "name, radicands",
+    [("_inert_pow", "3,5,7,11"), ("_split_residue", "13,17,29,37"), ("_factor_odd", "3,5,7,11")],
+)
+def test_broken_local_arithmetic_exits_internal(name, radicands, monkeypatch, capsys):
+    import multinorm_sha.kummer as kummer
+
+    real = getattr(kummer, name)
+    broken = {
+        # a symbol outside mu_4, at an inert and at a split prime
+        "_inert_pow": lambda base, e, q: (2, 3),
+        "_split_residue": lambda z, pi, q: real(z, pi, q) if z == (0, 1) else 0,
+        # a factorization whose product is not its radicand
+        "_factor_odd": lambda n: {3: 1} if n == 5 else real(n),
+    }[name]
+    monkeypatch.setattr(kummer, name, broken)
+    assert main(["kummer", "--radicands", radicands, "--compute"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed")
+    assert ("mu_4" if name != "_factor_odd" else "cofactor 5") in err
