@@ -11,8 +11,6 @@ from .abelian import (
     Character,
     PGroup,
     Subgroup,
-    annihilator,
-    cyclic_subgroups,
     image_is_cyclic,
     intersect,
     join,
@@ -34,8 +32,6 @@ from .places import (
     Place,
     locally_cyclic,
     noncyclic_places,
-    omega_contains,
-    sigma_contains,
 )
 from .oracle import (
     Classification,

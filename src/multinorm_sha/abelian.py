@@ -318,14 +318,22 @@ class Subgroup:
         return _p_exponents(self.ambient.p, smith_invariants(rel))
 
 
+def valuation(p: int, n: int) -> int:
+    """The exponent of p in the nonzero integer n."""
+    if n == 0:
+        raise ValueError("valuation of zero")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def _p_exponents(p: int, diags) -> list[int]:
     out = []
     for d in diags:
-        e = 0
-        while d % p == 0:
-            d //= p
-            e += 1
-        if d != 1:
+        e = valuation(p, d)
+        if d != p ** e:
             raise ValueError("quotient is not a p-group")
         if e:
             out.append(e)
@@ -404,25 +412,6 @@ def all_subgroups(ambient: PGroup) -> list[Subgroup]:
                     nxt.append(bigger)
         frontier = nxt
     return list(seen.values())
-
-
-def annihilator(ambient: PGroup, s: Subgroup) -> Subgroup:
-    """{a : <a, x> = 0 for all x in S} under sum(a_j x_j) mod p^n.
-
-    Requires a homocyclic ambient (all exponents equal); that is the only
-    case the Kummer layer needs, and the pairing is perfect there.
-    """
-    if s.ambient != ambient:
-        raise ValueError("ambient mismatch")
-    if len(set(ambient.exponents)) != 1:
-        raise ValueError("annihilator requires a homocyclic ambient group")
-    k = ambient.rank
-    q = ambient.moduli[0]
-    # rows of the constraint system: x-coordinates then slack rows q*I
-    transposed = [[s.basis[i][j] for i in range(k)] for j in range(k)]
-    slack = [[q if c == i else 0 for c in range(k)] for i in range(k)]
-    gens = [w[:k] for w in left_kernel(transposed + slack, k)]
-    return Subgroup._span_rows(ambient, gens)
 
 
 @dataclass(frozen=True)

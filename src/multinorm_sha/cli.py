@@ -557,8 +557,11 @@ def _write_json(report, path):
         # boundary, where perfbench/verify.py and its tests look for it
         sys.stdout.write("\n" + text + "\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_validate(args) -> int:

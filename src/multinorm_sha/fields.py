@@ -41,6 +41,7 @@ from .abelian import (
     Subgroup,
     joint_kernel,
     quotient_invariants,
+    valuation,
 )
 
 
@@ -216,11 +217,7 @@ def meet(chi: Character, psi: Character) -> int:
     g = q
     for c, d in zip(chi.coeffs, psi.coeffs):
         g = gcd(g, c - y * d)
-    e = 0
-    while g % p == 0:
-        g //= p
-        e += 1
-    return e
+    return valuation(p, g)
 
 
 def same_field(chi: Character, psi: Character) -> bool:

@@ -10,16 +10,20 @@ generators gen_1..gen_g; an exponent vector m stands for prod gen_j^{m_j}.
 By Kummer duality the decomposition group at v is the annihilator, under
 sum(a_j m_j) mod 4, of the vectors m whose product is a local fourth power.
 
-At an odd prime pi the residue field F_Q (Q = q or q^2) has 4 | Q - 1 and
-1 + pi O_v is pro-q, so k_v^x/(k_v^x)^4 = Z/4 x mu_4: the valuation mod 4
-and the quartic residue symbol u^{(Q-1)/4} of the unit part u.  Both are
-homomorphisms, so one local class per generator decides the place: the
-valuation v_j and the log c_j in Z/4 of the symbol, with the image of i as
-base.  The fourth powers are then {m : m.v = m.c = 0 mod 4}, the
-annihilator of <v, c>; the pairing on (Z/4)^g is perfect, so the
-decomposition group, their annihilator, is <v mod 4, c> itself.  At 1+i
-the unit quotient has rank 3, and each of the 4^g vectors is tested
-against a table of fourth powers mod (1+i)^9.
+Each place reads one local class per generator, its image in
+k_v^x/(k_v^x)^4 = Z/4 x U/U^4 (valuation mod 4, then the unit part):
+
+- at an odd prime the residue field F_Q (Q = q or q^2) has 4 | Q - 1 and
+  1 + pi O_v is pro-q, so U/U^4 = mu_4, read by the log c in Z/4 of the
+  quartic residue symbol u^{(Q-1)/4}, with the image of i as base;
+- at 1+i, U/U^4 = (Z/4)^3: by Hensel u is a fourth power iff it is one
+  mod (1+i)^9, and the unit residues there are i^a 3^b (1+2i)^c with
+  fourth powers <3^4, (1+2i)^4>, so (a, b mod 4, c mod 4) is the log.
+
+The class is a homomorphism, so with C the g x r matrix of classes the
+fourth powers are {m : mC = 0 mod 4}.  The pairing on (Z/4)^g is perfect,
+so their annihilator, the decomposition group, is the span of the r
+columns of C mod 4; no exponent vector is tested on its own.
 
 Radicands are first split along their pairwise gcds into a coprime base;
 each base element is factored once, by Pollard rho under a step budget,
@@ -31,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 from .abelian import (
     MR_BASES,
@@ -40,7 +44,6 @@ from .abelian import (
     PGroup,
     Subgroup,
     _is_prime,
-    annihilator,
 )
 from .fields import FieldConfig, ShaInputError, same_field, separates
 from .oracle import InternalCheckError
@@ -89,18 +92,6 @@ def gdiv_exact(z, w) -> tuple[int, int] | None:
     return a // n, b // n
 
 
-def _v2_norm(z) -> int:
-    """Valuation of z at 1+i (normalized v(1+i) = 1)."""
-    n = gnorm(z)
-    if n == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
-
-
 def _classify_prime(pi):
     """('ramified'|'split'|'inert', canonical pi, residue prime q).
 
@@ -141,24 +132,22 @@ def _reduce_mod_power(z, k: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _ramified_fourth_powers() -> frozenset:
-    """x^4 mod (1+i)^9 for every unit residue x mod (1+i)^9."""
+def _ramified_logs() -> dict:
+    """Discrete logs of the unit residues mod (1+i)^9.
+
+    The 256 products i^a 3^b (1+2i)^c, a < 4 and b, c < 8, are the 256 unit
+    residues, and 3^4, (1+2i)^4 generate the fourth powers among them; so
+    residue -> (a, b mod 4, c mod 4) maps U/U^4 isomorphically onto (Z/4)^3.
+    """
     k = RAMIFIED_PRECISION
-    m = 2 ** (k // 2)
-    table = set()
-    for a in range(2 * m):
-        for b in range(m):
-            if (a + b) % 2:
-                x2 = gmul((a, b), (a, b))
-                table.add(_reduce_mod_power(gmul(x2, x2), k))
-    return frozenset(table)
-
-
-def _ramified_unit_is_fourth_power(u) -> bool:
-    """u in (Z_2[i]^x)^4 iff u = x^4 mod (1+i)^9 for some unit x, by Hensel
-    (v(4 x^3) = 4 for units, so 9 = 2*4 + 1 is exact); _reduce_mod_power
-    is canonical, so that is a lookup."""
-    return _reduce_mod_power(u, RAMIFIED_PRECISION) in _ramified_fourth_powers()
+    logs = {}
+    for a, unit in enumerate([(1, 0), (0, 1), (-1, 0), (0, -1)]):
+        for b in range(8):
+            z = gmul(unit, (3 ** b, 0))
+            for c in range(8):
+                logs[_reduce_mod_power(z, k)] = (a, b % 4, c % 4)
+                z = gmul(z, (1, 2))
+    return logs
 
 
 def _split_residue(z, pi, q: int) -> int:
@@ -184,36 +173,25 @@ def _inert_pow(base, e: int, q: int) -> tuple[int, int]:
 
 def is_fourth_power_local(alpha, pi) -> bool:
     """Whether alpha lies in (k_v^x)^4 for the completion of Q(i) at pi."""
-    return _is_fourth_power_at(alpha, *_classify_prime(pi))
+    return not any(x % 4 for x in _local_class(alpha, *_classify_prime(pi)))
 
 
-def _is_fourth_power_at(alpha, kind: str, pi, q: int) -> bool:
-    """is_fourth_power_local at a prime classified by _classify_prime."""
-    if kind != "ramified":
-        v, c = _local_class(alpha, kind, pi, q)
-        return v % 4 == 0 and c == 0
+def _local_class(alpha, kind: str, pi, q: int) -> tuple[int, ...]:
+    """The class of alpha in k_v^x/(k_v^x)^4, valuation first.
+
+    alpha = pi^v u with u a unit.  At 1+i the class is (v, a, b, c), the
+    logs of u mod (1+i)^9 in _ramified_logs; at an odd prime it is (v, c),
+    with u^{(Q-1)/4} = i^c in the residue field F_Q, c in Z/4.
+    """
     z = _gauss(alpha)
     if z == (0, 0):
         raise ValueError("alpha must be nonzero")
-    v = _v2_norm(z)
-    if v % 4:
-        return False
-    for _ in range(v):
-        z = gdiv_exact(z, (1, 1))
-    return _ramified_unit_is_fourth_power(z)
-
-
-def _local_class(alpha, kind: str, pi, q: int) -> tuple[int, int]:
-    """(v, c) at an odd prime: alpha = pi^v u with u a unit, and
-    u^{(Q-1)/4} = i^c in the residue field F_Q, c in Z/4."""
-    z = _gauss(alpha)
-    if z == (0, 0):
-        raise ValueError("alpha must be nonzero")
-    divisor = pi if kind == "split" else (q, 0)
     v = 0
-    while (w := gdiv_exact(z, divisor)) is not None:
+    while (w := gdiv_exact(z, pi)) is not None:
         z = w
         v += 1
+    if kind == "ramified":
+        return (v, *_ramified_logs()[_reduce_mod_power(z, RAMIFIED_PRECISION)])
     if kind == "split":
         iota = _split_residue((0, 1), pi, q)
         symbol = pow(_split_residue(z, pi, q), (q - 1) // 4, q)
@@ -379,23 +357,12 @@ def split_prime_above(q: int) -> tuple[int, int]:
 def decomposition_place(
     ambient: PGroup, generators, pi, label: str
 ) -> Place:
-    """Decomposition subgroup at pi by duality: the annihilator of the
-    exponent vectors m with prod(gen_j^{m_j}) a local fourth power.  At an
-    odd prime that is <v mod 4, c> for the generators' local classes."""
-    prime = _classify_prime(pi)  # once per place, not once per test
-    if prime[0] != "ramified":
-        classes = [_local_class(gen, *prime) for gen in generators]
-        vc = [tuple(v % 4 for v, _ in classes), tuple(c for _, c in classes)]
-        return Place(label=label, group=Subgroup.span(ambient, vc))
-    members = [
-        m
-        for m in itertools.product(range(4), repeat=len(generators))
-        if _is_fourth_power_at(
-            prod(gen ** e for gen, e in zip(generators, m)), *prime
-        )
-    ]
-    fourth_powers = Subgroup.span(ambient, members)
-    return Place(label=label, group=annihilator(ambient, fourth_powers))
+    """Decomposition subgroup at pi: the span mod 4 of the coordinates of
+    the generators' local classes, one vector in (Z/4)^g per coordinate."""
+    prime = _classify_prime(pi)  # once per place, not once per generator
+    classes = [_local_class(gen, *prime) for gen in generators]
+    coords = [tuple(x % 4 for x in coord) for coord in zip(*classes)]
+    return Place(label=label, group=Subgroup.span(ambient, coords))
 
 
 def build_kummer(spec: KummerSpec) -> tuple[FieldConfig, LocalData]:

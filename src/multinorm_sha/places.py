@@ -27,6 +27,7 @@ from .abelian import (
     cyclic_subgroups,
     image_is_cyclic,
     intersect,
+    valuation,
 )
 from .fields import NormalizedConfig
 
@@ -65,16 +66,7 @@ def delta(p: int, x: int, s: int, y: int, t: int) -> int:
     z = (x - y) % p ** d
     if z == 0:
         return d
-    v = 0
-    while z % p == 0:
-        z //= p
-        v += 1
-    return v
-
-
-def dominates(p: int, x: int, s: int, y: int, t: int) -> bool:
-    """x >= y in the domination order: s >= t and x = y mod p^t."""
-    return s >= t and (x - y) % p ** t == 0
+    return valuation(p, z)
 
 
 def i_n(cfg: NormalizedConfig, a, n: int) -> tuple[int, ...]:
@@ -105,13 +97,8 @@ def _sigma_threshold(chi0, h_i: Subgroup, d_sub: Subgroup) -> int:
     phi = eps0
     for row in intersect(d_sub, h_i).basis:
         val = chi0.value(row)
-        v = eps0
         if val:
-            v = 0
-            while val % p == 0:
-                val //= p
-                v += 1
-        phi = min(phi, v)
+            phi = min(phi, valuation(p, val))
     return eps0 - phi
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kummer_reference import annihilator
 from multinorm_sha.abelian import (
     ALL_SUBGROUPS_CAP,
     MR_BOUND,
@@ -13,7 +14,6 @@ from multinorm_sha.abelian import (
     PGroup,
     Subgroup,
     all_subgroups,
-    annihilator,
     cyclic_subgroups,
     hermite_normal_form,
     image_is_cyclic,

@@ -394,6 +394,23 @@ def test_json_to_stdout_is_parseable(argv, tmp_path, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "CFG"],
+        ["examples", "17-13"],
+        ["kummer", "--radicands", "17,221,13", "--compute"],
+    ],
+)
+@pytest.mark.parametrize("target", ["DIR", "DIR/missing/report.json"])
+def test_unwritable_json_path_exits_2(argv, target, tmp_path, capsys):
+    argv = [write(tmp_path, ABSTRACT_17_13) if a == "CFG" else a for a in argv]
+    path = target.replace("DIR", str(tmp_path))
+    assert main(argv + ["--json", path]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {path}: "), err
+
+
 def test_kummer_refusals_are_bounded(capsys):
     p = 1099511627791  # the least prime above 2^40
     q = 1099511627803  # the next one; p * q is below MR_BOUND

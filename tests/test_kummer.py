@@ -10,7 +10,6 @@ from multinorm_sha.abelian import (
     PGroup,
     Subgroup,
     _is_prime,
-    annihilator,
 )
 from multinorm_sha.cli import EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, main
 from multinorm_sha.fields import TooFewFields, validate_and_normalize
@@ -31,11 +30,13 @@ from multinorm_sha.kummer import (
     _factor_jointly,
     _factor_odd,
     _local_class,
-    _ramified_unit_is_fourth_power,
+    _ramified_logs,
     _reduce_mod_power,
-    _v2_norm,
 )
 from kummer_reference import (
+    _v2_norm,
+    annihilator,
+    hensel_search_is_fourth_power,
     reference_decomposition_place,
     reference_factor_each,
     reference_is_fourth_power,
@@ -49,21 +50,6 @@ def odd_primes(limit):
     for n in range(3, limit, 2):
         if all(n % d for d in range(3, int(n ** 0.5) + 1, 2)):
             yield n
-
-
-def hensel_search_is_fourth_power(u):
-    """Reference 1+i test: some unit x mod (1+i)^9 with v(x^4 - u) >= 9."""
-    target = _reduce_mod_power(u, 9)
-    for a in range(32):
-        for b in range(16):
-            if (a + b) % 2 == 0:
-                continue
-            x2 = gmul((a, b), (a, b))
-            x4 = gmul(x2, x2)
-            z = (x4[0] - target[0], x4[1] - target[1])
-            if z == (0, 0) or _v2_norm(z) >= 9:
-                return True
-    return False
 
 
 def reference_classify_prime(pi):
@@ -254,24 +240,49 @@ def test_decomposition_group_is_annihilator_dual():
             for m in itertools.product(range(4), repeat=2)
             if is_fourth_power_local(17 ** m[0] * 13 ** m[1], pi)
         ]
-        from multinorm_sha.abelian import Subgroup, annihilator
-
         kv = Subgroup.span(ambient, members)
         assert kv.order == len(members)  # the member set is a subgroup
         assert place.group == annihilator(ambient, kv)
         assert kv.order * place.group.order == ambient.order
 
 
+UNITS_MOD_2_9 = [(a, b) for a in range(32) for b in range(16) if (a + b) % 2]
+ONE_PLUS_I = _classify_prime((1, 1))
+
+
+def _ramified_class(alpha):
+    return _local_class(alpha, *ONE_PLUS_I)
+
+
 def test_ramified_table_matches_hensel_search():
-    units = [(a, b) for a in range(32) for b in range(16) if (a + b) % 2]
-    assert len(units) == 256
-    for u in units:
-        assert _ramified_unit_is_fourth_power(u) == hensel_search_is_fourth_power(u), u
+    # the logs are a bijection of the 256 unit residues onto
+    # (Z/4) x (Z/8)^2, read mod 4, and the class is zero exactly on the
+    # units the Hensel search finds to be fourth powers
+    logs = _ramified_logs()
+    assert len(UNITS_MOD_2_9) == len(logs) == 256
+    assert {_reduce_mod_power(u, 9) for u in UNITS_MOD_2_9} == set(logs)
+    assert sorted(set(logs.values())) == list(itertools.product(range(4), repeat=3))
+    for u in UNITS_MOD_2_9:
+        assert (_ramified_class(u) == (0, 0, 0, 0)) == hensel_search_is_fourth_power(u), u
     rng = random.Random(4)
-    for _ in range(300):
-        a, b = rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(-10 ** 6, 10 ** 6)
-        if (a + b) % 2:
-            assert _ramified_unit_is_fourth_power((a, b)) == hensel_search_is_fourth_power((a, b))
+    checked = 0
+    while checked < 300:
+        u = (rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(-10 ** 6, 10 ** 6))
+        if sum(u) % 2:
+            assert is_fourth_power_local(u, (1, 1)) == hensel_search_is_fourth_power(u), u
+            checked += 1
+
+
+def test_ramified_class_is_additive():
+    # class(uv) = class(u) + class(v) mod 4, valuation included
+    rng = random.Random(14)
+    for _ in range(2000):
+        z, w = [(rng.randrange(-10 ** 4, 10 ** 4), rng.randrange(-10 ** 4, 10 ** 4)) for _ in "zw"]
+        if (0, 0) in (z, w):
+            continue
+        got = _ramified_class(gmul(z, w))
+        want = tuple((x + y) % 4 for x, y in zip(_ramified_class(z), _ramified_class(w)))
+        assert tuple(x % 4 for x in got) == want, (z, w)
 
 
 def test_classify_prime_matches_reference():
@@ -460,6 +471,27 @@ def test_decomposition_place_matches_per_vector_reference():
     assert min(counts.values()) >= 100, counts
 
 
+def test_one_plus_i_place_matches_per_vector_reference():
+    # the place 1+i on its own: random associates +-1+-i, g = 1..4, with
+    # negative and even generators among the random ones; rational
+    # generators have no (1+2i)-coordinate, so some are Gaussian
+    rng = random.Random(15)
+    negative = even = gaussian = 0
+    for _ in range(2000):
+        g = rng.randint(1, GENERATOR_BUDGET)
+        gens = _random_generators(rng, g)
+        negative += any(gen < 0 for gen in gens)
+        even += any(gen % 2 == 0 for gen in gens)
+        if rng.random() < 0.25:
+            gens[rng.randrange(g)] = (rng.randrange(-99, 100), rng.randrange(1, 100))
+            gaussian += 1
+        ambient = PGroup(2, (2,) * g)
+        pi = (rng.choice([1, -1]), rng.choice([1, -1]))
+        want = reference_decomposition_place(ambient, gens, pi, "1+i")
+        assert decomposition_place(ambient, gens, pi, "1+i") == want, (gens, pi)
+    assert min(negative, even, gaussian) >= 100, (negative, even, gaussian)
+
+
 def test_local_class_matches_definition():
     # the class itself, with i (not -i) as the base of the log
     rng = random.Random(11)
@@ -534,21 +566,31 @@ def test_factor_jointly_matches_per_radicand_factoring(monkeypatch):
     assert shared >= 100
 
 
-def test_local_tests_only_at_one_plus_i(monkeypatch):
+def test_each_place_computes_g_local_classes(monkeypatch):
+    # no exponent vector is tested on its own: every place, 1+i included,
+    # computes one local class per generator, of the generator itself
     import multinorm_sha.kummer as kummer
 
-    kinds = []
-    test_at = kummer._is_fourth_power_at
+    per_place = []
+    local_class = kummer._local_class
+    place = kummer.decomposition_place
 
-    def counting(alpha, kind, pi, q):
-        kinds.append(kind)
-        return test_at(alpha, kind, pi, q)
+    def recording_class(alpha, *prime):
+        per_place[-1].append(alpha)
+        return local_class(alpha, *prime)
 
-    monkeypatch.setattr(kummer, "_is_fourth_power_at", counting)
+    def recording_place(ambient, generators, pi, label):
+        per_place.append([])
+        return place(ambient, generators, pi, label)
+
+    monkeypatch.setattr(kummer, "_local_class", recording_class)
+    monkeypatch.setattr(kummer, "decomposition_place", recording_place)
     for radicands in BENCH_RADICANDS + [(3, 5, 7, 11), (1000003, 1000033, 1000037, 1000039)]:
-        kinds.clear()
-        cfg, _local = build_kummer(KummerSpec(radicands))
-        assert kinds == ["ramified"] * 4 ** cfg.group.rank, radicands
+        per_place.clear()
+        _cfg, local = build_kummer(KummerSpec(radicands))
+        generators = list(dict.fromkeys(q for b in radicands for q in _factor_odd(b)))
+        assert len(per_place) == len(local.exceptional), radicands
+        assert per_place == [generators] * len(per_place), radicands
 
 
 def test_shared_factor_is_split_before_rho(capsys):

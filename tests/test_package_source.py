@@ -1,0 +1,49 @@
+"""Static checks over the package source: the runtime imports only the
+standard library and itself, and no check is an `assert`, which `python -O`
+would strip."""
+
+import ast
+import sys
+from pathlib import Path
+
+import multinorm_sha
+
+PACKAGE = Path(multinorm_sha.__file__).parent
+SOURCES = sorted(PACKAGE.rglob("*.py"))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_sources_found():
+    assert PACKAGE.name == "multinorm_sha"
+    assert {p.name for p in SOURCES} >= {"__init__.py", "abelian.py", "cli.py", "kummer.py"}
+
+
+def test_imports_are_stdlib_or_the_package():
+    foreign = []
+    for path in SOURCES:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside the package
+            foreign += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names | {"multinorm_sha"}
+            ]
+    assert not foreign
+
+
+def test_no_assert_statements():
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not asserts

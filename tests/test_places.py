@@ -10,7 +10,6 @@ from multinorm_sha.places import (
     LocalData,
     Place,
     delta,
-    dominates,
     fail_set,
     generic_place_candidates,
     i_n,
@@ -30,15 +29,8 @@ def test_delta_examples():
     assert delta(2, 1, 2, 1, 2) == 2
     assert delta(2, 1, 2, 3, 2) == 1
     assert delta(2, 5, 3, 1, 1) == 1
-    assert dominates(2, 5, 3, 1, 1)
     assert delta(3, 4, 2, 7, 2) == 1
     assert delta(2, 0, 3, 4, 3) == 2
-
-
-def test_dominates():
-    assert dominates(2, 3, 2, 1, 1)
-    assert not dominates(2, 1, 1, 3, 2)
-    assert dominates(2, 2, 2, 2, 2)
 
 
 def four_field_config():
