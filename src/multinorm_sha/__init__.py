@@ -11,11 +11,9 @@ from .abelian import (
     Character,
     PGroup,
     Subgroup,
-    image_is_cyclic,
+    divisor_valuations,
     intersect,
-    join,
     joint_kernel,
-    quotient_invariants,
 )
 from .fields import (
     FieldConfig,
@@ -27,12 +25,7 @@ from .fields import (
     TooFewFields,
     validate_and_normalize,
 )
-from .places import (
-    LocalData,
-    Place,
-    locally_cyclic,
-    noncyclic_places,
-)
+from .places import LocalData, Place, locally_cyclic
 from .oracle import (
     Classification,
     ShaReport,

@@ -166,6 +166,42 @@ def smith_invariants(mat) -> list[int]:
     return diags
 
 
+def divisor_valuations(rows, p: int, d: int) -> list[int]:
+    """Valuations v < d of the elementary divisors p^v of an integer matrix
+    over Z/p^d, in increasing order; its row span mod p^d is the direct sum
+    of the Z/p^(d - v).
+
+    Z/p^d is a local ring: an entry of least valuation v is p^v times a
+    unit and divides every other entry, so it clears its column with no
+    xgcd, and its row then falls away by column moves that change no other
+    row.  The search runs level by level, every entry being divisible by p^v.
+    """
+    q = p ** d
+    mat = [row for row in ([x % q for x in r] for r in rows) if any(row)]
+    out = []
+    v, pv = 0, 1
+    while mat:
+        step = pv * p
+        hit = next(
+            ((r, j) for r, row in enumerate(mat) for j, x in enumerate(row) if x % step),
+            None,
+        )
+        if hit is None:
+            v, pv = v + 1, step
+            continue
+        r, j = hit
+        top = mat.pop(r)
+        inv = pow(top[j] // pv, -1, q // pv)
+        for row in mat:
+            if row[j]:
+                f = row[j] // pv * inv
+                for c, x in enumerate(top):
+                    row[c] = (row[c] - f * x) % q
+        mat = [row for row in mat if any(row)]
+        out.append(v)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Groups and subgroups.
 
@@ -341,13 +377,6 @@ def _p_exponents(p: int, diags) -> list[int]:
     return out
 
 
-def join(h1: Subgroup, h2: Subgroup) -> Subgroup:
-    """Smallest subgroup containing both."""
-    if h1.ambient != h2.ambient:
-        raise ValueError("ambient mismatch")
-    return Subgroup._span_rows(h1.ambient, list(h1.basis) + list(h2.basis))
-
-
 def intersect(h1: Subgroup, h2: Subgroup) -> Subgroup:
     """Largest subgroup contained in both."""
     if h1.ambient != h2.ambient:
@@ -362,20 +391,6 @@ def intersect(h1: Subgroup, h2: Subgroup) -> Subgroup:
                 vec[j] += c * row[j]
         gens.append(vec)
     return Subgroup._span_rows(h1.ambient, gens)
-
-
-def quotient_invariants(ambient: PGroup, h: Subgroup) -> list[int]:
-    """Non-increasing p-exponents [m_1, ...] with A/H = (+) Z/p^{m_t}."""
-    if h.ambient != ambient:
-        raise ValueError("ambient mismatch")
-    return _p_exponents(ambient.p, smith_invariants(h.basis))
-
-
-def image_is_cyclic(d: Subgroup, h: Subgroup) -> bool:
-    """Whether DH/H is cyclic."""
-    if d.ambient != h.ambient:
-        raise ValueError("ambient mismatch")
-    return len(join(d, h).invariants_mod(h)) <= 1
 
 
 def cyclic_subgroups(ambient: PGroup, cap: int = CYCLIC_SWEEP_CAP) -> list[Subgroup]:

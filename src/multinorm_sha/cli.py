@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import time
 
@@ -737,9 +738,21 @@ def _add_compute_flags(sp):
     sp.add_argument("--debug-monotonicity", action="store_true")
 
 
+def _attach_negative_radicands(argv):
+    """`--radicands -3,5` as `--radicands=-3,5`: argparse reads a value that
+    starts with '-' and is no plain number as an option."""
+    out = []
+    for tok in sys.argv[1:] if argv is None else argv:
+        if out and out[-1] == "--radicands" and re.fullmatch(r"-\d[\d,-]*", tok):
+            out[-1] = f"--radicands={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_radicands(argv))
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -2,19 +2,31 @@
 
 The base field k and the cyclic extensions K_0..K_m are never touched
 directly: the tuple (p, A, characters) encodes them, with K_i the fixed
-field of ker(chi_i) inside the compositum whose Galois group is A.  Field
-constructions (subfields, composites, bicyclicity) become subgroup-lattice
-computations in A.  The composite of the subfields K_i(d), i in C, is the
-common kernel of the chi_i mod p^d: one left kernel
-(:func:`abelian.joint_kernel`), cached per config.
-
-Normalization needs no lattice, only congruences of characters.  Write
+field of ker(chi_i) inside the compositum whose Galois group is A.  Write
 chi_i(a) = sum_l c_i[l] a_l mod p^eps_i on A = (+)_l Z/p^{n_l}, and K_i(f)
 for the fixed field of the kernel of chi_i mod p^f.  K_i is cyclic over k,
-so its subfields form the chain k = K_i(0) < K_i(1) < ... < K_i(eps_i), and
-K_i cap K_j = K_i(e_ij), with e_ij the largest f for which K_i(f) = K_j(f).
-Two characters onto Z/p^f have one kernel iff they differ by a unit, so
-e_ij is the largest f <= min(eps_i, eps_j) with chi_i = y chi_j (mod p^f)
+so its subfields form the chain k = K_i(0) < K_i(1) < ... < K_i(eps_i).
+
+Every field question is answered on coefficient rows, with no subgroup of
+A.  A character of order dividing p^d is determined by its values on the
+basis e_l, so evaluation there embeds the characters into (Z/p^d)^rank(A).
+The Galois group of the composite K(C, d) of the K_i(d), i in C, is dual to
+the characters that vanish on the common kernel, the span of the chi_i mod
+p^d: it is isomorphic to X(C, d), the Z/p^d row span of the c_i mod p^d.
+So the elementary divisors of that matrix over Z/p^d
+(:func:`abelian.divisor_valuations`) give its invariants.  K(C, d) embeds in
+a bicyclic extension iff there are at most two of them
+(:meth:`NormalizedConfig.is_sub_bicyclic`).  K(C_in, d_in) <= K(C_out,
+d_out) iff X(C_in, d_in) <= X(C_out, d_out) inside the dual of A: with
+N = max(d_in, d_out), multiplying by p^(N - d) embeds Z/p^d in Z/p^N, and the
+test is that adding the C_in rows to the C_out rows leaves the elementary
+divisors, so the order, of their span unchanged
+(:meth:`NormalizedConfig.contains`).
+
+Normalization needs only congruences of characters.  K_i cap K_j =
+K_i(e_ij), with e_ij the largest f for which K_i(f) = K_j(f).  Two
+characters onto Z/p^f have one kernel iff they differ by a unit, so e_ij is
+the largest f <= min(eps_i, eps_j) with chi_i = y chi_j (mod p^f)
 coefficient by coefficient.  A unit coordinate l0 of chi_j fixes
 y = c_i[l0] / c_j[l0] mod p^min(eps_i, eps_j), and e_ij is the least p-adic
 valuation of the c_i[l] - y c_j[l], capped at min(eps_i, eps_j) (:func:`meet`).
@@ -35,14 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .abelian import (
-    Character,
-    PGroup,
-    Subgroup,
-    joint_kernel,
-    quotient_invariants,
-    valuation,
-)
+from .abelian import Character, PGroup, Subgroup, divisor_valuations, valuation
 
 
 class ShaInputError(Exception):
@@ -97,7 +102,7 @@ class NormalizedConfig:
     eij[i][j] = log_p [K_i cap K_j : k] (diagonal carries eps), e0(i) and
     ei(i) for the interaction with K_0, and the partition U_r of 1..m by
     e_{0,i} = r.  Built only by :func:`validate_and_normalize`, which hands
-    over eij; composites are cached per instance.
+    over eij.
     """
 
     def __init__(self, group: PGroup, chars, labels, permutation, eij):
@@ -109,7 +114,6 @@ class NormalizedConfig:
         self.m = len(self.chars) - 1
         self.eps = tuple(chi.exponent for chi in self.chars)
         self.eij = tuple(tuple(r) for r in eij)
-        self._composites: dict[tuple[tuple[int, ...], int], Subgroup] = {}
 
         n = self.m + 1
         parts: dict[int, list[int]] = {}
@@ -166,34 +170,34 @@ class NormalizedConfig:
             raise ValueError(f"subfield degree {f} out of range [0, {self.eps[i]}]")
         return self.chars[i].kernel_at_level(f)
 
-    def composite(self, C, d: int) -> Subgroup:
-        """Subgroup of the composite field of the K_i(d), i in C: the common
-        kernel of the chi_i mod p^d, one left kernel, cached per (set C, d)."""
+    def rows(self, C, d: int, top: int | None = None) -> list[list[int]]:
+        """Coefficient rows of the chi_i mod p^d, i in C, as characters into
+        Z/p^top (times p^(top - d)); top defaults to d."""
         C = tuple(C)
-        key = (tuple(sorted(set(C))), d)
-        sub = self._composites.get(key)
-        if sub is None:
-            if not C:
-                raise ValueError("empty index set")
-            for i in C:
-                if d > self.eps[i]:
-                    raise ValueError(f"degree {d} exceeds eps_{i} = {self.eps[i]}")
-            if d < 0:
-                raise ValueError(f"subfield degree {d} out of range [0, {self.eps[C[0]]}]")
-            sub = joint_kernel(self.group, [(self.chars[i], d) for i in key[0]])
-            self._composites[key] = sub
-        return sub
+        if not C:
+            raise ValueError("empty index set")
+        for i in C:
+            if d > self.eps[i]:
+                raise ValueError(f"degree {d} exceeds eps_{i} = {self.eps[i]}")
+        if d < 0:
+            raise ValueError(f"subfield degree {d} out of range [0, {self.eps[C[0]]}]")
+        top = d if top is None else top
+        q, s = self.p ** top, self.p ** (top - d)
+        return [[c * s % q for c in self.chars[i].coeffs] for i in C]
 
-    def is_sub_bicyclic(self, h: Subgroup) -> bool:
-        """True when the field of h embeds in a bicyclic extension (rank <= 2)."""
-        return len(quotient_invariants(self.group, h)) <= 2
+    def is_sub_bicyclic(self, C, d: int) -> bool:
+        """Whether K(C, d) embeds in a bicyclic extension: X(C, d) has at
+        most two elementary divisors."""
+        return len(divisor_valuations(self.rows(C, d), self.p, d)) <= 2
 
-    def pair_composite(self, d: int, s: int, t: int, beta: int) -> Subgroup:
-        """Subgroup of K_s(d + e_{s,t} - beta) K_t(d + e_{s,t} - beta)."""
-        g = d + self.eij[s][t] - beta
-        if g < 0 or g > min(self.eps[s], self.eps[t]):
-            raise ValueError(f"degree {g} out of range for pair ({s}, {t})")
-        return self.composite((s, t), g)
+    def contains(self, outer, d_out: int, inner, d_in: int) -> bool:
+        """Whether K(inner, d_in) <= K(outer, d_out): over Z/p^N, N the larger
+        degree, the inner rows leave the span of the outer rows as it is."""
+        top = max(d_out, d_in)
+        rows = self.rows(outer, d_out, top)
+        return divisor_valuations(rows, self.p, top) == divisor_valuations(
+            rows + self.rows(inner, d_in, top), self.p, top
+        )
 
     def field_table(self):
         """Rows (label, eps_i, e_{0,i}) in normalized order."""
@@ -226,30 +230,15 @@ def same_field(chi: Character, psi: Character) -> bool:
 
 
 def separates(group: PGroup, chars) -> bool:
-    """Whether the common kernel of ``chars`` in A is trivial (rank over F_p)."""
+    """Whether the common kernel of ``chars`` in A is trivial: the F_p rank,
+    the number of elementary divisors over Z/p, is rank(A)."""
     p = group.p
     rows = [
         [c * p ** (n - 1) // p ** (chi.exponent - 1) % p
          for c, n in zip(chi.coeffs, group.exponents)]
         for chi in chars
     ]
-    rank = 0
-    for j in range(group.rank):
-        for piv in range(rank, len(rows)):
-            if rows[piv][j]:
-                break
-        else:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        inv = pow(top[j], -1, p)
-        for r in rows[rank + 1:]:
-            f = r[j] * inv % p
-            if f:
-                for c in range(j, group.rank):
-                    r[c] = (r[c] - f * top[c]) % p
-        rank += 1
-    return rank == group.rank
+    return len(divisor_valuations(rows, p, 1)) == group.rank
 
 
 def validate_and_normalize(cfg: FieldConfig) -> NormalizedConfig:

@@ -25,7 +25,7 @@ from .abelian import (
     PGroup,
     Subgroup,
     cyclic_subgroups,
-    image_is_cyclic,
+    divisor_valuations,
     intersect,
     valuation,
 )
@@ -157,21 +157,24 @@ def fail_set(cfg: NormalizedConfig, localdata: LocalData, a):
     return failures
 
 
-def locally_cyclic(cfg: NormalizedConfig, localdata: LocalData, h: Subgroup) -> bool:
-    """Whether the field of h is locally cyclic at every place.
+def locally_cyclic(cfg: NormalizedConfig, localdata: LocalData, C, d: int) -> bool:
+    """Whether the composite K(C, d) of the K_i(d), i in C, is locally cyclic
+    at every place.
 
     Cyclic decomposition groups have cyclic images, so generic places never
-    fail; only the exceptional list needs checking.
+    fail; only the exceptional list needs checking.  At a place with
+    decomposition group D the local Galois group is DH/H, H the subgroup of
+    K(C, d).  H is the kernel of a -> (chi_i(a) mod p^d)_{i in C}, so DH/H is
+    the image of D in (Z/p^d)^C, the span of the rows chi_i(g) over the basis
+    rows g of D: cyclic iff it has at most one elementary divisor.
     """
-    return all(
-        image_is_cyclic(place.group, h) for place in localdata.exceptional
-    )
-
-
-def noncyclic_places(cfg: NormalizedConfig, localdata: LocalData, h: Subgroup):
-    """The exceptional places whose image in Gal of the field of h is not cyclic."""
-    return [
-        place
-        for place in localdata.exceptional
-        if not image_is_cyclic(place.group, h)
-    ]
+    rows = cfg.rows(C, d)
+    q = cfg.p ** d
+    for place in localdata.exceptional:
+        image = [
+            [sum(c * x for c, x in zip(row, g)) % q for row in rows]
+            for g in place.group.basis
+        ]
+        if len(divisor_valuations(image, cfg.p, d)) > 1:
+            return False
+    return True

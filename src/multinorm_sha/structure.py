@@ -6,18 +6,28 @@ factors.  Every scan walks downward from its upper bound and stops at the
 first admissible value, which is the stated maximum; a debug mode checks
 monotonicity below the hit explicitly.
 
-Every field the scans test is a composite K_0(d) K_i(d) ... of subfields,
-read from the config's cache of joint character kernels.  The intersection
-criterion joins the pairs ker chi_0 cap ker chi_i, i in U_0, and stops as
-soon as the join is all of ker chi_0: each pair lies in ker chi_0, so the
-join never leaves it, and a join of the same order is ker chi_0 itself.
+Every field the scans test is a composite K(C, d) of subfields K_i(d),
+i in C, and every test reads the elementary divisors of coefficient rows
+over Z/p^d: bicyclicity and containment through the duality in
+:mod:`fields`, local cyclicity through the image of each decomposition
+group (:func:`places.locally_cyclic`).  No subgroup of A is built.
+
+The intersection criterion, cap_{i in U_0} K_0 K_i = K_0, reads in the dual
+of A as cap_i <chi_0, chi_i> = <chi_0>.  Modulo <chi_0> each chi_i, i in
+U_0, generates a cyclic subgroup, nonzero because K_0 cap K_i = k, and
+cyclic p-groups meet in 0 exactly when their subgroups of order p are not
+all equal.  That of chi_i is generated by psi_i = p^(eps_i - 1) chi_i, the
+F_p character with row c_i mod p.  An element psi_i - u psi_j of order p
+lies in <chi_0> iff it lies in <psi_0>, so the subgroups are all equal iff
+every psi_i lies in the plane of psi_0 and psi_1: the criterion holds iff
+the rows c_0 and c_i, i in U_0, taken mod p, have F_p rank at least 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abelian import Subgroup, join, joint_kernel, quotient_invariants
+from .abelian import divisor_valuations
 from .fields import NormalizedConfig
 from .places import LocalData, locally_cyclic
 from .oracle import ShaReport
@@ -119,11 +129,6 @@ def level(cfg: NormalizedConfig, members) -> int:
 # ---------------------------------------------------------------------------
 # Patching degrees.
 
-def _contained(cfg, inner: Subgroup, outer: Subgroup) -> bool:
-    """Field containment: the field of `inner` sits inside that of `outer`."""
-    return outer.issubset(inner)
-
-
 def delta_omega(cfg: NormalizedConfig, r: int) -> int:
     """Algebraic patching degree of U_r (scan downward, first admissible)."""
     if r not in cfg.R:
@@ -138,19 +143,9 @@ def delta_omega(cfg: NormalizedConfig, r: int) -> int:
 
 
 def _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt) -> bool:
-    if u_gt:
-        above = cfg.composite(u_gt, d)
-        for i in u_r:
-            pair = cfg.composite((0, i), d)
-            if not _contained(cfg, above, pair):
-                return False
-    if u_lt:
-        block = cfg.composite(u_r, d)
-        for i in u_lt:
-            pair = cfg.composite((0, i), d)
-            if not _contained(cfg, block, pair):
-                return False
-    return True
+    if u_gt and not all(cfg.contains((0, i), d, u_gt, d) for i in u_r):
+        return False
+    return not u_lt or all(cfg.contains((0, i), d, u_r, d) for i in u_lt)
 
 
 def delta_ordinary(cfg: NormalizedConfig, localdata: LocalData, r: int) -> int:
@@ -168,35 +163,33 @@ def delta_ordinary(cfg: NormalizedConfig, localdata: LocalData, r: int) -> int:
 
 
 def _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt) -> bool:
-    if u_gt:
-        h = cfg.composite((0,) + u_gt, d)
-        if not locally_cyclic(cfg, localdata, h):
-            return False
-    if u_lt:
-        h = cfg.composite((0,) + u_r, d)
-        if not locally_cyclic(cfg, localdata, h):
-            return False
-    return True
+    if u_gt and not locally_cyclic(cfg, localdata, (0,) + u_gt, d):
+        return False
+    return not u_lt or locally_cyclic(cfg, localdata, (0,) + u_r, d)
 
 
 # ---------------------------------------------------------------------------
 # Degrees of freedom and the class tree.
 
-def _freedom_field(cfg, members, lvl, f, r) -> Subgroup | None:
-    """Subgroup of M_c(f + L(c) - r), or None when the degree is inadmissible."""
+def _freedom_degree(cfg, members, lvl, f, r) -> int | None:
+    """Degree of M_c(f + L(c) - r) = K(c, f + L(c) - r), or None when it is
+    inadmissible."""
     deg = f + lvl - r
-    if deg > min(cfg.eps[i] for i in members):
-        return None
-    return cfg.composite(members, deg)
+    return deg if deg <= min(cfg.eps[i] for i in members) else None
 
 
 def _f_omega_admissible(cfg, members, lvl, f, r) -> bool:
-    h = _freedom_field(cfg, members, lvl, f, r)
-    if h is None:
-        return False
-    if not cfg.is_sub_bicyclic(h):
-        return False
-    return _contained(cfg, cfg.subfield(0, f), h)
+    deg = _freedom_degree(cfg, members, lvl, f, r)
+    return (
+        deg is not None
+        and cfg.is_sub_bicyclic(members, deg)
+        and cfg.contains(members, deg, (0,), f)
+    )
+
+
+def _f_admissible(cfg, localdata, members, lvl, f, r) -> bool:
+    deg = _freedom_degree(cfg, members, lvl, f, r)
+    return deg is not None and locally_cyclic(cfg, localdata, members, deg)
 
 
 def f_omega(cfg: NormalizedConfig, members, r: int, bound: int) -> int:
@@ -210,8 +203,7 @@ def f_omega(cfg: NormalizedConfig, members, r: int, bound: int) -> int:
 def f_ordinary(cfg, localdata, members, r: int, bound: int) -> int:
     lvl = level(cfg, members)
     for f in range(bound, r, -1):
-        h = _freedom_field(cfg, members, lvl, f, r)
-        if h is not None and locally_cyclic(cfg, localdata, h):
+        if _f_admissible(cfg, localdata, members, lvl, f, r):
             return f
     return r
 
@@ -263,8 +255,7 @@ def check_monotone_scans(cfg: NormalizedConfig, localdata: LocalData) -> None:
                         f"f_omega scan not monotone at r={r}, c={node.members}, f={f}"
                     )
             for f in range(r, node.f + 1):
-                h = _freedom_field(cfg, node.members, lvl, f, r)
-                if h is None or not locally_cyclic(cfg, localdata, h):
+                if not _f_admissible(cfg, localdata, node.members, lvl, f, r):
                     raise AssertionError(
                         f"f scan not monotone at r={r}, c={node.members}, f={f}"
                     )
@@ -300,21 +291,10 @@ def _class_generators(cfg, r, node: ClassNode):
 
 
 def criterion_trivial(cfg: NormalizedConfig) -> bool:
-    """Intersection criterion: cap of K_0 K_i over i in U_0 equals K_0.
-
-    When it holds both obstruction groups vanish.  Exits at the first join
-    of the order of ker chi_0 (see the module docstring).
-    """
-    chi0 = cfg.chars[0]
-    target = cfg.kernel(0).order
-    acc = None
-    for i in cfg.U(0):
-        chi = cfg.chars[i]
-        pair = joint_kernel(cfg.group, [(chi0, chi0.exponent), (chi, chi.exponent)])
-        acc = pair if acc is None else join(acc, pair)
-        if acc.order == target:
-            return True
-    return False
+    """Intersection criterion: cap of K_0 K_i over i in U_0 equals K_0, iff
+    the rows c_0 and c_i, i in U_0, have F_p rank at least 3 (see the module
+    docstring).  When it holds both obstruction groups vanish."""
+    return len(divisor_valuations(cfg.rows((0,) + cfg.U(0), 1), cfg.p, 1)) >= 3
 
 
 def assemble(cfg: NormalizedConfig, localdata: LocalData) -> StructureResult:
@@ -399,12 +379,12 @@ def shortcut_linearly_disjoint(
     everyone = tuple(range(n))
     f_max = 0
     for f in range(cfg.eps[0], 0, -1):
-        if cfg.is_sub_bicyclic(cfg.composite(everyone, f)):
+        if cfg.is_sub_bicyclic(everyone, f):
             f_max = f
             break
     f_ord = 0
     for f in range(f_max, 0, -1):
-        if locally_cyclic(cfg, localdata, cfg.composite(everyone, f)):
+        if locally_cyclic(cfg, localdata, everyone, f):
             f_ord = f
             break
     sha_omega = _invariants([f_max] * (cfg.m - 1))
@@ -417,8 +397,7 @@ def shortcut_bicyclic_subfields(cfg: NormalizedConfig) -> tuple[int, ...]:
     n = cfg.eps[0]
     if any(e != n for e in cfg.eps):
         raise ShapeMismatch("fields do not all have the same degree")
-    compositum = cfg.composite(range(cfg.m + 1), n)
-    if len(quotient_invariants(cfg.group, compositum)) > 2:
+    if not cfg.is_sub_bicyclic(range(cfg.m + 1), n):
         raise ShapeMismatch("compositum does not embed in a bicyclic extension")
     exps = []
     for r in cfg.R:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from multinorm_sha.abelian import Subgroup, intersect, join, quotient_invariants
+from multinorm_sha.abelian import Subgroup, intersect
 from multinorm_sha.fields import (
     FieldConfig,
     IntersectionNotBase,
@@ -19,6 +19,8 @@ from multinorm_sha.fields import (
     NonSurjectiveCharacter,
     TooFewFields,
 )
+
+from structure_reference import join, quotient_invariants
 
 
 class Normalized(NamedTuple):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kummer_reference import annihilator
+from structure_reference import image_is_cyclic, join, quotient_invariants
 from multinorm_sha.abelian import (
     ALL_SUBGROUPS_CAP,
     MR_BOUND,
@@ -15,15 +16,14 @@ from multinorm_sha.abelian import (
     Subgroup,
     all_subgroups,
     cyclic_subgroups,
+    divisor_valuations,
     hermite_normal_form,
-    image_is_cyclic,
     intersect,
-    join,
     left_kernel,
-    quotient_invariants,
     smith_invariants,
     xgcd,
     _is_prime,
+    valuation,
 )
 
 Z44 = PGroup(2, (2, 2))
@@ -213,6 +213,39 @@ def test_image_is_cyclic():
     for g in Z44.elements():
         assert image_is_cyclic(Subgroup.span(Z44, [g]), h)
     assert not image_is_cyclic(full, h)
+
+
+def test_divisor_valuations_match_smith_form():
+    # over Z/p^d the matrix M has the elementary divisors p^v, v < d, of the
+    # integer matrix [M; p^d I]; zero rows and columns included
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(2000):
+        p, d = rng.choice((2, 3, 5, 7)), rng.randint(1, 6)
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 5)
+        zero_rows = {r for r in range(nrows) if rng.random() < 0.15}
+        zero_cols = {c for c in range(ncols) if rng.random() < 0.15}
+        mat = [
+            [
+                0 if r in zero_rows or c in zero_cols
+                else rng.randrange(-p ** (d + 1), p ** (d + 1)) * p ** rng.choice((0, 0, 1, 2))
+                for c in range(ncols)
+            ]
+            for r in range(nrows)
+        ]
+        got = divisor_valuations(mat, p, d)
+        stacked = mat + [[p ** d if c == j else 0 for c in range(ncols)] for j in range(ncols)]
+        diags = smith_invariants(stacked)
+        assert len(diags) == ncols
+        want = sorted(e for e in (valuation(p, x) for x in diags) if e < d)
+        assert got == want, (p, d, mat)
+        seen.add(len(got) if len(got) < 3 else "3+")
+        seen.add("zeros" if zero_rows or zero_cols else "dense")
+        seen.add("mixed" if len(set(got)) > 1 else "flat")
+    assert seen >= {0, 1, 2, "3+", "zeros", "dense", "mixed", "flat"}
+    assert divisor_valuations([], 3, 2) == []
+    assert divisor_valuations([[9, 0], [0, 3]], 3, 2) == [1]
+    assert divisor_valuations([[4, 6]], 2, 3) == [1]
 
 
 def test_cyclic_subgroups_counts():

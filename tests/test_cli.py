@@ -411,6 +411,26 @@ def test_unwritable_json_path_exits_2(argv, target, tmp_path, capsys):
     assert err.startswith(f"config error: cannot write {path}: "), err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kummer", "--radicands", "-3,5,7"],
+        ["kummer", "--radicands=-3,5,7"],
+        ["kummer", "--radicands", "-3,5,7", "--compute"],
+    ],
+)
+def test_negative_radicand_reaches_the_radicand_check(argv, capsys):
+    assert main(argv) == EXIT_VALIDATION
+    assert "radicand -3 unsupported" in capsys.readouterr().err
+
+
+def test_radicands_without_a_value_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kummer", "--radicands", "--compute"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_kummer_refusals_are_bounded(capsys):
     p = 1099511627791  # the least prime above 2^40
     q = 1099511627803  # the next one; p * q is below MR_BOUND

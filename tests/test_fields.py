@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from multinorm_sha.abelian import (
     Character,
+    divisor_valuations,
     PGroup,
     Subgroup,
     intersect,
-    join,
-    quotient_invariants,
 )
 from multinorm_sha.fields import (
     FieldConfig,
@@ -33,6 +32,7 @@ from conftest import (
     random_char,
 )
 from fields_reference import reference_normalize
+from structure_reference import join, quotient_invariants, reference_composite
 
 Z44 = PGroup(2, (2, 2))
 
@@ -172,14 +172,22 @@ def test_subfield_endpoints_and_middle():
 
 
 def test_composite():
+    # X(C, d), the rows of the chi_i mod p^d, i in C: K_1 alone, degree 0 (the
+    # base field), and K_0 K_1, whose Galois group is all of A
     cfg = abstract_config(2, (2, 2), [(2, (1, 0)), (2, (0, 1)), (2, (1, 1))])
-    assert cfg.composite((1,), 2) == cfg.subfield(1, 2)
-    assert cfg.composite((0, 1, 2), 0) == Subgroup.full(cfg.group)
-    assert cfg.composite((0, 1), 2) == Subgroup.trivial(cfg.group)
+    assert divisor_valuations(cfg.rows((1,), 2), 2, 2) == [0]
+    assert divisor_valuations(cfg.rows((1,), 1), 2, 1) == [0]
+    assert divisor_valuations(cfg.rows((0, 1, 2), 0), 2, 0) == []
+    assert divisor_valuations(cfg.rows((0, 1), 2), 2, 2) == [0, 0]
+    # scaled into Z/p^top, a row of K_i(1) has order p
+    assert cfg.rows((1,), 1, 3) == [[c % 2 * 4 for c in cfg.chars[1].coeffs]]
+    assert divisor_valuations(cfg.rows((1,), 1, 3), 2, 3) == [2]
+    assert cfg.contains((0, 1), 2, (2,), 2) and cfg.contains((2,), 2, (2,), 1)
+    assert not cfg.contains((0,), 2, (1,), 1) and not cfg.contains((0,), 1, (0,), 2)
     with pytest.raises(ValueError):
-        cfg.composite((), 1)
+        cfg.rows((), 1)
     with pytest.raises(ValueError):
-        cfg.composite((0,), 3)
+        cfg.rows((0,), 3)
 
 
 def test_intersection_exponent():
@@ -192,23 +200,24 @@ def test_intersection_exponent():
 
 def test_is_sub_bicyclic():
     cfg = abstract_config(2, (2, 2), [(2, (1, 0)), (2, (0, 1)), (2, (1, 1))])
-    assert cfg.is_sub_bicyclic(Subgroup.full(cfg.group))
-    assert cfg.is_sub_bicyclic(Subgroup.span(cfg.group, [(2, 2)]))
-    g3 = PGroup(2, (1, 1, 1))
+    assert cfg.is_sub_bicyclic((0, 1, 2), 0)
+    assert cfg.is_sub_bicyclic((0, 1, 2), 2)
     cfg3 = abstract_config(
         2, (1, 1, 1), [(1, (1, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1))]
     )
-    assert not cfg3.is_sub_bicyclic(Subgroup.trivial(g3))
+    assert cfg3.is_sub_bicyclic((0, 1), 1)
+    assert not cfg3.is_sub_bicyclic((0, 1, 2), 1)
 
 
 def test_pair_composite():
+    # K_1(g) K_2(g) at g = d + e_12 - beta, beta = 0: the base field at
+    # d = 0, the whole compositum (Galois group A) at d = 2
     cfg = abstract_config(2, (2, 2), [(2, (1, 0)), (2, (0, 1)), (2, (1, 1))])
-    # d = beta: both subfields coincide with the intersection level
-    beta = 0
-    assert cfg.pair_composite(0, 1, 2, beta) == Subgroup.full(cfg.group)
-    assert cfg.pair_composite(2, 1, 2, beta) == Subgroup.trivial(cfg.group)
+    assert cfg.eij[1][2] == 0
+    assert divisor_valuations(cfg.rows((1, 2), 0), 2, 0) == []
+    assert divisor_valuations(cfg.rows((1, 2), 2), 2, 2) == [0, 0]
     with pytest.raises(ValueError):
-        cfg.pair_composite(3, 1, 2, beta)
+        cfg.rows((1, 2), 3)
 
 
 def test_galois_correspondence_consistency():
@@ -313,7 +322,7 @@ def test_generator_of_bicyclic_lemma(quartic_17_13):
         subset = tuple(sorted(rng.sample(range(cfg.m + 1), size)))
         if any(cfg.eps[i] < d for i in subset):
             continue
-        comp = cfg.composite(subset, d)
+        comp = reference_composite(cfg, subset, d)
         inv = quotient_invariants(cfg.group, comp)
         if len(inv) != 2:
             continue

@@ -47,3 +47,15 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not asserts
+
+
+def test_structure_imports_no_lattice_routine():
+    # the formula route answers its field questions on character rows
+    lattice = {"Subgroup", "join", "joint_kernel", "quotient_invariants"}
+    imported = {
+        alias.name
+        for node in ast.walk(_parse(PACKAGE / "structure.py"))
+        if isinstance(node, ast.ImportFrom) and node.module in ("abelian", "multinorm_sha.abelian")
+        for alias in node.names
+    }
+    assert imported and not imported & lattice, imported

@@ -14,7 +14,6 @@ from multinorm_sha.places import (
     generic_place_candidates,
     i_n,
     locally_cyclic,
-    noncyclic_places,
     omega_contains,
     sigma_contains,
     sigma_contains_literal,
@@ -23,6 +22,7 @@ from multinorm_sha.oracle import classify
 from multinorm_sha.selftest import random_config
 
 from conftest import NO_PLACES, abstract_config
+from structure_reference import noncyclic_places, reference_composite
 
 
 def test_delta_examples():
@@ -189,20 +189,22 @@ def test_fail_set_shapes(quartic_17_13):
 def test_locally_cyclic_and_noncyclic_places(quartic_17_13, quartic_17_409):
     cfg, local = quartic_17_13
     # the full compositum is not locally cyclic at the places over 13
-    everything = cfg.composite((0, 1, 2), 2)
-    assert not locally_cyclic(cfg, local, everything)
-    bad = noncyclic_places(cfg, local, everything)
+    everything = (0, 1, 2)
+    assert not locally_cyclic(cfg, local, everything, 2)
+    bad = noncyclic_places(local, reference_composite(cfg, everything, 2))
     assert {pl.label for pl in bad} == {"13|3+2i", "13|3-2i"}
     # its quadratic part is locally cyclic
-    half = cfg.composite((0, 1, 2), 1)
-    assert locally_cyclic(cfg, local, half)
-    assert noncyclic_places(cfg, local, half) == []
+    assert locally_cyclic(cfg, local, everything, 1)
+    assert noncyclic_places(local, reference_composite(cfg, everything, 1)) == []
     # cyclic quotients never fail, with or without places
-    assert locally_cyclic(cfg, local, cfg.kernel(0))
-    assert locally_cyclic(cfg, NO_PLACES, everything)
+    for i in everything:
+        assert locally_cyclic(cfg, local, (i,), 2)
+    assert locally_cyclic(cfg, NO_PLACES, everything, 2)
+    with pytest.raises(ValueError):
+        locally_cyclic(cfg, NO_PLACES, everything, 3)
 
     cfg2, local2 = quartic_17_409
-    assert locally_cyclic(cfg2, local2, cfg2.composite((0, 1, 2), 2))
+    assert locally_cyclic(cfg2, local2, everything, 2)
 
 
 def test_place_label_uniqueness():

@@ -10,7 +10,12 @@ from multinorm_sha.abelian import (
     intersect,
     joint_kernel,
 )
-from multinorm_sha.fields import FieldConfig, ShaInputError, validate_and_normalize
+from multinorm_sha.fields import (
+    FieldConfig,
+    ShaInputError,
+    separates,
+    validate_and_normalize,
+)
 from multinorm_sha.places import Classification, LocalData, Place, delta, locally_cyclic
 from multinorm_sha.oracle import (
     classify,
@@ -34,9 +39,14 @@ from multinorm_sha.selftest import check_invariants, random_config
 
 from conftest import NO_PLACES, abstract_config, formula_shaped, random_coeff
 from structure_reference import (
+    noncyclic_places,
     reference_composite,
+    reference_contains,
     reference_criterion_trivial,
+    reference_is_sub_bicyclic,
     reference_kernel_at_level,
+    reference_locally_cyclic,
+    reference_pair_composite,
 )
 
 
@@ -170,7 +180,7 @@ def test_expression_of_composite_as_pair():
                     deg = f + lvl - r
                     if deg > min(cfg.eps[i] for i in node.members):
                         continue
-                    m_c = cfg.composite(node.members, deg)
+                    m_c = reference_composite(cfg, node.members, deg)
                     for i in node.members:
                         pair = intersect(cfg.subfield(0, f), cfg.subfield(i, deg))
                         assert pair == m_c
@@ -203,7 +213,7 @@ def test_bicyclic_field_proposition():
             ts = [i for i in range(1, cfg.m + 1) if deltas[i] == eps0 - d]
             for s, t in itertools.product(ss, ts):
                 beta = min(cfg.e0(s), cfg.e0(t))
-                pair = cfg.pair_composite(d, s, t, beta)  # degree must be in range
+                pair = reference_pair_composite(cfg, d, s, t, beta)  # degree must be in range
                 assert pair.issubset(cfg.subfield(0, d))
                 if cfg.e0(s) == cfg.e0(t):
                     g = d + cfg.eij[s][t] - beta
@@ -215,7 +225,7 @@ def test_bicyclic_field_proposition():
                     u = max(s, t)
                     g = d + cfg.eij[s][t] - beta
                     h = intersect(cfg.subfield(0, d), cfg.subfield(u, g))
-                    assert locally_cyclic(cfg, local, h)
+                    assert not noncyclic_places(local, h)
                 checked += 1
     assert checked >= 50
 
@@ -399,32 +409,58 @@ def test_joint_kernel_matches_intersection_of_kernels():
             joint_kernel(group, bad)
 
 
-def _check_against_reference(rng, cfg, local):
-    """Criterion and composites (cached, C in any order) against the chains."""
-    assemble(cfg, local)  # fills the composite cache as the scans use it
-    trivial = criterion_trivial(cfg)
-    assert trivial == reference_criterion_trivial(cfg)
+def _random_places(rng, group):
+    return LocalData(tuple(
+        Place(f"v{t}", Subgroup.span(group, [
+            tuple(rng.randrange(m) for m in group.moduli) for _ in range(rng.randint(1, 3))
+        ]))
+        for t in range(rng.randint(1, 3))
+    ))
+
+
+def _check_against_reference(rng, cfg, local, outcomes):
+    """The five tests on character rows against their lattice references."""
+
+    def check(name, got, want, *args):
+        assert got == want, (name, args)
+        outcomes[name][got] += 1
+
+    check("criterion", criterion_trivial(cfg), reference_criterion_trivial(cfg))
     n = cfg.m + 1
     for _ in range(3):
-        C = rng.sample(range(n), rng.randint(1, min(n, 4)))
-        top = min(cfg.eps[i] for i in C)
-        for d in rng.sample(range(top + 1), top + 1):
-            want = reference_composite(cfg, C, d)
-            assert cfg.composite(C, d) == want, (C, d)
-            assert cfg.composite(rng.sample(C, len(C)), d) == want, (C, d)
-    return trivial
+        C = tuple(rng.sample(range(n), rng.randint(1, min(n, 5))))
+        d = rng.randint(0, min(cfg.eps[i] for i in C))
+        check("bicyclic", cfg.is_sub_bicyclic(C, d), reference_is_sub_bicyclic(cfg, C, d), C, d)
+        check("locally_cyclic", locally_cyclic(cfg, local, C, d),
+              reference_locally_cyclic(cfg, local, C, d), C, d)
+        inner = tuple(rng.sample(range(n), rng.randint(1, min(n, 3))))
+        d_in = rng.randint(0, min(cfg.eps[i] for i in inner))
+        check("contains", cfg.contains(C, d, inner, d_in),
+              reference_contains(cfg, C, d, inner, d_in), C, d, inner, d_in)
+        common = Subgroup.full(cfg.group)
+        for i in C:
+            common = intersect(common, reference_kernel_at_level(cfg.chars[i], cfg.eps[i]))
+        check("separates", separates(cfg.group, [cfg.chars[i] for i in C]),
+              common.order == 1, C)
+    # the shape of the f_omega scan: K_0(f) inside a composite of degree >= f
+    C = tuple(rng.sample(range(1, n), rng.randint(1, min(n - 1, 4))))
+    deg = rng.randint(1, min(cfg.eps[i] for i in C))
+    f = rng.randint(0, min(deg, cfg.eps[0]))
+    check("contains", cfg.contains(C, deg, (0,), f), reference_contains(cfg, C, deg, (0,), f))
 
 
 def test_composite_and_criterion_match_reference():
     rng = random.Random(43)
-    outcomes = {True: 0, False: 0}
+    names = ("criterion", "bicyclic", "locally_cyclic", "contains", "separates")
+    outcomes = {name: {True: 0, False: 0} for name in names}
     for _ in range(1000):
         cfg, local = random_config(rng)
-        outcomes[_check_against_reference(rng, cfg, local)] += 1
-    assert min(outcomes.values()) >= 50, outcomes
+        _check_against_reference(rng, cfg, local, outcomes)
+    assert all(min(v.values()) >= 30 for v in outcomes.values()), outcomes
 
-    shaped = {True: 0, False: 0}
-    for _ in range(150):
+    shaped = {name: {True: 0, False: 0} for name in names}
+    count = 0
+    while count < 150:
         p = rng.choice((2, 3, 5, 7))
         rank = rng.randint(2, 5)
         exps = tuple(sorted((rng.randint(1, 10) for _ in range(rank)), reverse=True))
@@ -432,24 +468,25 @@ def test_composite_and_criterion_match_reference():
             cfg = validate_and_normalize(formula_shaped(rng, p, exps, rng.randint(5, 10)))
         except ShaInputError:
             continue
-        shaped[_check_against_reference(rng, cfg, NO_PLACES)] += 1
-    assert sum(shaped.values()) >= 100, shaped
+        _check_against_reference(rng, cfg, _random_places(rng, cfg.group), shaped)
+        count += 1
+    assert all(min(v.values()) >= 5 for v in shaped.values()), shaped
 
 
 def test_composite_keeps_its_errors():
     cfg = pair_block_config()
     with pytest.raises(ValueError, match="empty index set"):
-        cfg.composite((), 1)
+        cfg.rows((), 1)
     with pytest.raises(ValueError, match="exceeds eps_1"):
-        cfg.composite((1, 0), 3)
+        cfg.is_sub_bicyclic((1, 0), 3)
     with pytest.raises(ValueError, match="out of range"):
-        cfg.composite((0, 1), -1)
-    with pytest.raises(ValueError, match="out of range for pair"):
-        cfg.pair_composite(3, 1, 2, 0)
+        cfg.contains((0, 1), 1, (0,), -1)
+    with pytest.raises(ValueError, match="exceeds eps_2"):
+        locally_cyclic(cfg, NO_PLACES, (2,), 3)
 
 
 # ---------------------------------------------------------------------------
-# The formula route runs without abelian.intersect.
+# The formula route runs without abelian.intersect or any lattice kernel.
 
 @pytest.fixture(scope="module")
 def golden_components():
@@ -463,7 +500,7 @@ def golden_components():
     ]
 
 
-def test_formula_route_makes_no_intersect_call(golden_components, no_intersect):
+def test_formula_route_makes_no_intersect_call(golden_components, no_intersect, no_lattice):
     group = PGroup(2, (80, 80))
     chars = tuple(
         Character(group, 80, c) for c in ((1, 0), (0, 1), (1, 1), (1, 3), (1, 5))
