@@ -739,12 +739,14 @@ def _add_compute_flags(sp):
 
 
 def _attach_negative_radicands(argv):
-    """`--radicands -3,5` as `--radicands=-3,5`: argparse reads a value that
-    starts with '-' and is no plain number as an option."""
+    """`--radicands -3,5` (or an abbreviation such as `--radic -3,5`) as
+    `--radicands=-3,5`: argparse reads a value that starts with '-' and is no
+    plain number as an option."""
     out = []
     for tok in sys.argv[1:] if argv is None else argv:
-        if out and out[-1] == "--radicands" and re.fullmatch(r"-\d[\d,-]*", tok):
-            out[-1] = f"--radicands={tok}"
+        flag = out[-1] if out else ""
+        if len(flag) > 2 and "--radicands".startswith(flag) and re.fullmatch(r"-\d[\d,-]*", tok):
+            out[-1] = f"{flag}={tok}"
         else:
             out.append(tok)
     return out

@@ -417,6 +417,7 @@ def test_unwritable_json_path_exits_2(argv, target, tmp_path, capsys):
         ["kummer", "--radicands", "-3,5,7"],
         ["kummer", "--radicands=-3,5,7"],
         ["kummer", "--radicands", "-3,5,7", "--compute"],
+        ["kummer", "--radic", "-3,5,7"],
     ],
 )
 def test_negative_radicand_reaches_the_radicand_check(argv, capsys):
@@ -424,9 +425,10 @@ def test_negative_radicand_reaches_the_radicand_check(argv, capsys):
     assert "radicand -3 unsupported" in capsys.readouterr().err
 
 
-def test_radicands_without_a_value_is_a_usage_error(capsys):
+@pytest.mark.parametrize("flag", ["--radicands", "--radic"])
+def test_radicands_without_a_value_is_a_usage_error(flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["kummer", "--radicands", "--compute"])
+        main(["kummer", flag, "--compute"])
     assert exc.value.code == EXIT_VALIDATION
     assert "expected one argument" in capsys.readouterr().err
 

@@ -456,7 +456,8 @@ def test_composite_and_criterion_match_reference():
     for _ in range(1000):
         cfg, local = random_config(rng)
         _check_against_reference(rng, cfg, local, outcomes)
-    assert all(min(v.values()) >= 30 for v in outcomes.values()), outcomes
+    floors = dict.fromkeys(names, 30) | {"criterion": 50}
+    assert all(min(outcomes[name].values()) >= floors[name] for name in names), outcomes
 
     shaped = {name: {True: 0, False: 0} for name in names}
     count = 0
