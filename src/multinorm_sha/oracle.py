@@ -25,17 +25,21 @@ min(r_i, r_j) over the generic threshold vectors,
 and G is the same with the exceptional vectors folded into M.  Both contain
 D, and G/D is isomorphic to the slice G cap {a_1 = 0}.  Nothing is swept.
 
-Generic thresholds.  Every cyclic subgroup <g> of A is the decomposition
-group of infinitely many unramified places.  Write s_i = v_p(chi_i(g)),
-capped at eps_i, for the valuation signature of g.  Then
-<g> cap H_i = <p^{eps_i - s_i} g>, whose image under chi_0 has valuation
-min(eps_0, eps_i - s_i + s_0), so
-
-    t_i = eps_0 - min(eps_0, eps_i - s_i + s_0).
-
-The generic threshold vectors are read off the signatures of the elements
-of A in one pass, refused above CYCLIC_SWEEP_CAP.  Exceptional places keep
-places.sigma_threshold, because their groups need not be cyclic.  The
+Generic levels.  Every cyclic subgroup <g> of A is the decomposition group
+of infinitely many unramified places.  With s_i = v_p(chi_i(g)) capped at
+eps_i and H_i = ker chi_i, <g> cap H_i = <p^{eps_i - s_i} g> has chi_0-image
+of valuation min(eps_0, eps_i - s_i + s_0), so
+t_i = eps_0 - min(eps_0, eps_i - s_i + s_0).
+Let H_ij = ker chi_i cap ker chi_j and let p^{b_ij} generate chi_0(H_ij),
+b_ij = eps_0 when the image is 0.  Then max_g min(t_i, t_j) = eps_0 - b_ij.
+At least: g in H_ij with v_p(chi_0(g)) = b has s_i = eps_i and s_j = eps_j,
+so t_i = t_j = eps_0 - b.  At most: if min(t_i, t_j) = L >= 1 and s_0 = a,
+then eps_i >= s_i >= a + eps_i - eps_0 + L forces a <= eps_0 - L, and
+p^{eps_0 - L - a} g lies in H_ij with chi_0-valuation exactly eps_0 - L.
+So M_ij = min(e_i, e_j, eps_0 - b_ij) over the generic places, b_ij the
+least chi_0-valuation over the basis rows of one joint kernel per pair
+(abelian.joint_kernel); no element of A is visited.  Exceptional places
+keep places.sigma_threshold, as their groups need not be cyclic.  The
 budget bounds the whole ambient sum p^{sum e_i} of the index set.
 
 The same pass groups are the only membership test here: classify, and the
@@ -50,12 +54,13 @@ from dataclasses import dataclass
 from math import prod
 
 from .abelian import (
-    CYCLIC_SWEEP_CAP,
     BudgetExceeded,
     PGroup,
     Subgroup,
     intersect,
+    joint_kernel,
     left_kernel,
+    valuation,
 )
 from .fields import NormalizedConfig
 from .places import (
@@ -93,60 +98,22 @@ class ShaReport:
             raise ValueError("sha must embed in sha_omega factor by factor")
 
 
-def _valuations(p: int, eps: int) -> list[int]:
-    """v_p(x) capped at eps, for every residue x mod p^eps."""
-    q = p ** eps
-    table = [0] * q
-    for k in range(1, eps + 1):
-        table[::p ** k] = [k] * (q // p ** k)
-    return table
-
-
-def signature_thresholds(cfg: NormalizedConfig, s) -> tuple[int, ...]:
-    """(t_1, ..., t_m) of the generic places with decomposition group <g>,
-    s = (s_0, ..., s_m) the valuation signature of g."""
-    eps = cfg.eps
-    return tuple(
-        eps[0] - min(eps[0], eps[i] - s[i] + s[0]) for i in range(1, cfg.m + 1)
-    )
-
-
-def _generic_thresholds(cfg: NormalizedConfig) -> frozenset:
-    """The threshold vectors of all cyclic subgroups of A, by signature."""
-    tvecs = cfg.__dict__.get("_generic_thresholds")
-    if tvecs is None:
-        group = cfg.group
-        if group.order > CYCLIC_SWEEP_CAP:
-            raise BudgetExceeded(
-                f"signature sweep over |A| = {group.order} exceeds cap "
-                f"{CYCLIC_SWEEP_CAP}"
-            )
-        # one column per character: its valuations over A in product order
-        columns = []
-        for chi in cfg.chars:
-            q = chi.modulus
-            vals = [0]
-            for c, m in zip(chi.coeffs, group.moduli):
-                steps = [c * x % q for x in range(m)]
-                vals = [(v + s) % q for v in vals for s in steps]
-            table = _valuations(cfg.p, chi.exponent)
-            columns.append([table[v] for v in vals])
-        tvecs = frozenset(signature_thresholds(cfg, s) for s in set(zip(*columns)))
-        cfg.__dict__["_generic_thresholds"] = tvecs
-    return tvecs
-
-
-def _congruences(p: int, tvecs, positions, exps) -> tuple[tuple[int, int, int], ...]:
-    """(x, y, p^M_xy) for each M_xy > 0, M_xy the largest min(r_x, r_y) over
-    the threshold vectors, r_x = min(t_x, e_x)."""
-    rs = [[min(t[i], e) for i, e in zip(positions, exps)] for t in tvecs]
-    out = []
-    for x in range(len(exps)):
-        for y in range(x + 1, len(exps)):
-            lv = max((min(r[x], r[y]) for r in rs), default=0)
-            if lv:
-                out.append((x, y, p ** lv))
-    return tuple(out)
+def _pair_levels(cfg: NormalizedConfig) -> dict[tuple[int, int], int]:
+    """{(i, j): eps_0 - b_ij} for i != j in 1..m, the largest min(t_i, t_j)
+    over the generic places: one joint kernel H_ij per pair, cached per
+    config and shared by every index set."""
+    levels = cfg.__dict__.get("_pair_levels")
+    if levels is None:
+        p, chars, eps = cfg.p, cfg.chars, cfg.eps
+        levels = {}
+        for i in range(1, cfg.m + 1):
+            for j in range(i + 1, cfg.m + 1):
+                h = joint_kernel(cfg.group, [(chars[i], eps[i]), (chars[j], eps[j])])
+                values = [chars[0].value(row) for row in h.basis]
+                b = min((valuation(p, v) for v in values if v), default=eps[0])
+                levels[i, j] = levels[j, i] = eps[0] - b
+        cfg.__dict__["_pair_levels"] = levels
+    return levels
 
 
 def _congruence_subgroup(ambient: PGroup, congruences) -> Subgroup:
@@ -172,18 +139,29 @@ class _PassLevels:
         if any(a < b for a, b in zip(self.exps, self.exps[1:])):
             raise InternalCheckError("index set must have non-increasing e_i")
         self.ambient = PGroup(cfg.p, self.exps)
-        positions = [i - 1 for i in indices]
-        generic = list(_generic_thresholds(cfg))
-        exceptional = [
-            tuple(sigma_threshold(cfg, pl.group, i) for i in range(1, cfg.m + 1))
-            for pl in localdata.exceptional
+        k = len(indices)
+        pairs = [(x, y) for x in range(k) for y in range(x + 1, k)]
+        generic = _pair_levels(cfg)
+        omega = [
+            min(self.exps[x], self.exps[y], generic[indices[x], indices[y]])
+            for x, y in pairs
         ]
-        self.omega = _congruences(cfg.p, generic, positions, self.exps)
-        self.g = _congruences(cfg.p, generic + exceptional, positions, self.exps)
+        # per exceptional place: min(r_x, r_y), r_x = min(t_x, e_x)
+        exceptional = []
+        for pl in localdata.exceptional:
+            r = [
+                min(sigma_threshold(cfg, pl.group, i), e)
+                for i, e in zip(indices, self.exps)
+            ]
+            exceptional.append([min(r[x], r[y]) for x, y in pairs])
+
+        def congruences(levels):
+            return tuple((x, y, cfg.p ** lv) for (x, y), lv in zip(pairs, levels) if lv)
+
+        self.omega = congruences(omega)
+        self.g = congruences([max(col) for col in zip(omega, *exceptional)])
         # the pass group P_t of each exceptional place on its own
-        self.places = tuple(
-            _congruences(cfg.p, [t], positions, self.exps) for t in exceptional
-        )
+        self.places = tuple(congruences(lv) for lv in exceptional)
         self.groups = None  # (G, G_omega), built on first use
         self.members = None  # sorted slice elements of (G, G_omega)
 

@@ -148,14 +148,17 @@ def _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt) -> bool:
     return not u_lt or all(cfg.contains((0, i), d, u_r, d) for i in u_lt)
 
 
-def delta_ordinary(cfg: NormalizedConfig, localdata: LocalData, r: int) -> int:
-    """Patching degree of U_r: the local-cyclicity refinement of delta_omega."""
+def delta_ordinary(
+    cfg: NormalizedConfig, localdata: LocalData, r: int, d_om: int | None = None
+) -> int:
+    """Patching degree of U_r: the local-cyclicity refinement of delta_omega,
+    the scan's bound (computed unless the caller passes it as d_om)."""
     if r not in cfg.R:
         raise ValueError(f"no fields with e_0i = {r}")
     u_r, u_gt, u_lt = cfg.U(r), cfg.U_gt(r), cfg.U_lt(r)
     if not u_gt and not u_lt:
         return cfg.eps[0]
-    top = delta_omega(cfg, r)
+    top = delta_omega(cfg, r) if d_om is None else d_om
     for d in range(top, r, -1):
         if _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt):
             return d
@@ -179,11 +182,16 @@ def _freedom_degree(cfg, members, lvl, f, r) -> int | None:
 
 
 def _f_omega_admissible(cfg, members, lvl, f, r) -> bool:
+    """K(c, deg) is sub-bicyclic and contains K_0(f).  L(c) >= r, so
+    deg >= f and both tests read the class rows reduced once over Z/p^deg
+    (NormalizedConfig.is_sub_bicyclic and .contains)."""
     deg = _freedom_degree(cfg, members, lvl, f, r)
-    return (
-        deg is not None
-        and cfg.is_sub_bicyclic(members, deg)
-        and cfg.contains(members, deg, (0,), f)
+    if deg is None:
+        return False
+    rows = cfg.rows(members, deg)
+    divisors = divisor_valuations(rows, cfg.p, deg)
+    return len(divisors) <= 2 and divisors == divisor_valuations(
+        rows + cfg.rows((0,), f, deg), cfg.p, deg
     )
 
 
@@ -243,7 +251,7 @@ def check_monotone_scans(cfg: NormalizedConfig, localdata: LocalData) -> None:
         for d in range(r, d_om + 1):
             if not _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt):
                 raise AssertionError(f"delta_omega scan not monotone at r={r}, d={d}")
-        d_ord = delta_ordinary(cfg, localdata, r)
+        d_ord = delta_ordinary(cfg, localdata, r, d_om)
         for d in range(r, d_ord + 1):
             if not _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt):
                 raise AssertionError(f"delta scan not monotone at r={r}, d={d}")
@@ -309,7 +317,7 @@ def assemble(cfg: NormalizedConfig, localdata: LocalData) -> StructureResult:
 
     for r in cfg.R:
         d_om = delta_omega(cfg, r)
-        d_ord = delta_ordinary(cfg, localdata, r)
+        d_ord = delta_ordinary(cfg, localdata, r, d_om)
         patching.append(PatchingData(r, d_om, d_ord))
         width = len(cfg.U(r))
         certs.append(

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from multinorm_sha import (
@@ -25,6 +28,17 @@ def kummer_config(radicands):
 
 
 NO_PLACES = LocalData(())
+
+
+def perfbench_workloads():
+    """The benchmark's input generators, perfbench/workloads.py."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(perfbench))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(perfbench))
+    return workloads
 
 
 # ---------------------------------------------------------------------------

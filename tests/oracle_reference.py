@@ -5,6 +5,12 @@ vectors of all cyclic subgroups of A (places.generic_place_candidates) and
 of the exceptional places, both from places.sigma_threshold, and builds G
 and G_omega by sweeping the slice a_1 = 0 and spanning the passing vectors.
 It shares no code with the congruence engine in oracle.py.
+
+The signature pass the engine used before its pair levels came from joint
+kernels is kept here too: generic_thresholds reads the threshold vector of
+every cyclic subgroup <g> off the valuation signature of g, one pass over
+the elements of A, and reference_congruences turns threshold vectors into
+the congruences of G_omega, of G and of each exceptional place.
 """
 
 from __future__ import annotations
@@ -20,6 +26,70 @@ from multinorm_sha.places import (
     generic_place_candidates,
     sigma_threshold,
 )
+
+def _valuations(p: int, eps: int) -> list[int]:
+    """v_p(x) capped at eps, for every residue x mod p^eps."""
+    q = p ** eps
+    table = [0] * q
+    for k in range(1, eps + 1):
+        table[::p ** k] = [k] * (q // p ** k)
+    return table
+
+
+def signature_thresholds(cfg, s) -> tuple[int, ...]:
+    """(t_1, ..., t_m) of the generic places with decomposition group <g>,
+    s = (s_0, ..., s_m) the valuation signature of g."""
+    eps = cfg.eps
+    return tuple(
+        eps[0] - min(eps[0], eps[i] - s[i] + s[0]) for i in range(1, cfg.m + 1)
+    )
+
+
+def generic_thresholds(cfg) -> frozenset:
+    """The threshold vectors of all cyclic subgroups of A, by signature."""
+    group = cfg.group
+    # one column per character: its valuations over A in product order
+    columns = []
+    for chi in cfg.chars:
+        q = chi.modulus
+        vals = [0]
+        for c, m in zip(chi.coeffs, group.moduli):
+            steps = [c * x % q for x in range(m)]
+            vals = [(v + s) % q for v in vals for s in steps]
+        table = _valuations(cfg.p, chi.exponent)
+        columns.append([table[v] for v in vals])
+    return frozenset(signature_thresholds(cfg, s) for s in set(zip(*columns)))
+
+
+def _threshold_congruences(p, tvecs, positions, exps):
+    """(x, y, p^M_xy) for each M_xy > 0, M_xy the largest min(r_x, r_y) over
+    the threshold vectors, r_x = min(t_x, e_x)."""
+    rs = [[min(t[i], e) for i, e in zip(positions, exps)] for t in tvecs]
+    out = []
+    for x in range(len(exps)):
+        for y in range(x + 1, len(exps)):
+            lv = max((min(r[x], r[y]) for r in rs), default=0)
+            if lv:
+                out.append((x, y, p ** lv))
+    return tuple(out)
+
+
+def reference_congruences(cfg, localdata, indices):
+    """(omega, g, places) of an index set from the signature pass: the
+    congruences of G_omega, of G and of each exceptional place."""
+    exps = tuple(cfg.e_i(i) for i in indices)
+    positions = [i - 1 for i in indices]
+    generic = list(generic_thresholds(cfg))
+    exceptional = [
+        tuple(sigma_threshold(cfg, pl.group, i) for i in range(1, cfg.m + 1))
+        for pl in localdata.exceptional
+    ]
+    return (
+        _threshold_congruences(cfg.p, generic, positions, exps),
+        _threshold_congruences(cfg.p, generic + exceptional, positions, exps),
+        tuple(_threshold_congruences(cfg.p, [t], positions, exps) for t in exceptional),
+    )
+
 
 _SENTINEL = 10 ** 6  # stands for "dominated, condition vacuous"
 

@@ -26,6 +26,8 @@ from multinorm_sha.cli import (
     run_example,
 )
 
+from conftest import perfbench_workloads
+
 ABSTRACT_17_13 = {
     "mode": "abstract",
     "p": 2,
@@ -312,14 +314,20 @@ def homocyclic_doc(n, coeffs):
 def test_cli_large_groups(tmp_path, capsys):
     # the formula route has no order cap: five fields on (Z/2^80)^2
     five = [(1, 0), (0, 1), (1, 1), (1, 3), (1, 5)]
-    path = write(tmp_path, homocyclic_doc(80, five), "big.json")
-    assert main(["compute", path, "--method", "formula"]) == EXIT_OK
-    # the oracle's cyclic-candidate cap refuses (Z/2^11)^2 before any table
+    big = write(tmp_path, homocyclic_doc(80, five), "big.json")
+    assert main(["compute", big, "--method", "formula"]) == EXIT_OK
+    # the oracle has no order cap either: both routes answer (Z/2^11)^2
     path = write(tmp_path, homocyclic_doc(11, five[:3]), "mid.json")
+    assert main(["compute", path, "--method", "both"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "[formula] sha = Z/2048, sha_omega = Z/2048" in out
+    assert "[oracle] sha = Z/2048, sha_omega = Z/2048" in out
+    assert "agreement: yes" in out
+    # the budget still counts p^(sum e_i) and refuses (Z/2^80)^2 at once
     start = time.perf_counter()
-    assert main(["compute", path, "--method", "both"]) == EXIT_BUDGET
+    assert main(["compute", big, "--method", "both"]) == EXIT_BUDGET
     assert time.perf_counter() - start < 1.0
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("budget exceeded:")
 
 
 def test_kummer_document_mode(tmp_path, capsys):
@@ -574,12 +582,7 @@ def test_dumps_refuses_other_types():
 @pytest.fixture(scope="module")
 def benchmark_documents():
     """The eight oracle-ladder rungs and 50 formula-scale documents (seed 0)."""
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    sys.path.insert(0, str(perfbench))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(perfbench))
+    workloads = perfbench_workloads()
     ladder = [doc for _name, doc in workloads.ladder_inputs(0)]
     assert len(ladder) == 8
     return [(doc, "both") for doc in ladder] + [
@@ -597,3 +600,20 @@ def test_json_stdout_reencodes_to_itself(benchmark_documents, tmp_path, capsys):
         assert main(argv) == EXIT_OK, argv
         out = capsys.readouterr().out
         assert out == "\n" + _indented(json.loads(out)) + "\n", argv
+
+
+def test_formula_scale_agreement_gate(tmp_path, capsys):
+    # every seed-0 formula-scale document under --method both: the routes
+    # never disagree, and each document is answered or refused by the budget
+    docs = perfbench_workloads().formula_inputs(0)
+    assert len(docs) == 503
+    codes = {}
+    for t, doc in enumerate(docs):
+        path = write(tmp_path, doc, name=f"scale{t}.json")
+        rc = main(["compute", path, "--method", "both", "--json", "-"])
+        captured = capsys.readouterr()
+        if rc != EXIT_OK:
+            assert rc == EXIT_BUDGET, (t, rc, captured.err)
+            assert captured.err.startswith("budget exceeded:"), (t, captured.err)
+        codes[rc] = codes.get(rc, 0) + 1
+    assert codes.get(EXIT_OK, 0) >= 486, codes

@@ -26,13 +26,21 @@ from multinorm_sha.oracle import (
     enumerate_members,
     in_diagonal,
     oracle_report,
+    _engine,
+    _pair_levels,
     quotient_by_D,
-    signature_thresholds,
     subtorus_groups,
 )
+from multinorm_sha.structure import assemble
 
-from conftest import NO_PLACES, abstract_config
-from oracle_reference import SweepContext, as_subgroup, reference_groups
+from conftest import NO_PLACES, abstract_config, perfbench_workloads
+from oracle_reference import (
+    SweepContext,
+    as_subgroup,
+    reference_congruences,
+    reference_groups,
+    signature_thresholds,
+)
 
 
 def test_rank_three_compositum_collapses():
@@ -280,6 +288,86 @@ def test_signature_threshold_is_sigma_threshold():
         assert not seen
         subgroups += len(generic_place_candidates(cfg))
     assert subgroups > 5_000
+
+
+def _ladder_configs():
+    """The normalized config and places of each oracle-ladder rung, seeds 0
+    and 1."""
+    from multinorm_sha.cli import parse_document
+
+    out = []
+    for seed in (0, 1):
+        for _name, doc in perfbench_workloads().ladder_inputs(seed):
+            for cfg_raw, local, _budget, _debug in parse_document(doc):
+                out.append((validate_and_normalize(cfg_raw), local))
+    return out
+
+
+def test_pass_levels_match_signature_reference():
+    # the pair levels from joint kernels against the signature pass, on the
+    # full index set and each U_r of 1,000 configs and of the ladder rungs
+    configs = _ladder_configs()
+    assert len(configs) == 16
+    rng = random.Random(13)
+    configs += [random_config(rng) for _ in range(1000)]
+    engines = 0
+    for cfg, local in configs:
+        for indices in [tuple(range(1, cfg.m + 1))] + [cfg.U(r) for r in cfg.R]:
+            eng = _engine(cfg, local, indices)
+            want = reference_congruences(cfg, local, indices)
+            assert (eng.omega, eng.g, eng.places) == want, (cfg, local, indices)
+            engines += 1
+    assert engines > 2_000
+
+
+def test_pair_level_is_eps0_minus_b_brute_force():
+    # max over g in A of min(t_i(g), t_j(g)) by signature, and b_ij as the
+    # least chi_0-valuation over the listed elements of H_ij, on |A| <= 256
+    rng = random.Random(17)
+    pairs = 0
+    while pairs < 1_000:
+        cfg, _local = random_config(rng)
+        group = cfg.group
+        if group.order > 256:
+            continue
+        p, eps, chars = cfg.p, cfg.eps, cfg.chars
+        elements = list(group.elements())
+        thresholds = [
+            signature_thresholds(
+                cfg, [_valuation(p, chi.value(g), chi.exponent) for chi in chars]
+            )
+            for g in elements
+        ]
+        levels = _pair_levels(cfg)
+        for i in range(1, cfg.m + 1):
+            for j in range(i + 1, cfg.m + 1):
+                best = max(min(t[i - 1], t[j - 1]) for t in thresholds)
+                b = min(
+                    _valuation(p, chars[0].value(g), eps[0])
+                    for g in elements
+                    if chars[i].value(g) == 0 and chars[j].value(g) == 0
+                )
+                assert best == eps[0] - b == levels[i, j] == levels[j, i], (cfg, i, j)
+                pairs += 1
+
+
+def test_oracle_answers_beyond_the_former_order_cap():
+    # |A| = 2^40, refused by the former signature pass over A: K_0 of
+    # degree 4, four fields of degree 2^20 and one exceptional place
+    group = PGroup(2, (20, 20))
+    chars = (Character(group, 2, (3, 2)),) + tuple(
+        Character(group, 20, c) for c in [(1, 0), (0, 1), (1, 1), (1, 4)]
+    )
+    cfg = validate_and_normalize(FieldConfig(group, chars, ()))
+    local = LocalData((Place("v", Subgroup.span(group, [(32, 0), (0, 2 ** 18)])),))
+    assert cfg.m == 4 and group.order == 2 ** 40
+    rep = oracle_report(cfg, local)
+    assert rep.sha_invariants == rep.sha_omega_invariants == (2, 1, 1)
+    formula = assemble(cfg, local).report()
+    assert (formula.sha_invariants, formula.sha_omega_invariants) == (
+        rep.sha_invariants,
+        rep.sha_omega_invariants,
+    )
 
 
 @st.composite
