@@ -16,7 +16,6 @@ from functools import cached_property, lru_cache
 from math import gcd, prod
 
 CYCLIC_SWEEP_CAP = 2 ** 16  # bound on |A| for passes over its elements
-ALL_SUBGROUPS_CAP = 256    # exhaustive subgroup enumeration is a test-only tool
 
 
 class BudgetExceeded(Exception):
@@ -326,10 +325,6 @@ class Subgroup:
     def issubset(self, other: "Subgroup") -> bool:
         return all(other._coords(row) is not None for row in self.basis)
 
-    def basis_elements(self) -> list[tuple[int, ...]]:
-        """Basis rows reduced into the ambient group (a generating set)."""
-        return [self.ambient.reduce(row) for row in self.basis]
-
     def elements(self):
         """All elements, as reduced tuples (no duplicates)."""
         amb = self.ambient
@@ -406,29 +401,6 @@ def cyclic_subgroups(ambient: PGroup, cap: int = CYCLIC_SWEEP_CAP) -> list[Subgr
     return list(seen.values())
 
 
-def all_subgroups(ambient: PGroup) -> list[Subgroup]:
-    """Every subgroup of A.  Test-scale tool, capped at |A| <= 256."""
-    if ambient.order > ALL_SUBGROUPS_CAP:
-        raise BudgetExceeded(
-            f"exhaustive subgroup enumeration capped at {ALL_SUBGROUPS_CAP}"
-        )
-    elems = list(ambient.elements())
-    frontier = [Subgroup.trivial(ambient)]
-    seen = {frontier[0].basis: frontier[0]}
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for g in elems:
-                if sub.contains(g):
-                    continue
-                bigger = Subgroup._span_rows(ambient, list(sub.basis) + [g])
-                if bigger.basis not in seen:
-                    seen[bigger.basis] = bigger
-                    nxt.append(bigger)
-        frontier = nxt
-    return list(seen.values())
-
-
 @dataclass(frozen=True)
 class Character:
     """Surjective-capable character A -> Z/p^exponent, a = sum(coeffs*a) map."""
@@ -458,7 +430,17 @@ class Character:
         return sum(c * x for c, x in zip(self.coeffs, vec)) % self.modulus
 
     def is_surjective(self) -> bool:
-        return gcd(gcd_many(self.coeffs), self.ambient.p) == 1
+        return gcd(*self.coeffs, self.ambient.p) == 1
+
+    def image_level(self, sub: Subgroup) -> int:
+        """f with chi(sub) = p^(exponent - f) Z/p^exponent, of order p^f:
+        the exponent less the least valuation of chi over the basis of sub
+        (f = 0 when chi vanishes on sub)."""
+        p = self.ambient.p
+        values = [self.value(row) for row in sub.basis]
+        return self.exponent - min(
+            (valuation(p, v) for v in values if v), default=self.exponent
+        )
 
     def kernel_at_level(self, f: int) -> Subgroup:
         """Kernel of the composite A -> Z/p^exponent -> Z/p^f."""
@@ -470,13 +452,6 @@ class Character:
         return self.kernel_at_level(self.exponent)
 
 
-def gcd_many(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
-
-
 @lru_cache(maxsize=None)
 def _kernel_at_level(char: Character, f: int) -> Subgroup:
     return joint_kernel(char.ambient, [(char, f)])
@@ -485,22 +460,29 @@ def _kernel_at_level(char: Character, f: int) -> Subgroup:
 def joint_kernel(ambient: PGroup, pairs) -> Subgroup:
     """Common kernel of the maps A -> Z/p^exponent -> Z/p^f, one per (chi, f).
 
-    One left kernel: a in Z^rank lies in the kernel iff there is z with
-    a @ C + z @ diag(p^f) == 0, C the characters' coefficients as columns.
     Pairs with f = 0 impose nothing; with none left the kernel is all of A.
     """
-    live = []
+    congruences = []
     for chi, f in pairs:
         if chi.ambient != ambient:
             raise ValueError("ambient mismatch")
         if not 0 <= f <= chi.exponent:
             raise ValueError(f"level {f} out of range [0, {chi.exponent}]")
         if f:
-            live.append((chi, f))
-    if not live:
+            congruences.append((chi.coeffs, ambient.p ** f))
+    return congruence_kernel(ambient, congruences)
+
+
+def congruence_kernel(ambient: PGroup, congruences) -> Subgroup:
+    """{a : sum_l c_l a_l = 0 mod q for every (c, q)}, each congruence well
+    defined on A; all of A when there is none.
+
+    One left kernel: a in Z^rank lies in it iff there is z with
+    a @ C + z @ diag(q) == 0, C the coefficient rows c as columns.
+    """
+    if not congruences:
         return Subgroup.full(ambient)
-    k, p, t = ambient.rank, ambient.p, len(live)
-    rows = [[chi.coeffs[l] for chi, _ in live] for l in range(k)]
-    rows += [[p ** f if s == c else 0 for c in range(t)] for s, (_, f) in enumerate(live)]
-    gens = [w[:k] for w in left_kernel(rows, t)]
-    return Subgroup._span_rows(ambient, gens)
+    k, t = ambient.rank, len(congruences)
+    rows = [[c[l] for c, _ in congruences] for l in range(k)]
+    rows += [[q if s == u else 0 for u in range(t)] for s, (_, q) in enumerate(congruences)]
+    return Subgroup._span_rows(ambient, [w[:k] for w in left_kernel(rows, t)])

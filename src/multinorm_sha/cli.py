@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 import time
@@ -410,12 +409,6 @@ EXAMPLES = {
 }
 
 
-def run_example(name, method="both", budget=None):
-    entry = EXAMPLES[name]
-    report = build_report(parse_document(entry["document"]), method, budget_override=budget)
-    return report, _check_example(report, entry)
-
-
 def _check_example(report, entry):
     """Golden failures of an example's report; a Kummer example also
     rechecks the local facts the builder quotes (AssertionError, exit 5)."""
@@ -453,41 +446,13 @@ def _load_json(path):
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _floatstr(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path} is nested too deeply to read") from exc
 
 
 _escape = json.encoder.encode_basestring_ascii
-
-
-_INT_ONLY = {int}
-
-
-def _scalar(obj) -> str | None:
-    """JSON text of a non-container; None for a list, tuple or dict."""
-    if isinstance(obj, str):
-        return _escape(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _floatstr(obj)
-    if isinstance(obj, (list, tuple, dict)):
-        return None
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _encode(obj, nl: str, emit) -> None:
@@ -499,9 +464,11 @@ def _encode(obj, nl: str, emit) -> None:
         emit(int.__repr__(obj))
         return
     if kind is not dict and kind is not list and kind is not tuple:
-        text = _scalar(obj)  # bool, None, float and subclasses
-        if text is not None:
-            emit(text)
+        if obj is None or obj is True or obj is False:
+            emit("null" if obj is None else "true" if obj else "false")
+            return
+        if not isinstance(obj, (dict, list, tuple)):
+            emit(json.dumps(obj))  # float, subclasses of str and int, or TypeError
             return
     inner = nl + "  "
     if isinstance(obj, dict):
@@ -524,7 +491,7 @@ def _encode(obj, nl: str, emit) -> None:
         emit(nl + "}")
     elif not obj:
         emit("[]")
-    elif {*map(type, obj)} == _INT_ONLY:
+    elif {*map(type, obj)} == {int}:
         emit("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
     else:
         sep = "[" + inner
@@ -541,8 +508,9 @@ def _dumps(obj) -> str:
     With ``indent`` set the standard library leaves its C encoder for a
     pure-Python one; this writes the same text for the report's own types
     (dict with str keys, list, tuple, str, int, float, bool and None) with
-    the C string escaper.  Exact types are dispatched first, a str or int
-    value goes out with its key, and a list of exact ints is one join.  Any
+    the C string escaper.  Exact str and int, None and the booleans are
+    written inline, a str or int value goes out with its key, and a list of
+    exact ints is one join; any other scalar is left to ``json.dumps``.  Any
     other type, and any other key, raises TypeError.
     """
     out: list[str] = []

@@ -25,22 +25,31 @@ min(r_i, r_j) over the generic threshold vectors,
 and G is the same with the exceptional vectors folded into M.  Both contain
 D, and G/D is isomorphic to the slice G cap {a_1 = 0}.  Nothing is swept.
 
-Generic levels.  Every cyclic subgroup <g> of A is the decomposition group
-of infinitely many unramified places.  With s_i = v_p(chi_i(g)) capped at
-eps_i and H_i = ker chi_i, <g> cap H_i = <p^{eps_i - s_i} g> has chi_0-image
-of valuation min(eps_0, eps_i - s_i + s_0), so
-t_i = eps_0 - min(eps_0, eps_i - s_i + s_0).
-Let H_ij = ker chi_i cap ker chi_j and let p^{b_ij} generate chi_0(H_ij),
-b_ij = eps_0 when the image is 0.  Then max_g min(t_i, t_j) = eps_0 - b_ij.
-At least: g in H_ij with v_p(chi_0(g)) = b has s_i = eps_i and s_j = eps_j,
-so t_i = t_j = eps_0 - b.  At most: if min(t_i, t_j) = L >= 1 and s_0 = a,
-then eps_i >= s_i >= a + eps_i - eps_0 + L forces a <= eps_0 - L, and
+Levels.  The chi_0 level of a subgroup S of A is log_p |chi_0(S)|: eps_0
+less the least chi_0-valuation over a basis of S, 0 when chi_0 vanishes on
+S (abelian.Character.image_level).  A generic pair level and an
+exceptional threshold are the same chi_0 level, of H_ij = H_i cap H_j in A
+and of D cap H_i, with H_i = ker chi_i.
+
+A place with decomposition group D lies in Sigma_i^d iff D cap H_i lies in
+the subgroup of K_0(eps_0 - d), so its threshold t_i is the chi_0 level of
+D cap H_i (places.sigma_threshold).  Exceptional places use it as it is,
+as their groups need not be cyclic.
+
+Every cyclic subgroup <g> of A is the decomposition group of infinitely
+many unramified places, and max_g min(t_i, t_j) is the chi_0 level
+eps_0 - b of H_ij, p^b generating chi_0(H_ij).  With s_i = v_p(chi_i(g))
+capped at eps_i, <g> cap H_i = <p^{eps_i - s_i} g>, so
+t_i = eps_0 - min(eps_0, eps_i - s_i + s_0).  At least: g in H_ij with
+v_p(chi_0(g)) = b has s_i = eps_i and s_j = eps_j, so t_i = t_j = eps_0 - b.
+At most: if min(t_i, t_j) = L >= 1 and s_0 = a, then
+eps_i >= s_i >= a + eps_i - eps_0 + L forces a <= eps_0 - L, and
 p^{eps_0 - L - a} g lies in H_ij with chi_0-valuation exactly eps_0 - L.
-So M_ij = min(e_i, e_j, eps_0 - b_ij) over the generic places, b_ij the
-least chi_0-valuation over the basis rows of one joint kernel per pair
-(abelian.joint_kernel); no element of A is visited.  Exceptional places
-keep places.sigma_threshold, as their groups need not be cyclic.  The
-budget bounds the whole ambient sum p^{sum e_i} of the index set.
+So M_ij = min(e_i, e_j, eps_0 - b) over the generic places, from one joint
+kernel per pair (abelian.joint_kernel); no element of A is visited.  G,
+G_omega and their slices are congruence subgroups too, each one
+abelian.congruence_kernel.  The budget bounds the whole ambient sum
+p^{sum e_i} of the index set.
 
 The same pass groups are the only membership test here: classify, and the
 post-condition of the two-valued approximation a' (no place fails for a'
@@ -53,15 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .abelian import (
-    BudgetExceeded,
-    PGroup,
-    Subgroup,
-    intersect,
-    joint_kernel,
-    left_kernel,
-    valuation,
-)
+from .abelian import BudgetExceeded, PGroup, Subgroup, congruence_kernel, joint_kernel
 from .fields import NormalizedConfig
 from .places import (
     Classification,
@@ -99,32 +100,25 @@ class ShaReport:
 
 
 def _pair_levels(cfg: NormalizedConfig) -> dict[tuple[int, int], int]:
-    """{(i, j): eps_0 - b_ij} for i != j in 1..m, the largest min(t_i, t_j)
-    over the generic places: one joint kernel H_ij per pair, cached per
-    config and shared by every index set."""
+    """{(i, j): the chi_0 level of H_ij} for i != j in 1..m, the largest
+    min(t_i, t_j) over the generic places: one joint kernel H_ij per pair,
+    cached per config and shared by every index set."""
     levels = cfg.__dict__.get("_pair_levels")
     if levels is None:
-        p, chars, eps = cfg.p, cfg.chars, cfg.eps
+        chars, eps = cfg.chars, cfg.eps
         levels = {}
         for i in range(1, cfg.m + 1):
             for j in range(i + 1, cfg.m + 1):
                 h = joint_kernel(cfg.group, [(chars[i], eps[i]), (chars[j], eps[j])])
-                values = [chars[0].value(row) for row in h.basis]
-                b = min((valuation(p, v) for v in values if v), default=eps[0])
-                levels[i, j] = levels[j, i] = eps[0] - b
+                levels[i, j] = levels[j, i] = chars[0].image_level(h)
         cfg.__dict__["_pair_levels"] = levels
     return levels
 
 
-def _congruence_subgroup(ambient: PGroup, congruences) -> Subgroup:
-    """{a : a_x = a_y mod q for every (x, y, q)}: the lattice part of the
-    left kernel of the difference columns stacked on the moduli."""
-    k, c = ambient.rank, len(congruences)
-    if not c:
-        return Subgroup.full(ambient)
-    rows = [[(x == cx) - (x == cy) for cx, cy, _ in congruences] for x in range(k)]
-    rows += [[q * (j == t) for j in range(c)] for t, (_, _, q) in enumerate(congruences)]
-    return Subgroup._span_rows(ambient, [w[:k] for w in left_kernel(rows, c)])
+def _differences(k: int, congruences) -> list:
+    """a_x = a_y mod q, for each (x, y, q), as the congruence
+    sum_l c_l a_l = 0 mod q of abelian.congruence_kernel."""
+    return [([(l == x) - (l == y) for l in range(k)], q) for x, y, q in congruences]
 
 
 def _meets(a, congruences) -> bool:
@@ -199,9 +193,10 @@ def _pass_groups(cfg: NormalizedConfig, localdata: LocalData, indices=None):
     """G and G_omega over an index set, as congruence subgroups (cached)."""
     eng = _engine(cfg, localdata, indices)
     if eng.groups is None:
-        eng.groups = (
-            _congruence_subgroup(eng.ambient, eng.g),
-            _congruence_subgroup(eng.ambient, eng.omega),
+        k = eng.ambient.rank
+        eng.groups = tuple(
+            congruence_kernel(eng.ambient, _differences(k, cong))
+            for cong in (eng.g, eng.omega)
         )
     return eng.groups
 
@@ -231,18 +226,17 @@ def enumerate_members(cfg, localdata, indices=None, budget=DEFAULT_BUDGET):
     (default: all).  They are listed once per config and index set; later
     calls return the stored tuples.  The budget is checked first.
     """
-    g_sub, gw_sub = _checked_groups(cfg, localdata, indices, budget)
+    _checked_groups(cfg, localdata, indices, budget)
     eng = _engine(cfg, localdata, indices)
     if eng.members is None:
         ambient = eng.ambient
         k = ambient.rank
-        first_zero = Subgroup.span(
-            ambient, [tuple(int(j == x) for j in range(k)) for x in range(1, k)]
+        first_zero = ([int(l == 0) for l in range(k)], ambient.moduli[0])
+        slices = (
+            congruence_kernel(ambient, _differences(k, cong) + [first_zero])
+            for cong in (eng.g, eng.omega)
         )
-        eng.members = tuple(
-            tuple(sorted(intersect(sub, first_zero).elements()))
-            for sub in (g_sub, gw_sub)
-        )
+        eng.members = tuple(tuple(sorted(s.elements())) for s in slices)
     return eng.members
 
 
@@ -272,10 +266,7 @@ def quotient_by_D(group: Subgroup) -> list[int]:
 
 
 def in_diagonal(cfg: NormalizedConfig, a) -> bool:
-    p = cfg.p
-    return all(
-        (a[0] - a[i - 1]) % p ** cfg.e_i(i) == 0 for i in range(1, cfg.m + 1)
-    )
+    return len(i_n(cfg, a, a[0])) == cfg.m
 
 
 def _no_new_failures(cfg: NormalizedConfig, localdata: LocalData, a, b) -> bool:

@@ -9,10 +9,15 @@ A failure at a cyclic candidate therefore means an infinite set of failing
 places; a failure at an exceptional place means a finite one.
 
 The runtime reads the place model (Place, LocalData), sigma_threshold and
-local cyclicity from here.  The literal membership path, fail_set over
-generic_place_candidates through omega_contains and sigma_contains, tries
-every place and every n; no runtime path calls it.  It is the reference the
-tests hold the oracle's pass groups against.
+local cyclicity from here.  sigma_threshold is the chi_0 level of D cap H_i
+(abelian.Character.image_level), the level the oracle also reads off
+ker chi_i cap ker chi_j for its generic pair levels.  The literal
+membership path, fail_set over generic_place_candidates through
+omega_contains and sigma_contains, tries every place and every n; no
+runtime path calls it.  It is the reference the tests hold the oracle's
+pass groups against, and it stays here because the benchmark's span
+recorder wraps fail_set and generic_place_candidates by name.  The
+definitional subgroup test behind sigma_contains lives in the tests.
 """
 
 from __future__ import annotations
@@ -91,15 +96,9 @@ def generic_place_candidates(cfg: NormalizedConfig) -> tuple[Subgroup, ...]:
 
 @lru_cache(maxsize=None)
 def _sigma_threshold(chi0, h_i: Subgroup, d_sub: Subgroup) -> int:
-    """Least d with sigma_contains true; monotone, so one number suffices."""
-    eps0 = chi0.exponent
-    p = chi0.ambient.p
-    phi = eps0
-    for row in intersect(d_sub, h_i).basis:
-        val = chi0.value(row)
-        if val:
-            phi = min(phi, valuation(p, val))
-    return eps0 - phi
+    """Least d with sigma_contains true; monotone, so one number suffices:
+    the chi_0 level of D cap H_i."""
+    return chi0.image_level(intersect(d_sub, h_i))
 
 
 def sigma_threshold(cfg: NormalizedConfig, d_sub: Subgroup, i: int) -> int:
@@ -116,11 +115,6 @@ def sigma_contains(cfg: NormalizedConfig, d_sub: Subgroup, i: int, d: int) -> bo
     if not 0 <= d <= cfg.eps[0]:
         raise ValueError(f"degree {d} out of range [0, {cfg.eps[0]}]")
     return d >= sigma_threshold(cfg, d_sub, i)
-
-
-def sigma_contains_literal(cfg, d_sub, i, d):
-    """Definitional form of sigma_contains, for cross-checking."""
-    return intersect(d_sub, cfg.kernel(i)).issubset(cfg.subfield(0, cfg.eps[0] - d))
 
 
 def omega_contains(cfg: NormalizedConfig, d_sub: Subgroup, a, n: int) -> bool:

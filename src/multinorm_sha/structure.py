@@ -2,9 +2,9 @@
 
 Levels and nested equivalence classes of each block U_r, patching degrees,
 degrees of freedom, explicit generator vectors, and the assembled invariant
-factors.  Every scan walks downward from its upper bound and stops at the
-first admissible value, which is the stated maximum; a debug mode checks
-monotonicity below the hit explicitly.
+factors.  Every scan is one _scan: it walks downward from its upper bound
+and stops at the first admissible value, which is the stated maximum; a
+debug mode checks monotonicity below the hit explicitly (_check_monotone).
 
 Every field the scans test is a composite K(C, d) of subfields K_i(d),
 i in C, and every test reads the elementary divisors of coefficient rows
@@ -129,6 +129,14 @@ def level(cfg: NormalizedConfig, members) -> int:
 # ---------------------------------------------------------------------------
 # Patching degrees.
 
+def _scan(top: int, floor: int, admissible) -> int:
+    """The first admissible value from top down to floor + 1, else floor."""
+    for v in range(top, floor, -1):
+        if admissible(v):
+            return v
+    return floor
+
+
 def delta_omega(cfg: NormalizedConfig, r: int) -> int:
     """Algebraic patching degree of U_r (scan downward, first admissible)."""
     if r not in cfg.R:
@@ -136,10 +144,7 @@ def delta_omega(cfg: NormalizedConfig, r: int) -> int:
     u_r, u_gt, u_lt = cfg.U(r), cfg.U_gt(r), cfg.U_lt(r)
     if not u_gt and not u_lt:
         return cfg.eps[0]
-    for d in range(cfg.eps[0], r, -1):
-        if _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt):
-            return d
-    return r
+    return _scan(cfg.eps[0], r, lambda d: _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt))
 
 
 def _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt) -> bool:
@@ -159,10 +164,7 @@ def delta_ordinary(
     if not u_gt and not u_lt:
         return cfg.eps[0]
     top = delta_omega(cfg, r) if d_om is None else d_om
-    for d in range(top, r, -1):
-        if _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt):
-            return d
-    return r
+    return _scan(top, r, lambda d: _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt))
 
 
 def _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt) -> bool:
@@ -200,20 +202,10 @@ def _f_admissible(cfg, localdata, members, lvl, f, r) -> bool:
     return deg is not None and locally_cyclic(cfg, localdata, members, deg)
 
 
-def f_omega(cfg: NormalizedConfig, members, r: int, bound: int) -> int:
-    lvl = level(cfg, members)
-    for f in range(bound, r, -1):
-        if _f_omega_admissible(cfg, members, lvl, f, r):
-            return f
-    return r
-
-
-def f_ordinary(cfg, localdata, members, r: int, bound: int) -> int:
-    lvl = level(cfg, members)
-    for f in range(bound, r, -1):
-        if _f_admissible(cfg, localdata, members, lvl, f, r):
-            return f
-    return r
+def _split(cfg, members, lvl) -> list[tuple[int, ...]]:
+    """A class splits at its own level into the l-classes one level past
+    it; a singleton is a leaf."""
+    return l_classes(cfg, members, lvl + 1) if len(members) > 1 else []
 
 
 def build_class_tree(
@@ -221,21 +213,16 @@ def build_class_tree(
 ) -> ClassNode:
     """Nested l-equivalence classes of U_r with degrees of freedom attached.
 
-    Each node's f-scan is bounded by its parent's f_omega (the block bound
-    delta_omega at the root).  A class only ever splits at its own level, so
-    children are the classes one level past it; singletons are leaves.
+    Each node's f_omega scan is bounded by its parent's f_omega (the block
+    bound delta_omega at the root), and its f scan by its own f_omega; its
+    children are the parts of its _split.
     """
 
     def make(members, bound) -> ClassNode:
         lvl = level(cfg, members)
-        f_om = f_omega(cfg, members, r, bound)
-        f_ord = f_ordinary(cfg, localdata, members, r, f_om)
-        if len(members) == 1:
-            children = ()
-        else:
-            children = tuple(
-                make(part, f_om) for part in l_classes(cfg, members, lvl + 1)
-            )
+        f_om = _scan(bound, r, lambda f: _f_omega_admissible(cfg, members, lvl, f, r))
+        f_ord = _scan(f_om, r, lambda f: _f_admissible(cfg, localdata, members, lvl, f, r))
+        children = tuple(make(part, f_om) for part in _split(cfg, members, lvl))
         return ClassNode(tuple(members), lvl, f_om, f_ord, children)
 
     return make(tuple(cfg.U(r)), bound_omega)
@@ -248,25 +235,33 @@ def check_monotone_scans(cfg: NormalizedConfig, localdata: LocalData) -> None:
         if not u_gt and not u_lt:
             continue
         d_om = delta_omega(cfg, r)
-        for d in range(r, d_om + 1):
-            if not _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt):
-                raise AssertionError(f"delta_omega scan not monotone at r={r}, d={d}")
+        _check_monotone(
+            f"delta_omega scan not monotone at r={r}, d=", r, d_om,
+            lambda d: _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt),
+        )
         d_ord = delta_ordinary(cfg, localdata, r, d_om)
-        for d in range(r, d_ord + 1):
-            if not _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt):
-                raise AssertionError(f"delta scan not monotone at r={r}, d={d}")
+        _check_monotone(
+            f"delta scan not monotone at r={r}, d=", r, d_ord,
+            lambda d: _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt),
+        )
         for node in build_class_tree(cfg, localdata, r, d_om).walk():
-            lvl = level(cfg, node.members)
-            for f in range(r, node.f_omega + 1):
-                if not _f_omega_admissible(cfg, node.members, lvl, f, r):
-                    raise AssertionError(
-                        f"f_omega scan not monotone at r={r}, c={node.members}, f={f}"
-                    )
-            for f in range(r, node.f + 1):
-                if not _f_admissible(cfg, localdata, node.members, lvl, f, r):
-                    raise AssertionError(
-                        f"f scan not monotone at r={r}, c={node.members}, f={f}"
-                    )
+            c, lvl = node.members, node.level
+            where = f"not monotone at r={r}, c={c}, f="
+            _check_monotone(
+                f"f_omega scan {where}", r, node.f_omega,
+                lambda f: _f_omega_admissible(cfg, c, lvl, f, r),
+            )
+            _check_monotone(
+                f"f scan {where}", r, node.f,
+                lambda f: _f_admissible(cfg, localdata, c, lvl, f, r),
+            )
+
+
+def _check_monotone(message, floor, hit, admissible) -> None:
+    """AssertionError naming the first value in floor..hit not admissible."""
+    for v in range(floor, hit + 1):
+        if not admissible(v):
+            raise AssertionError(f"{message}{v}")
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +380,8 @@ def shortcut_linearly_disjoint(
     if any(cfg.eij[i][j] != 0 for i in range(n) for j in range(n) if i < j):
         raise ShapeMismatch("fields are not pairwise linearly disjoint")
     everyone = tuple(range(n))
-    f_max = 0
-    for f in range(cfg.eps[0], 0, -1):
-        if cfg.is_sub_bicyclic(everyone, f):
-            f_max = f
-            break
-    f_ord = 0
-    for f in range(f_max, 0, -1):
-        if locally_cyclic(cfg, localdata, everyone, f):
-            f_ord = f
-            break
+    f_max = _scan(cfg.eps[0], 0, lambda f: cfg.is_sub_bicyclic(everyone, f))
+    f_ord = _scan(f_max, 0, lambda f: locally_cyclic(cfg, localdata, everyone, f))
     sha_omega = _invariants([f_max] * (cfg.m - 1))
     sha = _invariants([f_ord] * (cfg.m - 1))
     return sha, sha_omega
@@ -408,26 +395,16 @@ def shortcut_bicyclic_subfields(cfg: NormalizedConfig) -> tuple[int, ...]:
     if not cfg.is_sub_bicyclic(range(cfg.m + 1), n):
         raise ShapeMismatch("compositum does not embed in a bicyclic extension")
     exps = []
+
+    def walk(members):
+        lvl = level(cfg, members)
+        parts = _split(cfg, members, lvl)
+        exps.extend([n - lvl] * (len(parts) - 1))
+        for part in parts:
+            walk(part)
+
     for r in cfg.R:
         if r != 0:
             exps.append(n - r)
-        root = _levels_only_tree(cfg, cfg.U(r))
-        for members, lvl, n_next in root:
-            if n_next > 1:
-                exps.extend([n - lvl] * (n_next - 1))
+        walk(cfg.U(r))
     return _invariants(exps)
-
-
-def _levels_only_tree(cfg, members):
-    """(members, level, child count) over all nested classes of the block."""
-    out = []
-
-    def walk(mem):
-        lvl = level(cfg, mem)
-        children = l_classes(cfg, mem, lvl + 1) if len(mem) > 1 else []
-        out.append((tuple(mem), lvl, len(children)))
-        for part in children:
-            walk(part)
-
-    walk(tuple(members))
-    return out

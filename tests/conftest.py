@@ -1,3 +1,4 @@
+import importlib
 import sys
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from multinorm_sha import (
     build_kummer,
     validate_and_normalize,
 )
+from multinorm_sha import cli
 
 
 def abstract_config(p, exponents, char_specs, labels=None):
@@ -30,15 +32,28 @@ def kummer_config(radicands):
 NO_PLACES = LocalData(())
 
 
-def perfbench_workloads():
-    """The benchmark's input generators, perfbench/workloads.py."""
+def run_example(name, method="both", budget=None):
+    """(report, golden failures) of a built-in example."""
+    entry = cli.EXAMPLES[name]
+    report = cli.build_report(
+        cli.parse_document(entry["document"]), method, budget_override=budget
+    )
+    return report, cli._check_example(report, entry)
+
+
+def perfbench_module(name):
+    """A module of the benchmark harness, perfbench/<name>.py."""
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     sys.path.insert(0, str(perfbench))
     try:
-        import workloads
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(perfbench))
-    return workloads
+
+
+def perfbench_workloads():
+    """The benchmark's input generators, perfbench/workloads.py."""
+    return perfbench_module("workloads")
 
 
 # ---------------------------------------------------------------------------

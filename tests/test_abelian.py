@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from kummer_reference import annihilator
 from structure_reference import image_is_cyclic, join, quotient_invariants
 from multinorm_sha.abelian import (
-    ALL_SUBGROUPS_CAP,
     MR_BOUND,
     BudgetExceeded,
     Character,
     PGroup,
     Subgroup,
-    all_subgroups,
     cyclic_subgroups,
     divisor_valuations,
     hermite_normal_form,
@@ -27,6 +25,31 @@ from multinorm_sha.abelian import (
 )
 
 Z44 = PGroup(2, (2, 2))
+
+ALL_SUBGROUPS_CAP = 256  # exhaustive subgroup enumeration is a test-scale tool
+
+
+def all_subgroups(ambient: PGroup) -> list[Subgroup]:
+    """Every subgroup of A, capped at |A| <= 256."""
+    if ambient.order > ALL_SUBGROUPS_CAP:
+        raise BudgetExceeded(
+            f"exhaustive subgroup enumeration capped at {ALL_SUBGROUPS_CAP}"
+        )
+    elems = list(ambient.elements())
+    frontier = [Subgroup.trivial(ambient)]
+    seen = {frontier[0].basis: frontier[0]}
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for g in elems:
+                if sub.contains(g):
+                    continue
+                bigger = Subgroup._span_rows(ambient, list(sub.basis) + [g])
+                if bigger.basis not in seen:
+                    seen[bigger.basis] = bigger
+                    nxt.append(bigger)
+        frontier = nxt
+    return list(seen.values())
 
 
 def trial_division_is_prime(n):
@@ -382,7 +405,7 @@ def test_left_kernel_random():
 )
 def test_span_idempotent(gens):
     sub = Subgroup.span(Z44, gens)
-    assert Subgroup.span(Z44, list(sub.basis_elements())) == sub
+    assert Subgroup.span(Z44, [Z44.reduce(row) for row in sub.basis]) == sub
 
 
 @settings(max_examples=60)

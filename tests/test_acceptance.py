@@ -7,7 +7,6 @@ the computation itself (process startup and imports excluded).
 import random
 import time
 
-from multinorm_sha.cli import run_example
 from multinorm_sha.kummer import (
     _reduce_mod_power,
     gmul,
@@ -22,6 +21,7 @@ from multinorm_sha.structure import (
     shortcut_linearly_disjoint,
 )
 
+from conftest import run_example
 from test_structure import (
     random_bicyclic_subfields_instance,
     random_disjoint_instance,

@@ -23,10 +23,9 @@ from multinorm_sha.cli import (
     main,
     make_parser,
     parse_document,
-    run_example,
 )
 
-from conftest import perfbench_workloads
+from conftest import perfbench_workloads, run_example
 
 ABSTRACT_17_13 = {
     "mode": "abstract",
@@ -514,6 +513,23 @@ def test_seed_key_is_unknown(tmp_path, capsys):
     assert main(["compute", path]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "unknown key(s): seed" in err
+
+
+@pytest.mark.parametrize("command", ["compute", "validate"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"[" * 100_000 + b"]" * 100_000, "is nested too deeply to read"),
+        (b"\xff\xfe", "is not UTF-8 text"),
+    ],
+    ids=["nested-100000-deep", "not-utf8"],
+)
+def test_unreadable_documents_exit_2(command, content, message, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert main([command, str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path} {message}"), err
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,15 @@
 """Static checks over the package source: the runtime imports only the
-standard library and itself, and no check is an `assert`, which `python -O`
-would strip."""
+standard library and itself, no check is an `assert`, which `python -O`
+would strip, and every function the benchmark wraps by name exists."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import multinorm_sha
+
+from conftest import perfbench_module
 
 PACKAGE = Path(multinorm_sha.__file__).parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
@@ -59,3 +62,15 @@ def test_structure_imports_no_lattice_routine():
         for alias in node.names
     }
     assert imported and not imported & lattice, imported
+
+
+def test_benchmark_span_targets_resolve():
+    # perfbench/spans.py wraps these functions by name; a deletion or rename
+    # in the package breaks `perfbench/run.py --trace 1`
+    spans = perfbench_module("spans")
+    missing = [
+        f"{module}.{name}"
+        for module, name, _span, _extra in spans.TARGETS
+        if not callable(getattr(importlib.import_module(f"multinorm_sha.{module}"), name, None))
+    ]
+    assert not missing, missing

@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from multinorm_sha.abelian import PGroup, Subgroup
+from multinorm_sha.abelian import PGroup, Subgroup, intersect
 from multinorm_sha.places import (
     Classification,
     LocalData,
@@ -16,13 +16,17 @@ from multinorm_sha.places import (
     locally_cyclic,
     omega_contains,
     sigma_contains,
-    sigma_contains_literal,
 )
 from multinorm_sha.oracle import classify
 from multinorm_sha.selftest import random_config
 
 from conftest import NO_PLACES, abstract_config
 from structure_reference import noncyclic_places, reference_composite
+
+
+def sigma_contains_literal(cfg, d_sub, i, d):
+    """Definitional form of sigma_contains, for cross-checking."""
+    return intersect(d_sub, cfg.kernel(i)).issubset(cfg.subfield(0, cfg.eps[0] - d))
 
 
 def test_delta_examples():
