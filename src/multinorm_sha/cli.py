@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 import time
@@ -69,6 +70,17 @@ def _expect_int_list(value, what):
     return [_expect_int(v, f"entry of {what}") for v in value]
 
 
+def _expect_printable_power(p, n, what):
+    """Refuse n when p^n has more decimal digits than str() may write."""
+    limit = sys.get_int_max_str_digits()
+    edge = limit / math.log10(p)  # p^n has limit + 1 digits from n = edge on
+    if limit and (n > edge + 1 or (n > edge - 1 and p ** n >= 10 ** limit)):
+        raise SchemaError(
+            f"{what} {n}: p^{n} has more than {limit} decimal digits, "
+            "the interpreter's limit for printing an integer"
+        )
+
+
 _COMMON_OPTIONAL = {"budget", "debug_monotonicity"}
 
 
@@ -90,6 +102,8 @@ def parse_abstract(obj) -> tuple[FieldConfig, LocalData, int, bool]:
     )
     p = _expect_int(obj["p"], "p", minimum=2)
     exponents = _expect_int_list(obj["exponents"], "exponents")
+    for n in exponents:
+        _expect_printable_power(p, n, "exponent")
     try:
         group = PGroup(p, tuple(exponents))
     except ValueError as exc:
@@ -105,6 +119,7 @@ def parse_abstract(obj) -> tuple[FieldConfig, LocalData, int, bool]:
         if not isinstance(entry["label"], str):
             raise SchemaError(f"characters[{t}].label must be a string")
         eps = _expect_int(entry["target_exponent"], f"characters[{t}].target_exponent", 1)
+        _expect_printable_power(p, eps, f"characters[{t}].target_exponent")
         coeffs = _expect_int_list(entry["coeffs"], f"characters[{t}].coeffs")
         if len(coeffs) != group.rank:
             raise SchemaError(
@@ -448,78 +463,14 @@ def _load_json(path):
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # an integer literal above the int-to-str limit
+        raise SchemaError(f"{path} has an integer too long to read: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError(f"{path} is nested too deeply to read") from exc
 
 
-_escape = json.encoder.encode_basestring_ascii
-
-
-def _encode(obj, nl: str, emit) -> None:
-    kind = type(obj)
-    if kind is str:
-        emit(_escape(obj))
-        return
-    if kind is int:
-        emit(int.__repr__(obj))
-        return
-    if kind is not dict and kind is not list and kind is not tuple:
-        if obj is None or obj is True or obj is False:
-            emit("null" if obj is None else "true" if obj else "false")
-            return
-        if not isinstance(obj, (dict, list, tuple)):
-            emit(json.dumps(obj))  # float, subclasses of str and int, or TypeError
-            return
-    inner = nl + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            emit("{}")
-            return
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            kind = type(value)
-            if kind is int:
-                emit(sep + _escape(key) + ": " + int.__repr__(value))
-            elif kind is str:
-                emit(sep + _escape(key) + ": " + _escape(value))
-            else:
-                emit(sep + _escape(key) + ": ")
-                _encode(value, inner, emit)
-            sep = "," + inner
-        emit(nl + "}")
-    elif not obj:
-        emit("[]")
-    elif {*map(type, obj)} == {int}:
-        emit("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
-    else:
-        sep = "[" + inner
-        for value in obj:
-            emit(sep)
-            _encode(value, inner, emit)
-            sep = "," + inner
-        emit(nl + "]")
-
-
-def _dumps(obj) -> str:
-    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``.
-
-    With ``indent`` set the standard library leaves its C encoder for a
-    pure-Python one; this writes the same text for the report's own types
-    (dict with str keys, list, tuple, str, int, float, bool and None) with
-    the C string escaper.  Exact str and int, None and the booleans are
-    written inline, a str or int value goes out with its key, and a list of
-    exact ints is one join; any other scalar is left to ``json.dumps``.  Any
-    other type, and any other key, raises TypeError.
-    """
-    out: list[str] = []
-    _encode(obj, "\n", out.append)
-    return "".join(out)
-
-
 def _write_json(report, path):
-    text = _dumps(report)
+    text = json.dumps(report, sort_keys=True)
     if path == "-":
         # the JSON stands alone on stdout (the text report is left out); the
         # leading newline is JSON whitespace and keeps the report at a "\n{"
@@ -577,7 +528,7 @@ def _run(args, documents, golden=False) -> int:
             print("DISAGREEMENT between computation routes", file=sys.stderr)
             for row in report["components"]:
                 if row["agreement"] is False:
-                    print(_dumps(row), file=sys.stderr)
+                    print(json.dumps(row, sort_keys=True), file=sys.stderr)
         for f in failures:
             print(f"  GOLDEN MISMATCH: {f}", file=sys.stderr)
         if failures or report["agreement"] is False:

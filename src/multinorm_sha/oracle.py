@@ -60,7 +60,6 @@ over every place and every n is the tests' reference, not called here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 from .abelian import BudgetExceeded, PGroup, Subgroup, congruence_kernel, joint_kernel
 from .fields import NormalizedConfig
@@ -206,10 +205,10 @@ def _checked_groups(cfg, localdata, indices=None, budget=DEFAULT_BUDGET):
     verified, not assumed.  The budget bounds the whole ambient sum."""
     if indices is None:
         indices = range(1, cfg.m + 1)
-    total = prod(cfg.p ** cfg.e_i(i) for i in indices)
-    if total > budget:
+    n = sum(cfg.e_i(i) for i in indices)
+    if cfg.p ** n > budget:
         raise BudgetExceeded(
-            f"oracle over {total} candidate vectors exceeds budget {budget}"
+            f"oracle over {cfg.p}^{n} candidate vectors exceeds budget {budget}"
         )
     g_sub, gw_sub = _pass_groups(cfg, localdata, indices)
     if not g_sub.contains((1,) * g_sub.ambient.rank):
@@ -256,10 +255,13 @@ def subtorus_groups(cfg, localdata, r: int, budget: int = DEFAULT_BUDGET):
     return _checked_groups(cfg, localdata, cfg.U(r), budget)
 
 
+def _diagonal(ambient: PGroup) -> Subgroup:
+    return Subgroup.span(ambient, [(1,) * ambient.rank])
+
+
 def quotient_by_D(group: Subgroup) -> list[int]:
     """Invariant factors (p-exponents) of group/D, D the diagonal subgroup."""
-    ambient = group.ambient
-    diag = Subgroup.span(ambient, [(1,) * ambient.rank])
+    diag = _diagonal(group.ambient)
     if not diag.issubset(group):
         raise InternalCheckError("diagonal subgroup not contained in the group")
     return group.invariants_mod(diag)
@@ -318,9 +320,10 @@ def aprime(cfg: NormalizedConfig, localdata: LocalData, a) -> tuple[int, ...]:
 
 def oracle_report(cfg, localdata, budget: int = DEFAULT_BUDGET) -> ShaReport:
     g_sub, gw_sub = _checked_groups(cfg, localdata, budget=budget)
+    diag = _diagonal(g_sub.ambient)  # D <= G <= G_omega, checked above
     return ShaReport(
-        sha_invariants=tuple(quotient_by_D(g_sub)),
-        sha_omega_invariants=tuple(quotient_by_D(gw_sub)),
+        sha_invariants=tuple(g_sub.invariants_mod(diag)),
+        sha_omega_invariants=tuple(gw_sub.invariants_mod(diag)),
         quotient_invariants=tuple(gw_sub.invariants_mod(g_sub)),
         method="oracle",
     )

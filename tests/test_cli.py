@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -7,8 +6,6 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from multinorm_sha.cli import (
     EXAMPLES,
@@ -18,7 +15,6 @@ from multinorm_sha.cli import (
     EXIT_VALIDATION,
     SchemaError,
     _check_example,
-    _dumps,
     build_report,
     main,
     make_parser,
@@ -327,6 +323,13 @@ def test_cli_large_groups(tmp_path, capsys):
     assert main(["compute", big, "--method", "both"]) == EXIT_BUDGET
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith("budget exceeded:")
+    # and names the count as p^N, which may be too long to print in decimal
+    huge = write(tmp_path, homocyclic_doc(4000, five), "huge.json")
+    start = time.perf_counter()
+    assert main(["compute", huge]) == EXIT_BUDGET
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: oracle over 2^16000 candidate vectors"), err
 
 
 def test_kummer_document_mode(tmp_path, capsys):
@@ -515,16 +518,55 @@ def test_seed_key_is_unknown(tmp_path, capsys):
     assert "unknown key(s): seed" in err
 
 
+@pytest.fixture
+def int_limit():
+    """The interpreter's default int-to-str limit, 4,300 digits, for one test."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+def test_exponent_at_the_int_to_str_limit(int_limit, tmp_path, capsys):
+    # 2^14284 has 4,300 digits and every report prints it; 2^14285 has 4,301
+    assert len(str(2 ** 14284)) == int_limit
+    three = [(1, 0), (0, 1), (1, 1)]
+    at = write(tmp_path, homocyclic_doc(14284, three), "at.json")
+    above = write(tmp_path, homocyclic_doc(14285, three), "above.json")
+    for argv in (
+        ["validate"],
+        ["compute", "--method", "formula"],
+        ["compute", "--method", "formula", "--json", "-"],
+    ):
+        assert main([argv[0], at, *argv[1:]]) == EXIT_OK, argv
+        assert str(2 ** 14284) in capsys.readouterr().out
+        assert main([argv[0], above, *argv[1:]]) == EXIT_VALIDATION, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: exponent 14285: p^14285 has more than 4300"), err
+    # a target exponent as well, before 3^(10^8) is built (over a minute)
+    far = {**homocyclic_doc(3, three), "p": 3}
+    far["characters"][0]["target_exponent"] = 10 ** 8
+    start = time.perf_counter()
+    assert main(["validate", write(tmp_path, far, "far.json")]) == EXIT_VALIDATION
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: characters[0].target_exponent 100000000: p^"), err
+
+
 @pytest.mark.parametrize("command", ["compute", "validate"])
 @pytest.mark.parametrize(
     "content, message",
     [
         (b"[" * 100_000 + b"]" * 100_000, "is nested too deeply to read"),
         (b"\xff\xfe", "is not UTF-8 text"),
+        (b'{"p": ' + b"7" * 5001 + b"}", "has an integer too long to read"),
+        (b'{"mode": ', "is not valid JSON"),
     ],
-    ids=["nested-100000-deep", "not-utf8"],
+    ids=["nested-100000-deep", "not-utf8", "int-5001-digits", "truncated"],
 )
-def test_unreadable_documents_exit_2(command, content, message, tmp_path, capsys):
+def test_unreadable_documents_exit_2(
+    command, content, message, int_limit, tmp_path, capsys
+):
     path = tmp_path / "doc.json"
     path.write_bytes(content)
     assert main([command, str(path)]) == EXIT_VALIDATION
@@ -552,48 +594,7 @@ def test_aprime_postcondition_failure_exits_5(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# The report encoder writes exactly json.dumps(obj, indent=2, sort_keys=True).
-
-def _indented(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
-_text = st.one_of(
-    st.text(max_size=8),
-    st.sampled_from(["", "\u00e9t\u00e9", '"', "\\", "\x00\x1f\x7f", "\n\r\t\b\f",
-                     "\u2028", "\U0001f600", 'a"b\\c\x01'])
-)
-_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.sampled_from([-(2 ** 80), 2 ** 80, -1, 0]),
-    st.sampled_from([0.0, -0.0, 1e300, math.nan, math.inf, -math.inf]),
-    st.floats(),
-    _text,
-)
-_values = st.recursive(
-    _scalars,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(_text, inner, max_size=4),
-    ),
-    max_leaves=25,
-)
-
-
-@settings(max_examples=250, deadline=None)
-@given(_values)
-def test_dumps_matches_indented_json(obj):
-    assert _dumps(obj) == _indented(obj)
-
-
-def test_dumps_refuses_other_types():
-    for bad in ({1, 2}, {"a": [set()]}, [b"bytes"], {1: "a"}, {"a": {None: 0}}):
-        with pytest.raises(TypeError):
-            _dumps(bad)
-
+# The JSON report is the standard library's compact encoding, keys sorted.
 
 @pytest.fixture(scope="module")
 def benchmark_documents():
@@ -615,7 +616,7 @@ def test_json_stdout_reencodes_to_itself(benchmark_documents, tmp_path, capsys):
     for argv in runs:
         assert main(argv) == EXIT_OK, argv
         out = capsys.readouterr().out
-        assert out == "\n" + _indented(json.loads(out)) + "\n", argv
+        assert out == "\n" + json.dumps(json.loads(out), sort_keys=True) + "\n", argv
 
 
 def test_formula_scale_agreement_gate(tmp_path, capsys):

@@ -88,6 +88,22 @@ def test_quotient_by_d_cases():
         quotient_by_D(off)
 
 
+def test_report_spans_the_diagonal_once(monkeypatch, quartic_17_13):
+    # one D for both quotients; the chain D <= G <= G_omega is checked before
+    cfg, local = quartic_17_13
+    spans = []
+    span = Subgroup.span.__func__
+
+    def counted(cls, ambient, gens):
+        spans.append(list(gens))
+        return span(cls, ambient, gens)
+
+    monkeypatch.setattr(Subgroup, "span", classmethod(counted))
+    rep = oracle_report(cfg, local)
+    assert spans == [[(1,) * cfg.m]]
+    assert (rep.sha_invariants, rep.sha_omega_invariants) == ((1,), (2,))
+
+
 def test_budget():
     cfg = abstract_config(2, (2, 2), [(2, (1, 0)), (2, (0, 1)), (2, (1, 1))])
     with pytest.raises(BudgetExceeded):
