@@ -19,7 +19,7 @@ CYCLIC_SWEEP_CAP = 2 ** 16  # bound on |A| for passes over its elements
 
 
 class BudgetExceeded(Exception):
-    """An enumeration budget was exceeded."""
+    """A budget, or the bound of an exact test, refused the input."""
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

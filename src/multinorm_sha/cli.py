@@ -130,8 +130,11 @@ def parse_abstract(obj) -> tuple[FieldConfig, LocalData, int, bool]:
         except ValueError as exc:
             raise SchemaError(f"characters[{t}]: {exc}") from exc
         labels.append(entry["label"])
+    places_raw = obj.get("exceptional_places", [])
+    if not isinstance(places_raw, list):
+        raise SchemaError("exceptional_places must be an array")
     places = []
-    for t, entry in enumerate(obj.get("exceptional_places", [])):
+    for t, entry in enumerate(places_raw):
         _expect_object(
             entry, f"exceptional_places[{t}]", {"label", "generators"}, set()
         )

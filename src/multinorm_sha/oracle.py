@@ -46,10 +46,11 @@ At most: if min(t_i, t_j) = L >= 1 and s_0 = a, then
 eps_i >= s_i >= a + eps_i - eps_0 + L forces a <= eps_0 - L, and
 p^{eps_0 - L - a} g lies in H_ij with chi_0-valuation exactly eps_0 - L.
 So M_ij = min(e_i, e_j, eps_0 - b) over the generic places, from one joint
-kernel per pair (abelian.joint_kernel); no element of A is visited.  G,
-G_omega and their slices are congruence subgroups too, each one
-abelian.congruence_kernel.  The budget bounds the whole ambient sum
-p^{sum e_i} of the index set.
+kernel per pair (abelian.joint_kernel); no element of A is visited.  G
+and G_omega are congruence subgroups too, each one
+abelian.congruence_kernel, and no command lists their elements: the
+listing enumerate_members is the tests' reference.  The budget still
+bounds the whole ambient sum p^{sum e_i} of the index set.
 
 The same pass groups are the only membership test here: classify, and the
 post-condition of the two-valued approximation a' (no place fails for a'
@@ -156,7 +157,6 @@ class _PassLevels:
         # the pass group P_t of each exceptional place on its own
         self.places = tuple(congruences(lv) for lv in exceptional)
         self.groups = None  # (G, G_omega), built on first use
-        self.members = None  # sorted slice elements of (G, G_omega)
 
     def classify(self, a) -> Classification:
         if not _meets(a, self.omega):
@@ -222,21 +222,20 @@ def enumerate_members(cfg, localdata, indices=None, budget=DEFAULT_BUDGET):
     """The sorted vectors of G and of G_omega whose first coordinate is 0.
 
     That is one member per coset of the diagonal, over the given index set
-    (default: all).  They are listed once per config and index set; later
-    calls return the stored tuples.  The budget is checked first.
+    (default: all), after the budget check.  No command lists a group: this
+    stays as the tests' listing reference, and because the benchmark's span
+    recording wraps it by name, as it does places.fail_set.
     """
     _checked_groups(cfg, localdata, indices, budget)
     eng = _engine(cfg, localdata, indices)
-    if eng.members is None:
-        ambient = eng.ambient
-        k = ambient.rank
-        first_zero = ([int(l == 0) for l in range(k)], ambient.moduli[0])
-        slices = (
-            congruence_kernel(ambient, _differences(k, cong) + [first_zero])
-            for cong in (eng.g, eng.omega)
-        )
-        eng.members = tuple(tuple(sorted(s.elements())) for s in slices)
-    return eng.members
+    ambient = eng.ambient
+    k = ambient.rank
+    first_zero = ([int(l == 0) for l in range(k)], ambient.moduli[0])
+    slices = (
+        congruence_kernel(ambient, _differences(k, cong) + [first_zero])
+        for cong in (eng.g, eng.omega)
+    )
+    return tuple(tuple(sorted(s.elements())) for s in slices)
 
 
 def compute_G_and_Gomega(

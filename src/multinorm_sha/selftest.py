@@ -5,7 +5,9 @@ up to 3 exceptional places), asserts that the closed-form assembly equals
 the definitional oracle, and checks the structural invariants: the subgroup
 chain, patching-degree monotonicity between blocks, the degree-of-freedom
 chain, the block product decomposition, generator membership, and the
-two-valued-approximation properties.
+two-valued-approximation properties.  No group is listed: the block
+decomposition compares subgroup orders, and the a' test vectors are read
+off the Hermite basis of G_omega.
 """
 
 from __future__ import annotations
@@ -14,21 +16,14 @@ import random
 from dataclasses import dataclass, field
 from math import prod
 
-from .abelian import Character, PGroup, Subgroup
+from .abelian import Character, PGroup, Subgroup, intersect
 from .fields import FieldConfig, NormalizedConfig, ShaInputError, validate_and_normalize
 from .places import Classification, LocalData, Place
-from .oracle import (
-    aprime,
-    classify,
-    compute_G_and_Gomega,
-    enumerate_members,
-    oracle_report,
-)
+from .oracle import aprime, classify, compute_G_and_Gomega, oracle_report, subtorus_groups
 from .structure import StructureResult, assemble, check_monotone_scans
 
-# keeps the member lists that check_invariants reads affordable, and decides
-# which configurations a seed yields, so changing it changes every run; the
-# bounds in the docstring above are outer limits, not a coverage promise
+# decides which configurations a seed yields, so changing it changes every
+# run; the bounds in the docstring above are outer limits, not a coverage promise
 AMBIENT_CAP = 4096
 
 
@@ -135,24 +130,39 @@ def _require(condition: bool, message: str, cfg, local):
         raise SelftestFailure(message, cfg, local)
 
 
-def _sample_outside_diagonal(rng: random.Random, cfg: NormalizedConfig, members, k: int):
-    """k random vectors of (members (+) D) minus D, members the elements of
-    a slice G_omega cap {a_1 = 0}, sorted.
+def _sample_outside_diagonal(rng: random.Random, gw_sub: Subgroup, k: int):
+    """k distinct random vectors of G_omega outside the diagonal D.
 
-    Draws from rng exactly as rng.sample would from the lexicographically
-    sorted list of those vectors: the vectors with first coordinate c are
-    the shifts by c(1,...,1) of the nonzero slice members, so a list index
-    names its shift c and its place in the sorted shifted slice.
+    D <= G_omega forces the first Hermite pivot of G_omega to 1, so the
+    rows h_j after the first, with digits 0 <= u_j < m_j / h_j[j], give each
+    member of the slice G_omega cap {a_1 = 0} once, and G_omega is that
+    slice (+) D.  Draws from rng as rng.sample would from the
+    p^{e_1} (|slice| - 1) vectors c(1,...,1) + s, s a nonzero slice member:
+    a draw names its shift c and the digits of s.
     """
-    moduli = [cfg.p ** e for e in cfg.eis]
-    nonzero = [s for s in members if any(s)]
-    n = moduli[0] * len(nonzero)
+    amb = gw_sub.ambient
+    nonzero = gw_sub.order // amb.moduli[0] - 1
+    n = amb.moduli[0] * nonzero
     out = []
     for j in rng.sample(range(n), min(k, n)):
-        c, t = divmod(j, len(nonzero))
-        shifted = sorted(tuple((x + c) % q for x, q in zip(s, moduli)) for s in nonzero)
-        out.append(shifted[t])
+        c, t = j // nonzero, j % nonzero + 1
+        vec = [c] * amb.rank
+        for l, h in enumerate(gw_sub.basis[1:], 1):
+            t, digit = divmod(t, amb.moduli[l] // h[l])
+            vec = [x + digit * y for x, y in zip(vec, h)]
+        out.append(amb.reduce(vec))
     return out
+
+
+def _patchable(group: Subgroup, r: int, k: int) -> int:
+    """The vectors x = 0 mod p^k of a block group G_r or G_omega_r over U_r,
+    U_0 counting only those with x[0] == 0: |group cap p^k A_r|, over
+    p^max(0, e - k) for U_0 (e its first exponent), as group = slice (+) D_r
+    and s + c(1,...,1) lies in p^k A_r iff s does and p^min(k, e) divides c."""
+    amb = group.ambient
+    rows = [amb.reduce(amb.p ** k * x for x in row) for row in Subgroup.full(amb).basis]
+    count = intersect(group, Subgroup.span(amb, rows)).order
+    return count // amb.p ** max(0, amb.exponents[0] - k) if r == 0 else count
 
 
 def check_invariants(
@@ -190,25 +200,11 @@ def check_invariants(
     # product decomposition across blocks, with the patchable-subgroup bounds
     g_sub, gw_sub = compute_G_and_Gomega(cfg, local)
     p, eps0 = cfg.p, cfg.eps[0]
-
-    def patchable(slice_members, r, d):
-        """Vectors x = 0 mod p^(eps0 - d) of a block group, from its slice.
-
-        The block group is slice (+) D_r, and the condition keeps
-        p^max(0, e - k) vectors of D_r (k = eps0 - d, e the block's first
-        exponent).  Block U_0 counts only its vectors with x[0] == 0.
-        """
-        k = eps0 - d
-        count = sum(1 for x in slice_members if all(c % p ** k == 0 for c in x))
-        if r == 0:
-            return count
-        return count * p ** max(0, cfg.e_i(cfg.U(r)[0]) - k)
-
     prod_g, prod_gw = 1, 1
     for r in cfg.R:
-        g_mem, gw_mem = enumerate_members(cfg, local, indices=cfg.U(r))
-        prod_gw *= patchable(gw_mem, r, pat[r].delta_omega)
-        prod_g *= patchable(g_mem, r, pat[r].delta)
+        g_r, gw_r = subtorus_groups(cfg, local, r)
+        prod_gw *= _patchable(gw_r, r, eps0 - pat[r].delta_omega)
+        prod_g *= _patchable(g_r, r, eps0 - pat[r].delta)
     _require(gw_sub.order == p ** eps0 * prod_gw, "G_omega != D (+) sum of patchable blocks", cfg, local)
     _require(g_sub.order == p ** eps0 * prod_g, "G != D (+) sum of patchable blocks", cfg, local)
 
@@ -229,8 +225,7 @@ def check_invariants(
             local,
         )
 
-    _, gw_slice = enumerate_members(cfg, local)
-    for a in _sample_outside_diagonal(rng, cfg, gw_slice, 4):
+    for a in _sample_outside_diagonal(rng, gw_sub, 4):
         ap = aprime(cfg, local, a)  # asserts a' not diagonal, failure set shrinks
         _require(
             classify(cfg, local, ap) is not Classification.OUTSIDE,

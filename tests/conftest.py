@@ -153,6 +153,28 @@ def no_literal_places(monkeypatch):
 
 
 @pytest.fixture
+def no_listing(monkeypatch):
+    """Make every listing of group elements raise: oracle.enumerate_members,
+    in every package module that binds it, and the elements() of
+    abelian.Subgroup and abelian.PGroup."""
+    import sys
+
+    import multinorm_sha.abelian as abelian
+    import multinorm_sha.oracle as oracle
+
+    original = oracle.enumerate_members
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was listed")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("multinorm_sha") and getattr(module, "enumerate_members", None) is original:
+            monkeypatch.setattr(module, "enumerate_members", refuse)
+    monkeypatch.setattr(abelian.Subgroup, "elements", refuse)
+    monkeypatch.setattr(abelian.PGroup, "elements", refuse)
+
+
+@pytest.fixture
 def no_lattice(monkeypatch):
     """Make the lattice kernels of abelian.py raise: Hermite form, left
     kernel and Smith form, behind its spans, joins, intersections and

@@ -118,6 +118,15 @@ def test_cli_determinism(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["validate", "compute"])
+@pytest.mark.parametrize("places", [None, 5, {}, "ab"], ids=["null", "int", "object", "string"])
+def test_exceptional_places_not_an_array_exit_2(command, places, tmp_path, capsys):
+    path = write(tmp_path, {**ABSTRACT_17_13, "exceptional_places": places})
+    assert main([command, path]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "config error: exceptional_places must be an array\n", err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = write(tmp_path, {"mode": "abstract"}, "bad.json")
     assert main(["validate", bad]) == EXIT_VALIDATION
@@ -579,7 +588,7 @@ def test_unreadable_documents_exit_2(
     [["selftest", "--seed", "0", "--count", "25"], ["examples", "all"]],
     ids=["selftest", "examples"],
 )
-def test_commands_run_without_the_literal_sweep(no_literal_places, argv, capsys):
+def test_commands_run_without_the_literal_sweep(no_literal_places, no_listing, argv, capsys):
     assert main(argv) == EXIT_OK
     capsys.readouterr()
 

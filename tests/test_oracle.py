@@ -15,7 +15,12 @@ from multinorm_sha.places import (
     generic_place_candidates,
     sigma_threshold,
 )
-from multinorm_sha.selftest import random_config, run_selftest
+from multinorm_sha.selftest import (
+    _patchable,
+    _sample_outside_diagonal,
+    random_config,
+    run_selftest,
+)
 from multinorm_sha.oracle import (
     InternalCheckError,
     ShaReport,
@@ -192,12 +197,84 @@ def test_classification_is_constant_on_diagonal_cosets(seed, data):
         )
 
 
-def test_enumerate_members_is_the_slice_and_is_cached(quartic_17_13):
+def test_enumerate_members_is_the_slice(quartic_17_13):
     cfg, local = quartic_17_13
     g_members, gw_members = enumerate_members(cfg, local)
     assert all(a[0] == 0 for a in gw_members)
     assert set(g_members) <= set(gw_members)
-    assert enumerate_members(cfg, local) is enumerate_members(cfg, local)
+
+
+def _listed_patchable(slice_members, cfg, r, k):
+    """The patchable count from the listed slice of a block group: its
+    members x = 0 mod p^k, times the p^max(0, e - k) such vectors of D_r
+    except for block U_0."""
+    p = cfg.p
+    count = sum(1 for x in slice_members if all(c % p ** k == 0 for c in x))
+    if r == 0:
+        return count
+    return count * p ** max(0, cfg.e_i(cfg.U(r)[0]) - k)
+
+
+def test_patchable_counts_match_the_listed_counts():
+    rng = random.Random(16)
+    cases = 0
+    for _ in range(600):
+        cfg, local = random_config(rng)
+        eps0 = cfg.eps[0]
+        for r in cfg.R:
+            groups = subtorus_groups(cfg, local, r)
+            listed = enumerate_members(cfg, local, indices=cfg.U(r))
+            for d in range(r, eps0 + 1):
+                for group, members in zip(groups, listed):
+                    k = eps0 - d
+                    assert _patchable(group, r, k) == _listed_patchable(members, cfg, r, k)
+                    cases += 1
+    assert cases > 3000
+
+
+def test_sampler_draws_like_rng_sample_on_the_listed_vectors():
+    rng = random.Random(5)
+    for _ in range(200):
+        cfg, local = random_config(rng)
+        _, gw_sub = compute_G_and_Gomega(cfg, local)
+        _, gw_members = enumerate_members(cfg, local)
+        n = cfg.p ** cfg.e_i(1) * (len(gw_members) - 1)
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        twin.sample(range(n), min(4, n))
+        drawn = _sample_outside_diagonal(rng, gw_sub, 4)
+        assert rng.getstate() == twin.getstate()
+        assert len(drawn) == min(4, n) == len(set(drawn))
+        members = set(gw_members)
+        for a in drawn:
+            assert not in_diagonal(cfg, a)
+            assert _shift(a, -a[0], gw_sub.ambient.moduli) in members
+
+
+def test_sampler_reaches_every_vector_outside_the_diagonal():
+    rng = random.Random(6)
+    checked = 0
+    while checked < 40:
+        cfg, local = random_config(rng)
+        _, gw_sub = compute_G_and_Gomega(cfg, local)
+        _, gw_members = enumerate_members(cfg, local)
+        moduli = gw_sub.ambient.moduli
+        want = {_shift(s, c, moduli) for s in gw_members if any(s) for c in range(moduli[0])}
+        if not 0 < len(want) <= 2000:
+            continue
+        checked += 1
+        assert set(_sample_outside_diagonal(random.Random(0), gw_sub, len(want))) == want
+
+
+def test_sampler_draws_nothing_when_G_omega_is_D():
+    cfg = abstract_config(
+        2, (1, 1, 1), [(1, (1, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1))]
+    )
+    _, gw_sub = compute_G_and_Gomega(cfg, NO_PLACES)
+    rng, twin = random.Random(3), random.Random(3)
+    assert _sample_outside_diagonal(rng, gw_sub, 4) == []
+    twin.sample(range(0), 0)
+    assert rng.getstate() == twin.getstate()
 
 
 def _reference_groups(cfg, local, indices):
@@ -236,7 +313,7 @@ def test_slice_sweep_matches_full_reference_sweep():
 
 def test_budget_counts_the_whole_ambient_before_the_cache(quartic_17_13):
     cfg, local = quartic_17_13
-    enumerate_members(cfg, local)  # fills the cache
+    enumerate_members(cfg, local)  # fills the engine's group cache
     full = PGroup(cfg.p, cfg.eis).order
     with pytest.raises(BudgetExceeded):
         enumerate_members(cfg, local, budget=full - 1)
@@ -444,7 +521,7 @@ def test_report_path_builds_no_cyclic_subgroups(no_literal_places, quartic_17_13
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_selftest_runs_without_the_literal_sweep(no_literal_places, seed):
+def test_selftest_runs_without_the_literal_sweep(no_literal_places, no_listing, seed):
     summary = run_selftest(seed, 25)
     assert summary.ok, summary.failures
     assert summary.invariant_checks == 25
