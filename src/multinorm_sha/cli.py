@@ -4,12 +4,16 @@ Config documents are JSON: a single object (mode "abstract" or "kummer") or
 a list of abstract per-prime objects whose results are direct-summed.  All
 integers are exact; reports are plain JSON-compatible data.
 
+The optional document key "budget" is accepted and range-checked but read
+by nothing: the oracle writes its groups down and lists no vector.
+
 Exit codes: 0 success, 2 validation error (including an out-of-range
-command-line option), 3 budget exceeded, 4 disagreement between computation
-routes (or a failed golden example), 5 an internal consistency check failed
-(the oracle's subgroup-chain check, the scan check of
---debug-monotonicity, the normalized-config conventions, or the Kummer
-builder's check of its quoted local facts).
+command-line option), 3 a Kummer budget or the exact primality bound
+refused the input, 4 disagreement between computation routes (or a failed
+golden example), 5 an internal consistency check failed (the oracle's
+subgroup-chain check, the scan check of --debug-monotonicity, the
+normalized-config conventions, or the Kummer builder's check of its quoted
+local facts).
 """
 
 from __future__ import annotations
@@ -246,7 +250,7 @@ def _print_fields(p, fields, indent):
         print(f"{indent}K{t} = {f['label']}: degree {p ** f['epsilon']}{extra}")
 
 
-def compute_component(cfg_raw, local, method, budget, debug):
+def compute_component(cfg_raw, local, method, debug):
     cfg = validate_and_normalize(cfg_raw)
     if debug:
         check_monotone_scans(cfg, local)
@@ -256,7 +260,7 @@ def compute_component(cfg_raw, local, method, budget, debug):
         structure = assemble(cfg, local)
         reports["formula"] = structure.report()
     if method in ("oracle", "both"):
-        reports["oracle"] = oracle_report(cfg, local, budget=budget)
+        reports["oracle"] = oracle_report(cfg, local)
     agreement = None
     if method == "both":
         agreement = (
@@ -305,19 +309,14 @@ def compute_component(cfg_raw, local, method, budget, debug):
     return component
 
 
-def build_report(components, method, budget_override=None, debug_override=None):
+def build_report(components, method, debug_override=None):
     t0 = time.perf_counter()
-    rows = []
-    for cfg_raw, local, budget, debug in components:
-        rows.append(
-            compute_component(
-                cfg_raw,
-                local,
-                method,
-                budget_override if budget_override is not None else budget,
-                debug if debug_override is None else debug_override,
-            )
+    rows = [
+        compute_component(
+            cfg_raw, local, method, debug if debug_override is None else debug_override
         )
+        for cfg_raw, local, _budget, debug in components
+    ]
     sha_ed, sha_omega_ed = [], []
     for row in rows:
         sha_ed.extend(row["p"] ** e for e in row["sha"])
@@ -505,7 +504,7 @@ def _run(args, documents, golden=False) -> int:
     """The one path of `compute`, `kummer --compute` and `examples`.
 
     `documents` maps names to config documents.  Each is reported with the
-    command's --method, --budget and --debug-monotonicity; with `golden`,
+    command's --method and --debug-monotonicity; with `golden`,
     each name is a built-in example, checked against its golden values.
     The text report goes to stdout unless `--json -`; several reports are
     written as one JSON object keyed by name.  A disagreement between the
@@ -517,7 +516,6 @@ def _run(args, documents, golden=False) -> int:
         report = build_report(
             parse_document(document),
             args.method or "both",
-            budget_override=args.budget,
             debug_override=args.debug_monotonicity or None,
         )
         failures = _check_example(report, EXAMPLES[name]) if golden else []
@@ -568,7 +566,6 @@ def cmd_kummer(args) -> int:
         return _run(args, {"kummer": document})
     flags = {
         "--method": args.method,
-        "--budget": args.budget,
         "--json": args.json,
         "--debug-monotonicity": args.debug_monotonicity,
     }
@@ -655,7 +652,6 @@ def _add_compute_flags(sp):
         choices=["formula", "oracle", "both"],
         help="default: both",
     )
-    sp.add_argument("--budget", type=_int_at_least(1), default=None)
     sp.add_argument("--json", default="", help="write the JSON report to this path")
     sp.add_argument("--debug-monotonicity", action="store_true")
 

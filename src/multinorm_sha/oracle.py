@@ -46,11 +46,17 @@ At most: if min(t_i, t_j) = L >= 1 and s_0 = a, then
 eps_i >= s_i >= a + eps_i - eps_0 + L forces a <= eps_0 - L, and
 p^{eps_0 - L - a} g lies in H_ij with chi_0-valuation exactly eps_0 - L.
 So M_ij = min(e_i, e_j, eps_0 - b) over the generic places, from one joint
-kernel per pair (abelian.joint_kernel); no element of A is visited.  G
-and G_omega are congruence subgroups too, each one
-abelian.congruence_kernel, and no command lists their elements: the
-listing enumerate_members is the tests' reference.  The budget still
-bounds the whole ambient sum p^{sum e_i} of the index set.
+kernel per pair (abelian.joint_kernel); no element of A is visited.
+
+Spanning trees.  Congruence is transitive, and by the cycle property a pair
+off a maximum spanning tree of the levels M_xy has a level no higher than
+any edge on its tree path, so the k - 1 tree edges cut out the whole pair
+system.  Root the tree at index 0 and let q_v be p^M of v's parent edge
+(1 at the root and across a level-0 cut).  a = sum_v c_v q_v 1_{subtree(v)}
+with c_root = a_root and c_v = (a_v - a_parent(v)) / q_v, so these vectors
+span the group, and without the root's, the diagonal, the slice a_1 = 0
+(_tree_group).  Nothing is solved, and no command lists an element: the
+listing enumerate_members is the tests' reference.
 
 The same pass groups are the only membership test here: classify, and the
 post-condition of the two-valued approximation a' (no place fails for a'
@@ -62,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import BudgetExceeded, PGroup, Subgroup, congruence_kernel, joint_kernel
+from .abelian import BudgetExceeded, PGroup, Subgroup, joint_kernel
 from .fields import NormalizedConfig
 from .places import (
     Classification,
@@ -115,10 +121,25 @@ def _pair_levels(cfg: NormalizedConfig) -> dict[tuple[int, int], int]:
     return levels
 
 
-def _differences(k: int, congruences) -> list:
-    """a_x = a_y mod q, for each (x, y, q), as the congruence
-    sum_l c_l a_l = 0 mod q of abelian.congruence_kernel."""
-    return [([(l == x) - (l == y) for l in range(k)], q) for x, y, q in congruences]
+def _tree_group(ambient: PGroup, congruences, first_zero=False) -> Subgroup:
+    """{a : a_x = a_y mod q for each (x, y, q)}, or with ``first_zero`` its
+    slice a_1 = 0: the rows q_v 1_{subtree(v)} of a maximum spanning tree of
+    the moduli grown from index 0 (Prim), less the root's for the slice."""
+    k = ambient.rank
+    modulus = {}
+    for x, y, q in congruences:
+        modulus[x, y] = modulus[y, x] = q
+    # column w of the rows holds q_u at each u on the tree path from 0 to w
+    cols = {0: [1] + [0] * (k - 1)}
+    best = {v: (modulus.get((0, v), 1), 0) for v in range(1, k)}
+    while best:
+        v = max(best, key=lambda u: best[u][0])
+        q, parent = best.pop(v)
+        cols[v] = cols[parent][:]
+        cols[v][v] = q
+        best = {u: max(b, (modulus.get((u, v), 1), v)) for u, b in best.items()}
+    rows = list(zip(*(cols[w] for w in range(k))))
+    return Subgroup._span_rows(ambient, rows[first_zero:])
 
 
 def _meets(a, congruences) -> bool:
@@ -189,27 +210,15 @@ def classify(cfg: NormalizedConfig, localdata: LocalData, a, indices=None) -> Cl
 
 
 def _pass_groups(cfg: NormalizedConfig, localdata: LocalData, indices=None):
-    """G and G_omega over an index set, as congruence subgroups (cached)."""
+    """G and G_omega over an index set, along spanning trees (cached)."""
     eng = _engine(cfg, localdata, indices)
     if eng.groups is None:
-        k = eng.ambient.rank
-        eng.groups = tuple(
-            congruence_kernel(eng.ambient, _differences(k, cong))
-            for cong in (eng.g, eng.omega)
-        )
+        eng.groups = tuple(_tree_group(eng.ambient, cong) for cong in (eng.g, eng.omega))
     return eng.groups
 
 
-def _checked_groups(cfg, localdata, indices=None, budget=DEFAULT_BUDGET):
-    """_pass_groups after the budget, with the chain D <= G <= G_omega
-    verified, not assumed.  The budget bounds the whole ambient sum."""
-    if indices is None:
-        indices = range(1, cfg.m + 1)
-    n = sum(cfg.e_i(i) for i in indices)
-    if cfg.p ** n > budget:
-        raise BudgetExceeded(
-            f"oracle over {cfg.p}^{n} candidate vectors exceeds budget {budget}"
-        )
+def _checked_groups(cfg, localdata, indices=None):
+    """_pass_groups with the chain D <= G <= G_omega verified, not assumed."""
     g_sub, gw_sub = _pass_groups(cfg, localdata, indices)
     if not g_sub.contains((1,) * g_sub.ambient.rank):
         raise InternalCheckError("expected D <= G")
@@ -222,36 +231,30 @@ def enumerate_members(cfg, localdata, indices=None, budget=DEFAULT_BUDGET):
     """The sorted vectors of G and of G_omega whose first coordinate is 0.
 
     That is one member per coset of the diagonal, over the given index set
-    (default: all), after the budget check.  No command lists a group: this
-    stays as the tests' listing reference, and because the benchmark's span
-    recording wraps it by name, as it does places.fail_set.
-    """
-    _checked_groups(cfg, localdata, indices, budget)
+    (default: all), once the budget admits the whole ambient sum.  No
+    command lists a group: this stays as the tests' listing reference, and
+    because the benchmark's span recording wraps it by name."""
     eng = _engine(cfg, localdata, indices)
     ambient = eng.ambient
-    k = ambient.rank
-    first_zero = ([int(l == 0) for l in range(k)], ambient.moduli[0])
-    slices = (
-        congruence_kernel(ambient, _differences(k, cong) + [first_zero])
-        for cong in (eng.g, eng.omega)
-    )
+    if ambient.order > budget:
+        raise BudgetExceeded(
+            f"listing over {cfg.p}^{sum(eng.exps)} vectors exceeds budget {budget}"
+        )
+    _checked_groups(cfg, localdata, indices)
+    slices = (_tree_group(ambient, cong, first_zero=True) for cong in (eng.g, eng.omega))
     return tuple(tuple(sorted(s.elements())) for s in slices)
 
 
-def compute_G_and_Gomega(
-    cfg: NormalizedConfig,
-    localdata: LocalData,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[Subgroup, Subgroup]:
+def compute_G_and_Gomega(cfg, localdata) -> tuple[Subgroup, Subgroup]:
     """G and G_omega as canonical subgroups of (+) Z/p^{e_i}."""
-    return _checked_groups(cfg, localdata, budget=budget)
+    return _checked_groups(cfg, localdata)
 
 
-def subtorus_groups(cfg, localdata, r: int, budget: int = DEFAULT_BUDGET):
+def subtorus_groups(cfg, localdata, r: int):
     """G and G_omega of the block (K_0, K_{U_r}), as subgroups of (+)_{U_r}."""
     if r not in cfg.R:
         raise ValueError(f"no fields with e_0i = {r}")
-    return _checked_groups(cfg, localdata, cfg.U(r), budget)
+    return _checked_groups(cfg, localdata, cfg.U(r))
 
 
 def _diagonal(ambient: PGroup) -> Subgroup:
@@ -317,8 +320,8 @@ def aprime(cfg: NormalizedConfig, localdata: LocalData, a) -> tuple[int, ...]:
     return res
 
 
-def oracle_report(cfg, localdata, budget: int = DEFAULT_BUDGET) -> ShaReport:
-    g_sub, gw_sub = _checked_groups(cfg, localdata, budget=budget)
+def oracle_report(cfg, localdata) -> ShaReport:
+    g_sub, gw_sub = _checked_groups(cfg, localdata)
     diag = _diagonal(g_sub.ambient)  # D <= G <= G_omega, checked above
     return ShaReport(
         sha_invariants=tuple(g_sub.invariants_mod(diag)),

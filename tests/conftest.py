@@ -32,12 +32,10 @@ def kummer_config(radicands):
 NO_PLACES = LocalData(())
 
 
-def run_example(name, method="both", budget=None):
+def run_example(name, method="both"):
     """(report, golden failures) of a built-in example."""
     entry = cli.EXAMPLES[name]
-    report = cli.build_report(
-        cli.parse_document(entry["document"]), method, budget_override=budget
-    )
+    report = cli.build_report(cli.parse_document(entry["document"]), method)
     return report, cli._check_example(report, entry)
 
 

@@ -11,6 +11,10 @@ kernels is kept here too: generic_thresholds reads the threshold vector of
 every cyclic subgroup <g> off the valuation signature of g, one pass over
 the elements of A, and reference_congruences turns threshold vectors into
 the congruences of G_omega, of G and of each exceptional place.
+
+The full pair system the engine solved before it spanned its groups along
+spanning trees is kept here too: pair_system_groups hands every pair
+congruence to abelian.congruence_kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from multinorm_sha.abelian import PGroup, Subgroup
+from multinorm_sha.abelian import PGroup, Subgroup, congruence_kernel
 from multinorm_sha.oracle import InternalCheckError
 from multinorm_sha.places import (
     Classification,
@@ -88,6 +92,24 @@ def reference_congruences(cfg, localdata, indices):
         _threshold_congruences(cfg.p, generic, positions, exps),
         _threshold_congruences(cfg.p, generic + exceptional, positions, exps),
         tuple(_threshold_congruences(cfg.p, [t], positions, exps) for t in exceptional),
+    )
+
+
+def pair_system_groups(cfg, localdata, indices):
+    """((G, G_omega), their slices a_1 = 0) over an index set: each group
+    one congruence_kernel on every pair congruence a_x = a_y mod q of
+    reference_congruences, each slice with the row a_1 = 0 added."""
+    omega, g, _places = reference_congruences(cfg, localdata, indices)
+    ambient = PGroup(cfg.p, tuple(cfg.e_i(i) for i in indices))
+    k = ambient.rank
+    first_zero = ([int(l == 0) for l in range(k)], ambient.moduli[0])
+    systems = [
+        [([(l == x) - (l == y) for l in range(k)], q) for x, y, q in cong]
+        for cong in (g, omega)
+    ]
+    return tuple(
+        tuple(congruence_kernel(ambient, rows + extra) for rows in systems)
+        for extra in ([], [first_zero])
     )
 
 

@@ -33,6 +33,7 @@ from multinorm_sha.oracle import (
     oracle_report,
     _engine,
     _pair_levels,
+    _pass_groups,
     quotient_by_D,
     subtorus_groups,
 )
@@ -42,6 +43,7 @@ from conftest import NO_PLACES, abstract_config, perfbench_workloads
 from oracle_reference import (
     SweepContext,
     as_subgroup,
+    pair_system_groups,
     reference_congruences,
     reference_groups,
     signature_thresholds,
@@ -110,9 +112,13 @@ def test_report_spans_the_diagonal_once(monkeypatch, quartic_17_13):
 
 
 def test_budget():
+    # the groups are written down whatever the ambient; only the listing
+    # reference refuses an ambient above its budget
     cfg = abstract_config(2, (2, 2), [(2, (1, 0)), (2, (0, 1)), (2, (1, 1))])
+    g_sub, gw_sub = compute_G_and_Gomega(cfg, NO_PLACES)
+    assert g_sub.ambient.order == 16
     with pytest.raises(BudgetExceeded):
-        compute_G_and_Gomega(cfg, NO_PLACES, budget=8)
+        enumerate_members(cfg, NO_PLACES, budget=8)
 
 
 def test_subtorus_groups(quartic_bicyclic):
@@ -409,6 +415,25 @@ def test_pass_levels_match_signature_reference():
             eng = _engine(cfg, local, indices)
             want = reference_congruences(cfg, local, indices)
             assert (eng.omega, eng.g, eng.places) == want, (cfg, local, indices)
+            engines += 1
+    assert engines > 2_000
+
+
+def test_tree_groups_match_the_pair_system():
+    # G, G_omega and their slices a_1 = 0 along spanning trees against every
+    # pair congruence, on the full index set and each U_r of the ladder
+    # rungs and of 1,000 configs
+    configs = _ladder_configs()
+    rng = random.Random(23)
+    configs += [random_config(rng) for _ in range(1000)]
+    engines = 0
+    for cfg, local in configs:
+        for indices in [tuple(range(1, cfg.m + 1))] + [cfg.U(r) for r in cfg.R]:
+            groups, slices = pair_system_groups(cfg, local, indices)
+            assert _pass_groups(cfg, local, indices) == groups, (cfg, local, indices)
+            assert enumerate_members(cfg, local, indices) == tuple(
+                tuple(sorted(s.elements())) for s in slices
+            ), (cfg, local, indices)
             engines += 1
     assert engines > 2_000
 

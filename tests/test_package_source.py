@@ -64,6 +64,22 @@ def test_structure_imports_no_lattice_routine():
     assert imported and not imported & lattice, imported
 
 
+def test_oracle_imports_nothing_from_structure():
+    # the oracle's spanning trees grow on its own pair levels, never on the
+    # formula's class trees; nor does it solve the pair system any more
+    modules, abelian = set(), set()
+    for node in ast.walk(_parse(PACKAGE / "oracle.py")):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+            if node.module in ("abelian", "multinorm_sha.abelian"):
+                abelian.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert "abelian" in modules, modules
+    assert not modules & {"structure", "multinorm_sha.structure"}, modules
+    assert "congruence_kernel" not in abelian, abelian
+
+
 def test_benchmark_span_targets_resolve():
     # perfbench/spans.py wraps these functions by name; a deletion or rename
     # in the package breaks `perfbench/run.py --trace 1`
