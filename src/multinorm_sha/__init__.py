@@ -13,7 +13,6 @@ from .abelian import (
     Subgroup,
     divisor_valuations,
     intersect,
-    joint_kernel,
 )
 from .fields import (
     FieldConfig,

@@ -4,7 +4,10 @@ A group A = (+) Z/p^{n_j} is a :class:`PGroup`; its elements are plain tuples
 of residues.  A subgroup is stored as the integer lattice L with
 P*Z^k <= L <= Z^k (P = diag(p^{n_j})), kept in a canonical row-style Hermite
 normal form, so equal subgroups compare equal and hash equal.  Quotient
-structure comes from Smith normal form.  Everything is plain Python integer
+structure comes from Smith normal form.  No kernel of a character is
+built: the order of chi_0 on a subgroup cut by other characters is read
+off the Hermite form of the subgroup's image in their targets
+(:meth:`Character.image_level`).  Everything is plain Python integer
 arithmetic; all values are immutable after construction.
 """
 
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, prod
 
 CYCLIC_SWEEP_CAP = 2 ** 16  # bound on |A| for passes over its elements
@@ -432,57 +435,19 @@ class Character:
     def is_surjective(self) -> bool:
         return gcd(*self.coeffs, self.ambient.p) == 1
 
-    def image_level(self, sub: Subgroup) -> int:
-        """f with chi(sub) = p^(exponent - f) Z/p^exponent, of order p^f:
-        the exponent less the least valuation of chi over the basis of sub
-        (f = 0 when chi vanishes on sub)."""
-        p = self.ambient.p
-        values = [self.value(row) for row in sub.basis]
-        return self.exponent - min(
-            (valuation(p, v) for v in values if v), default=self.exponent
-        )
-
-    def kernel_at_level(self, f: int) -> Subgroup:
-        """Kernel of the composite A -> Z/p^exponent -> Z/p^f."""
-        if not 0 <= f <= self.exponent:
-            raise ValueError(f"level {f} out of range [0, {self.exponent}]")
-        return _kernel_at_level(self, f)
-
-    def kernel(self) -> Subgroup:
-        return self.kernel_at_level(self.exponent)
-
-
-@lru_cache(maxsize=None)
-def _kernel_at_level(char: Character, f: int) -> Subgroup:
-    return joint_kernel(char.ambient, [(char, f)])
-
-
-def joint_kernel(ambient: PGroup, pairs) -> Subgroup:
-    """Common kernel of the maps A -> Z/p^exponent -> Z/p^f, one per (chi, f).
-
-    Pairs with f = 0 impose nothing; with none left the kernel is all of A.
-    """
-    congruences = []
-    for chi, f in pairs:
-        if chi.ambient != ambient:
+    def image_level(self, gens, kernels=()) -> int:
+        """log_p |chi(S cap ker psi_1 cap ...)|, S the span of ``gens`` (all
+        of A when None): the rows (psi_1(g), ..., chi(g)) and p^(target) on
+        each target's diagonal span the image of S, and the last pivot of
+        their Hermite form generates chi of the common kernel."""
+        chars = (*kernels, self)
+        if any(psi.ambient != self.ambient for psi in kernels):
             raise ValueError("ambient mismatch")
-        if not 0 <= f <= chi.exponent:
-            raise ValueError(f"level {f} out of range [0, {chi.exponent}]")
-        if f:
-            congruences.append((chi.coeffs, ambient.p ** f))
-    return congruence_kernel(ambient, congruences)
-
-
-def congruence_kernel(ambient: PGroup, congruences) -> Subgroup:
-    """{a : sum_l c_l a_l = 0 mod q for every (c, q)}, each congruence well
-    defined on A; all of A when there is none.
-
-    One left kernel: a in Z^rank lies in it iff there is z with
-    a @ C + z @ diag(q) == 0, C the coefficient rows c as columns.
-    """
-    if not congruences:
-        return Subgroup.full(ambient)
-    k, t = ambient.rank, len(congruences)
-    rows = [[c[l] for c, _ in congruences] for l in range(k)]
-    rows += [[q if s == u else 0 for u in range(t)] for s, (_, q) in enumerate(congruences)]
-    return Subgroup._span_rows(ambient, [w[:k] for w in left_kernel(rows, t)])
+        if gens is None:
+            rows = [list(col) for col in zip(*(psi.coeffs for psi in chars))]
+        else:
+            rows = [[psi.value(g) for psi in chars] for g in gens]
+        r = len(chars)
+        rows += [[psi.modulus * (s == t) for t in range(r)] for s, psi in enumerate(chars)]
+        pivot = hermite_normal_form(rows, r)[-1][-1]
+        return self.exponent - valuation(self.ambient.p, pivot)

@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .abelian import Character, PGroup, Subgroup, divisor_valuations, valuation
+from .abelian import Character, PGroup, divisor_valuations, valuation
 
 
 class ShaInputError(Exception):
@@ -141,9 +141,6 @@ class NormalizedConfig:
 
     # -- field-level views ------------------------------------------------
 
-    def kernel(self, i: int) -> Subgroup:
-        return self.chars[i].kernel()
-
     def e0(self, i: int) -> int:
         return self.eij[0][i]
 
@@ -163,12 +160,6 @@ class NormalizedConfig:
 
     def U_lt(self, r: int) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.m + 1) if self.e0(i) < r)
-
-    def subfield(self, i: int, f: int) -> Subgroup:
-        """Subgroup of the unique subfield of K_i of degree p^f."""
-        if not 0 <= f <= self.eps[i]:
-            raise ValueError(f"subfield degree {f} out of range [0, {self.eps[i]}]")
-        return self.chars[i].kernel_at_level(f)
 
     def rows(self, C, d: int, top: int | None = None) -> list[list[int]]:
         """Coefficient rows of the chi_i mod p^d, i in C, as characters into

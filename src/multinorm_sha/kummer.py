@@ -49,7 +49,6 @@ from .fields import FieldConfig, ShaInputError, same_field, separates
 from .oracle import InternalCheckError
 from .places import LocalData, Place
 
-GENERATOR_BUDGET = 4
 FACTOR_BUDGET = 2 ** 18  # Pollard rho steps per coprime-base element
 RHO_BATCH = 128  # rho steps per gcd
 RAMIFIED_PRECISION = 9  # x^4 - a needs valuation >= 9 at 1+i; exact by Hensel
@@ -384,11 +383,6 @@ def build_kummer(spec: KummerSpec) -> tuple[FieldConfig, LocalData]:
         for prime in fac:
             if prime not in generators:
                 generators.append(prime)
-    if len(generators) > GENERATOR_BUDGET:
-        raise BudgetExceeded(
-            f"{len(generators)} independent prime radicand generators "
-            f"exceed the budget of {GENERATOR_BUDGET}"
-        )
     g = len(generators)
     ambient = PGroup(2, (2,) * g)
 

@@ -25,11 +25,14 @@ min(r_i, r_j) over the generic threshold vectors,
 and G is the same with the exceptional vectors folded into M.  Both contain
 D, and G/D is isomorphic to the slice G cap {a_1 = 0}.  Nothing is swept.
 
-Levels.  The chi_0 level of a subgroup S of A is log_p |chi_0(S)|: eps_0
-less the least chi_0-valuation over a basis of S, 0 when chi_0 vanishes on
-S (abelian.Character.image_level).  A generic pair level and an
-exceptional threshold are the same chi_0 level, of H_ij = H_i cap H_j in A
-and of D cap H_i, with H_i = ker chi_i.
+Levels.  The chi_0 level of a subgroup of A is log_p of the order of its
+image under chi_0.  A generic pair level and an exceptional threshold are
+chi_0 levels of S cap H_i [cap H_j], H_i = ker chi_i, with S = A for a pair
+and S = D for a threshold.  No kernel is built: the rows
+(chi_i(g) [, chi_j(g)], chi_0(g)), g over generators of S (for S = A the
+coefficient columns), and p^{eps} on each target's diagonal span the image
+of S, and the last pivot p^b of their Hermite form generates chi_0 of the
+common kernel, so the level is eps_0 - b (abelian.Character.image_level).
 
 A place with decomposition group D lies in Sigma_i^d iff D cap H_i lies in
 the subgroup of K_0(eps_0 - d), so its threshold t_i is the chi_0 level of
@@ -45,8 +48,8 @@ v_p(chi_0(g)) = b has s_i = eps_i and s_j = eps_j, so t_i = t_j = eps_0 - b.
 At most: if min(t_i, t_j) = L >= 1 and s_0 = a, then
 eps_i >= s_i >= a + eps_i - eps_0 + L forces a <= eps_0 - L, and
 p^{eps_0 - L - a} g lies in H_ij with chi_0-valuation exactly eps_0 - L.
-So M_ij = min(e_i, e_j, eps_0 - b) over the generic places, from one joint
-kernel per pair (abelian.joint_kernel); no element of A is visited.
+So M_ij = min(e_i, e_j, eps_0 - b) over the generic places, from one
+small Hermite form per pair; no element of A is visited.
 
 Spanning trees.  Congruence is transitive, and by the cycle property a pair
 off a maximum spanning tree of the levels M_xy has a level no higher than
@@ -68,7 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import BudgetExceeded, PGroup, Subgroup, joint_kernel
+from .abelian import BudgetExceeded, PGroup, Subgroup
 from .fields import NormalizedConfig
 from .places import (
     Classification,
@@ -107,16 +110,16 @@ class ShaReport:
 
 def _pair_levels(cfg: NormalizedConfig) -> dict[tuple[int, int], int]:
     """{(i, j): the chi_0 level of H_ij} for i != j in 1..m, the largest
-    min(t_i, t_j) over the generic places: one joint kernel H_ij per pair,
-    cached per config and shared by every index set."""
+    min(t_i, t_j) over the generic places: one Hermite form of the image of
+    A per pair, cached per config and shared by every index set."""
     levels = cfg.__dict__.get("_pair_levels")
     if levels is None:
-        chars, eps = cfg.chars, cfg.eps
+        chars = cfg.chars
         levels = {}
         for i in range(1, cfg.m + 1):
             for j in range(i + 1, cfg.m + 1):
-                h = joint_kernel(cfg.group, [(chars[i], eps[i]), (chars[j], eps[j])])
-                levels[i, j] = levels[j, i] = chars[0].image_level(h)
+                level = chars[0].image_level(None, (chars[i], chars[j]))
+                levels[i, j] = levels[j, i] = level
         cfg.__dict__["_pair_levels"] = levels
     return levels
 

@@ -9,9 +9,10 @@ A failure at a cyclic candidate therefore means an infinite set of failing
 places; a failure at an exceptional place means a finite one.
 
 The runtime reads the place model (Place, LocalData), sigma_threshold and
-local cyclicity from here.  sigma_threshold is the chi_0 level of D cap H_i
-(abelian.Character.image_level), the level the oracle also reads off
-ker chi_i cap ker chi_j for its generic pair levels.  The literal
+local cyclicity from here.  sigma_threshold is log_p |chi_0(D cap ker chi_i)|,
+read off the Hermite form of the image of D's basis under (chi_i, chi_0)
+(abelian.Character.image_level) with no subgroup intersected; the oracle
+reads its generic pair levels the same way off the image of A.  The literal
 membership path, fail_set over generic_place_candidates through
 omega_contains and sigma_contains, tries every place and every n; no
 runtime path calls it.  It is the reference the tests hold the oracle's
@@ -31,7 +32,6 @@ from .abelian import (
     Subgroup,
     cyclic_subgroups,
     divisor_valuations,
-    intersect,
     valuation,
 )
 from .fields import NormalizedConfig
@@ -95,14 +95,14 @@ def generic_place_candidates(cfg: NormalizedConfig) -> tuple[Subgroup, ...]:
 
 
 @lru_cache(maxsize=None)
-def _sigma_threshold(chi0, h_i: Subgroup, d_sub: Subgroup) -> int:
+def _sigma_threshold(chi0, chi_i, d_sub: Subgroup) -> int:
     """Least d with sigma_contains true; monotone, so one number suffices:
-    the chi_0 level of D cap H_i."""
-    return chi0.image_level(intersect(d_sub, h_i))
+    the chi_0 level of D cap ker chi_i, read off the image of D's basis."""
+    return chi0.image_level(d_sub.basis, (chi_i,))
 
 
 def sigma_threshold(cfg: NormalizedConfig, d_sub: Subgroup, i: int) -> int:
-    return _sigma_threshold(cfg.chars[0], cfg.kernel(i), d_sub)
+    return _sigma_threshold(cfg.chars[0], cfg.chars[i], d_sub)
 
 
 def sigma_contains(cfg: NormalizedConfig, d_sub: Subgroup, i: int, d: int) -> bool:

@@ -20,7 +20,7 @@ from multinorm_sha.fields import (
     TooFewFields,
 )
 
-from structure_reference import join, quotient_invariants
+from structure_reference import join, quotient_invariants, reference_kernel_at_level
 
 
 class Normalized(NamedTuple):
@@ -39,7 +39,7 @@ def reference_normalize(cfg: FieldConfig) -> Normalized:
             raise NonSurjectiveCharacter(
                 f"character of {label} does not map onto Z/p^{chi.exponent}"
             )
-    kernels = [chi.kernel() for chi in cfg.chars]
+    kernels = [reference_kernel_at_level(chi, chi.exponent) for chi in cfg.chars]
 
     # K_j <= K_i exactly when ker chi_i <= ker chi_j: drop the superfield i.
     keep = []

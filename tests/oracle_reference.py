@@ -14,7 +14,8 @@ the congruences of G_omega, of G and of each exceptional place.
 
 The full pair system the engine solved before it spanned its groups along
 spanning trees is kept here too: pair_system_groups hands every pair
-congruence to abelian.congruence_kernel.
+congruence to congruence_kernel, the former abelian routine, one left
+kernel of the stacked congruences.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from multinorm_sha.abelian import PGroup, Subgroup, congruence_kernel
+from multinorm_sha.abelian import PGroup, Subgroup, left_kernel
 from multinorm_sha.oracle import InternalCheckError
 from multinorm_sha.places import (
     Classification,
@@ -93,6 +94,21 @@ def reference_congruences(cfg, localdata, indices):
         _threshold_congruences(cfg.p, generic + exceptional, positions, exps),
         tuple(_threshold_congruences(cfg.p, [t], positions, exps) for t in exceptional),
     )
+
+
+def congruence_kernel(ambient: PGroup, congruences) -> Subgroup:
+    """{a : sum_l c_l a_l = 0 mod q for every (c, q)}, each congruence well
+    defined on A; all of A when there is none.
+
+    One left kernel: a in Z^rank lies in it iff there is z with
+    a @ C + z @ diag(q) == 0, C the coefficient rows c as columns.
+    """
+    if not congruences:
+        return Subgroup.full(ambient)
+    k, t = ambient.rank, len(congruences)
+    rows = [[c[l] for c, _ in congruences] for l in range(k)]
+    rows += [[q if s == u else 0 for u in range(t)] for s, (_, q) in enumerate(congruences)]
+    return Subgroup._span_rows(ambient, [w[:k] for w in left_kernel(rows, t)])
 
 
 def pair_system_groups(cfg, localdata, indices):

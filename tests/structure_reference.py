@@ -6,8 +6,9 @@ the characters over Z/p^d.  Here each composite is a subgroup of A again:
 a chain of pairwise intersections of subfield kernels (the former
 fields.NormalizedConfig.composite), and each question is asked of it with
 joins, Smith forms and quotients, as the package did before.  The
-one-character kernel is the former abelian._kernel_at_level, so nothing
-here goes through abelian.joint_kernel.  join, quotient_invariants and
+one-character kernel is the former abelian._kernel_at_level: the package
+builds no kernel of a character, and every test that needs one takes it
+from here.  join, quotient_invariants and
 image_is_cyclic are the former abelian routines of those names, and
 noncyclic_places the former places routine.
 """

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import json
 import random
 import time
 from math import gcd, prod
@@ -14,7 +17,6 @@ from multinorm_sha.abelian import (
 from multinorm_sha.cli import EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, main
 from multinorm_sha.fields import TooFewFields, validate_and_normalize
 from multinorm_sha.kummer import (
-    GENERATOR_BUDGET,
     DependentRadicands,
     KummerSpec,
     UnsupportedRadicand,
@@ -204,8 +206,8 @@ def test_build_rejections():
         build_kummer(KummerSpec((13 ** 4, 17, 221)))
     with pytest.raises(DependentRadicands):
         build_kummer(KummerSpec((17, 17 ** 3, 13)))
-    with pytest.raises(BudgetExceeded):
-        build_kummer(KummerSpec((3, 5, 7, 11, 13)))
+    # five prime generators build, and both routes agree on them
+    assert main(["kummer", "--radicands", "3,5,7,11,13", "--compute", "--method", "both"]) == EXIT_OK
     with pytest.raises(UnsupportedRadicand):
         # square classes spanning no full quartic component
         build_kummer(KummerSpec((17 * 17, 13 * 13, (17 * 13) ** 2)))
@@ -409,6 +411,8 @@ MEDIUM_PRIMES = [q for q in range(10007, 10400) if trial_division_is_prime(q)]
 LARGE_PRIMES = [1000003, 1000033, 1000037, 1000039, 1000000007, 1000000009]
 P40 = 1099511627791  # the least prime above 2^40
 Q40 = 1099511627803  # the next one
+# the per-vector reference enumerates (Z/4)^g, so its draws keep g <= 4
+PER_VECTOR_GENERATORS = 4
 
 
 def _places_over(q, rng):
@@ -452,7 +456,7 @@ def test_decomposition_place_matches_per_vector_reference():
     rng = random.Random(10)
     counts = {"ramified": 0, "split": 0, "inert": 0, "away": 0}
     while sum(counts.values()) < 2000:
-        g = rng.choice([1, 2, 2, 3, 3, 3, GENERATOR_BUDGET])
+        g = rng.choice([1, 2, 2, 3, 3, 3, PER_VECTOR_GENERATORS])
         gens = _random_generators(rng, g)
         ambient = PGroup(2, (2,) * g)
         support = sorted({q for gen in gens for q in _factor_odd(_odd_part(gen))})
@@ -478,7 +482,7 @@ def test_one_plus_i_place_matches_per_vector_reference():
     rng = random.Random(15)
     negative = even = gaussian = 0
     for _ in range(2000):
-        g = rng.randint(1, GENERATOR_BUDGET)
+        g = rng.randint(1, PER_VECTOR_GENERATORS)
         gens = _random_generators(rng, g)
         negative += any(gen < 0 for gen in gens)
         even += any(gen % 2 == 0 for gen in gens)
@@ -628,3 +632,65 @@ def test_broken_local_arithmetic_exits_internal(name, radicands, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.startswith("internal check failed")
     assert ("mu_4" if name != "_factor_odd" else "cofactor 5") in err
+
+
+# ---------------------------------------------------------------------------
+# Many generators: no budget on their number, every document answered or
+# refused with exit 2.
+
+def _compute_both(radicands):
+    """(exit code, JSON report or None) of kummer --compute --method both."""
+    out = io.StringIO()
+    argv = ["kummer", "--radicands", ",".join(map(str, radicands)),
+            "--compute", "--method", "both", "--json", "-"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, json.loads(out.getvalue()) if code == EXIT_OK else None
+
+
+def _routes_agree(report):
+    keys = ("sha_invariants", "sha_omega_invariants", "quotient_invariants")
+    return report["agreement"] and all(
+        [comp["methods"]["oracle"][k] for k in keys]
+        == [comp["methods"]["formula"][k] for k in keys]
+        for comp in report["components"]
+    )
+
+
+def test_thirty_generators_agree_quickly():
+    # 30 prime generators, 45 radicands: the 30 primes and 15 products of two
+    primes = SMALL_PRIMES[:30]
+    radicands = primes + [primes[2 * k] * primes[2 * k + 1] for k in range(15)]
+    t0 = time.process_time()
+    code, report = _compute_both(radicands)
+    assert time.process_time() - t0 < 2.0
+    assert code == EXIT_OK
+    assert report["components"][0]["group_exponents"] == [2] * 30
+    assert _routes_agree(report)
+
+
+def test_random_documents_answer_or_exit_2():
+    # 200 seeded documents on 5-8 prime generators: each prime gets a
+    # radicand, with a random cofactor from the pool, and up to three more
+    # radicands follow; spanning documents answer and agree, the rest
+    # (non-spanning or dependent radicands) exit 2
+    rng = random.Random(18)
+    codes = {EXIT_OK: 0, 2: 0}
+    for _ in range(200):
+        pool = rng.sample(SMALL_PRIMES[:45], rng.randint(5, 8))
+        radicands = []
+        for q in pool:
+            r = q ** rng.choice((1, 1, 2, 3))
+            for other in rng.sample(pool, rng.randint(0, 2)):
+                if other != q:
+                    r *= other ** rng.randint(1, 3)
+            radicands.append(r)
+        for _ in range(rng.randint(0, 3)):
+            extra = rng.sample(pool, rng.randint(1, 3))
+            radicands.append(prod(q ** rng.randint(1, 3) for q in extra))
+        code, report = _compute_both(radicands)
+        assert code in codes, (radicands, code)
+        codes[code] += 1
+        if report is not None:
+            assert _routes_agree(report), radicands
+    assert min(codes.values()) >= 40, codes

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from multinorm_sha.abelian import BudgetExceeded, Character, PGroup, Subgroup
+from multinorm_sha.abelian import (
+    BudgetExceeded,
+    Character,
+    PGroup,
+    Subgroup,
+    intersect,
+    valuation,
+)
 from multinorm_sha.fields import FieldConfig, ShaInputError, validate_and_normalize
 from multinorm_sha.places import (
     Classification,
@@ -48,6 +55,7 @@ from oracle_reference import (
     reference_groups,
     signature_thresholds,
 )
+from structure_reference import reference_kernel_at_level
 
 
 def test_rank_three_compositum_collapses():
@@ -387,6 +395,38 @@ def test_signature_threshold_is_sigma_threshold():
         assert not seen
         subgroups += len(generic_place_candidates(cfg))
     assert subgroups > 5_000
+
+
+def test_image_level_matches_intersection_reference():
+    # chi_0 of S cap ker psi_1 cap ... from the Hermite form of the image of
+    # S, against the intersection of the reference kernels: S = A, an
+    # exceptional place's group or a random subgroup, with 0 to 3 kernels
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(2000):
+        cfg, local = random_config(rng)
+        chi0, group = cfg.chars[0], cfg.group
+        kernels = [rng.choice(cfg.chars[1:]) for _ in range(rng.randint(0, 3))]
+        kind = rng.choice(("A", "place", "random"))
+        if kind == "place" and local.exceptional:
+            sub = rng.choice(local.exceptional).group
+        elif kind == "random":
+            sub = Subgroup.span(group, [
+                tuple(rng.randrange(m) for m in group.moduli) for _ in range(rng.randint(1, 3))
+            ])
+        else:
+            kind, sub = "A", Subgroup.full(group)
+        want = sub
+        for psi in kernels:
+            want = intersect(want, reference_kernel_at_level(psi, psi.exponent))
+        values = [chi0.value(row) for row in want.basis]
+        level = chi0.exponent - min(
+            (valuation(cfg.p, v) for v in values if v), default=chi0.exponent
+        )
+        gens = None if kind == "A" else sub.basis
+        assert chi0.image_level(gens, kernels) == level, (cfg, sub, kernels)
+        seen.add((kind, len(kernels)))
+    assert len(seen) == 12, seen
 
 
 def _ladder_configs():

@@ -54,7 +54,7 @@ def test_no_assert_statements():
 
 def test_structure_imports_no_lattice_routine():
     # the formula route answers its field questions on character rows
-    lattice = {"Subgroup", "join", "joint_kernel", "quotient_invariants"}
+    lattice = {"Subgroup", "join", "intersect", "left_kernel", "quotient_invariants"}
     imported = {
         alias.name
         for node in ast.walk(_parse(PACKAGE / "structure.py"))
@@ -66,18 +66,20 @@ def test_structure_imports_no_lattice_routine():
 
 def test_oracle_imports_nothing_from_structure():
     # the oracle's spanning trees grow on its own pair levels, never on the
-    # formula's class trees; nor does it solve the pair system any more
-    modules, abelian = set(), set()
-    for node in ast.walk(_parse(PACKAGE / "oracle.py")):
-        if isinstance(node, ast.ImportFrom):
-            modules.add(node.module)
-            if node.module in ("abelian", "multinorm_sha.abelian"):
-                abelian.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            modules.update(alias.name for alias in node.names)
-    assert "abelian" in modules, modules
-    assert not modules & {"structure", "multinorm_sha.structure"}, modules
-    assert "congruence_kernel" not in abelian, abelian
+    # formula's class trees; and its levels and thresholds come from Hermite
+    # forms of images, so neither it nor places.py intersects subgroups
+    for name in ("oracle.py", "places.py"):
+        modules, abelian = set(), set()
+        for node in ast.walk(_parse(PACKAGE / name)):
+            if isinstance(node, ast.ImportFrom):
+                modules.add(node.module)
+                if node.module in ("abelian", "multinorm_sha.abelian"):
+                    abelian.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+        assert "abelian" in modules, (name, modules)
+        assert not modules & {"structure", "multinorm_sha.structure"}, (name, modules)
+        assert not abelian & {"intersect", "left_kernel"}, (name, abelian)
 
 
 def test_benchmark_span_targets_resolve():

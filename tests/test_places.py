@@ -21,12 +21,19 @@ from multinorm_sha.oracle import classify
 from multinorm_sha.selftest import random_config
 
 from conftest import NO_PLACES, abstract_config
-from structure_reference import noncyclic_places, reference_composite
+from structure_reference import (
+    noncyclic_places,
+    reference_composite,
+    reference_kernel_at_level,
+)
 
 
 def sigma_contains_literal(cfg, d_sub, i, d):
     """Definitional form of sigma_contains, for cross-checking."""
-    return intersect(d_sub, cfg.kernel(i)).issubset(cfg.subfield(0, cfg.eps[0] - d))
+    h_i = reference_kernel_at_level(cfg.chars[i], cfg.eps[i])
+    return intersect(d_sub, h_i).issubset(
+        reference_kernel_at_level(cfg.chars[0], cfg.eps[0] - d)
+    )
 
 
 def test_delta_examples():

@@ -8,7 +8,6 @@ from multinorm_sha.abelian import (
     PGroup,
     Subgroup,
     intersect,
-    joint_kernel,
 )
 from multinorm_sha.fields import (
     FieldConfig,
@@ -37,7 +36,7 @@ from multinorm_sha.structure import (
 )
 from multinorm_sha.selftest import check_invariants, random_config
 
-from conftest import NO_PLACES, abstract_config, formula_shaped, random_coeff
+from conftest import NO_PLACES, abstract_config, formula_shaped
 from structure_reference import (
     noncyclic_places,
     reference_composite,
@@ -182,7 +181,10 @@ def test_expression_of_composite_as_pair():
                         continue
                     m_c = reference_composite(cfg, node.members, deg)
                     for i in node.members:
-                        pair = intersect(cfg.subfield(0, f), cfg.subfield(i, deg))
+                        pair = intersect(
+                            reference_kernel_at_level(cfg.chars[0], f),
+                            reference_kernel_at_level(cfg.chars[i], deg),
+                        )
                         assert pair == m_c
 
 
@@ -214,17 +216,21 @@ def test_bicyclic_field_proposition():
             for s, t in itertools.product(ss, ts):
                 beta = min(cfg.e0(s), cfg.e0(t))
                 pair = reference_pair_composite(cfg, d, s, t, beta)  # degree must be in range
-                assert pair.issubset(cfg.subfield(0, d))
+                assert pair.issubset(reference_kernel_at_level(cfg.chars[0], d))
                 if cfg.e0(s) == cfg.e0(t):
                     g = d + cfg.eij[s][t] - beta
                     for j in (s, t):
                         assert pair == intersect(
-                            cfg.subfield(0, d), cfg.subfield(j, g)
+                            reference_kernel_at_level(cfg.chars[0], d),
+                            reference_kernel_at_level(cfg.chars[j], g),
                         )
                 if a in g_set:
                     u = max(s, t)
                     g = d + cfg.eij[s][t] - beta
-                    h = intersect(cfg.subfield(0, d), cfg.subfield(u, g))
+                    h = intersect(
+                        reference_kernel_at_level(cfg.chars[0], d),
+                        reference_kernel_at_level(cfg.chars[u], g),
+                    )
                     assert not noncyclic_places(local, h)
                 checked += 1
     assert checked >= 50
@@ -276,7 +282,7 @@ def random_bicyclic_subfields_instance(rng):
             for c2 in range(0, p ** n, p ** (n - s)):
                 chi = Character(group, n, (c1, c2))
                 if chi.is_surjective():
-                    seen.setdefault(chi.kernel(), chi)
+                    seen.setdefault(reference_kernel_at_level(chi, n), chi)
         if len(seen) < 3:
             continue
         count = rng.randint(3, min(4, len(seen)))
@@ -372,42 +378,7 @@ def test_formula_quotient_invariants_match_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Joint character kernels against the intersection chains they replace.
-
-def test_joint_kernel_matches_intersection_of_kernels():
-    rng = random.Random(41)
-    seen = set()
-    for _ in range(500):
-        p = rng.choice((2, 3, 5, 7))
-        rank = rng.randint(1, 5)
-        exps = tuple(sorted((rng.randint(1, 4) for _ in range(rank)), reverse=True))
-        group = PGroup(p, exps)
-        pairs = []
-        for _ in range(rng.randint(1, 4)):
-            eps = rng.randint(1, exps[0])
-            chi = Character(group, eps, tuple(random_coeff(rng, p, eps, n) for n in exps))
-            f = rng.choice((0, eps, rng.randint(0, eps)))
-            seen.add("zero" if f == 0 else "top" if f == eps else "middle")
-            pairs.append((chi, f))
-        want = Subgroup.full(group)
-        for chi, f in pairs:
-            want = intersect(want, reference_kernel_at_level(chi, f))
-        got = joint_kernel(group, pairs)
-        assert got == want, pairs
-        if group.order <= 256:
-            assert set(got.elements()) == {
-                a for a in group.elements()
-                if all(chi.value(a) % p ** f == 0 for chi, f in pairs)
-            }
-    assert seen == {"zero", "middle", "top"}
-    group = PGroup(3, (2, 1))
-    chi = Character(group, 2, (1, 3))
-    assert joint_kernel(group, []) == Subgroup.full(group)
-    assert joint_kernel(group, [(chi, 0)]) == Subgroup.full(group)
-    for bad in ([(chi, 3)], [(chi, -1)], [(Character(PGroup(3, (2,)), 2, (1,)), 1)]):
-        with pytest.raises(ValueError):
-            joint_kernel(group, bad)
-
+# Character rows against the lattice references they replace.
 
 def _random_places(rng, group):
     return LocalData(tuple(
@@ -521,6 +492,36 @@ def test_formula_route_makes_no_intersect_call(golden_components, no_intersect, 
                 continue
             ran[name] += 1
     assert min(ran.values()) >= 1, ran
+
+
+def test_oracle_path_makes_no_intersect_or_left_kernel_call(
+    golden_components, no_intersect, monkeypatch, capsys
+):
+    # pair levels and thresholds come from Hermite forms of images: no
+    # subgroup is intersected and no left kernel is taken on the oracle path
+    import multinorm_sha.abelian as abelian
+    import multinorm_sha.places as places
+    from multinorm_sha.cli import main, parse_document
+
+    from conftest import perfbench_workloads
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("abelian.left_kernel ran")
+
+    monkeypatch.setattr(abelian, "left_kernel", refuse)
+    places._sigma_threshold.cache_clear()
+    rungs = [
+        (raw, local)
+        for seed in (0, 1)
+        for _name, doc in perfbench_workloads().ladder_inputs(seed)
+        for raw, local, _budget, _debug in parse_document(doc)
+    ]
+    assert len(rungs) == 16
+    for raw, local in golden_components + rungs:
+        oracle_report(validate_and_normalize(raw), local)
+    argv = ["kummer", "--radicands", "17,221,13,5,7", "--compute", "--method", "oracle"]
+    assert main(argv) == 0
+    assert "sha_omega" in capsys.readouterr().out
 
 
 def test_formula_command_makes_no_intersect_call(no_intersect, tmp_path, capsys):
