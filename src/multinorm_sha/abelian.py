@@ -311,6 +311,8 @@ class Subgroup:
     def _coords(self, vec):
         """u with u @ basis == vec over Z, or None."""
         k = self.ambient.rank
+        if len(vec) != k:
+            raise ValueError(f"vector of length {len(vec)} in a group of rank {k}")
         res = list(vec)
         u = []
         for i in range(k):

@@ -61,10 +61,13 @@ span the group, and without the root's, the diagonal, the slice a_1 = 0
 (_tree_group).  Nothing is solved, and no command lists an element: the
 listing enumerate_members is the tests' reference.
 
-The same pass groups are the only membership test here: classify, and the
+One engine per index set (_PassLevels) writes G and G_omega down and
+checks D <= G <= G_omega when it is built; every caller reads its groups.
+Membership is read off them: classify, and the generic half of the
 post-condition of the two-valued approximation a' (no place fails for a'
-that did not fail for a), read them.  The literal sweep of places.fail_set
-over every place and every n is the tests' reference, not called here.
+that did not fail for a).  Only the exceptional half tests the congruences
+of each place's P_t on its own.  The literal sweep of places.fail_set over
+every place and every n is the tests' reference, not called here.
 """
 
 from __future__ import annotations
@@ -150,7 +153,9 @@ def _meets(a, congruences) -> bool:
 
 
 class _PassLevels:
-    """The congruences of G_omega and G over one (config, places, index set)."""
+    """G and G_omega over one (config, places, index set), checked
+    D <= G <= G_omega when built, with their congruences and the pass
+    group P_t of each exceptional place."""
 
     def __init__(self, cfg: NormalizedConfig, localdata: LocalData, indices):
         self.exps = tuple(cfg.e_i(i) for i in indices)
@@ -180,14 +185,14 @@ class _PassLevels:
         self.g = congruences([max(col) for col in zip(omega, *exceptional)])
         # the pass group P_t of each exceptional place on its own
         self.places = tuple(congruences(lv) for lv in exceptional)
-        self.groups = None  # (G, G_omega), built on first use
-
-    def classify(self, a) -> Classification:
-        if not _meets(a, self.omega):
-            return Classification.OUTSIDE
-        if not _meets(a, self.g):
-            return Classification.IN_G_OMEGA_ONLY
-        return Classification.IN_G
+        g_sub = _tree_group(self.ambient, self.g)
+        gw_sub = _tree_group(self.ambient, self.omega)
+        # the chain is verified, not assumed
+        if not g_sub.contains((1,) * k):
+            raise InternalCheckError("expected D <= G")
+        if not g_sub.issubset(gw_sub):
+            raise InternalCheckError("expected G <= G_omega")
+        self.groups = (g_sub, gw_sub)
 
 
 def _engine(cfg: NormalizedConfig, localdata: LocalData, indices=None) -> _PassLevels:
@@ -209,25 +214,12 @@ def classify(cfg: NormalizedConfig, localdata: LocalData, a, indices=None) -> Cl
     finite and only exclude a from G.  ``indices`` restricts the
     classification to a sub-configuration (default: all fields).
     """
-    return _engine(cfg, localdata, indices).classify(a)
-
-
-def _pass_groups(cfg: NormalizedConfig, localdata: LocalData, indices=None):
-    """G and G_omega over an index set, along spanning trees (cached)."""
-    eng = _engine(cfg, localdata, indices)
-    if eng.groups is None:
-        eng.groups = tuple(_tree_group(eng.ambient, cong) for cong in (eng.g, eng.omega))
-    return eng.groups
-
-
-def _checked_groups(cfg, localdata, indices=None):
-    """_pass_groups with the chain D <= G <= G_omega verified, not assumed."""
-    g_sub, gw_sub = _pass_groups(cfg, localdata, indices)
-    if not g_sub.contains((1,) * g_sub.ambient.rank):
-        raise InternalCheckError("expected D <= G")
-    if not g_sub.issubset(gw_sub):
-        raise InternalCheckError("expected G <= G_omega")
-    return g_sub, gw_sub
+    g_sub, gw_sub = _engine(cfg, localdata, indices).groups
+    if not gw_sub.contains(a):
+        return Classification.OUTSIDE
+    if not g_sub.contains(a):
+        return Classification.IN_G_OMEGA_ONLY
+    return Classification.IN_G
 
 
 def enumerate_members(cfg, localdata, indices=None, budget=DEFAULT_BUDGET):
@@ -243,21 +235,20 @@ def enumerate_members(cfg, localdata, indices=None, budget=DEFAULT_BUDGET):
         raise BudgetExceeded(
             f"listing over {cfg.p}^{sum(eng.exps)} vectors exceeds budget {budget}"
         )
-    _checked_groups(cfg, localdata, indices)
     slices = (_tree_group(ambient, cong, first_zero=True) for cong in (eng.g, eng.omega))
     return tuple(tuple(sorted(s.elements())) for s in slices)
 
 
 def compute_G_and_Gomega(cfg, localdata) -> tuple[Subgroup, Subgroup]:
     """G and G_omega as canonical subgroups of (+) Z/p^{e_i}."""
-    return _checked_groups(cfg, localdata)
+    return _engine(cfg, localdata).groups
 
 
 def subtorus_groups(cfg, localdata, r: int):
     """G and G_omega of the block (K_0, K_{U_r}), as subgroups of (+)_{U_r}."""
     if r not in cfg.R:
         raise ValueError(f"no fields with e_0i = {r}")
-    return _checked_groups(cfg, localdata, cfg.U(r))
+    return _engine(cfg, localdata, cfg.U(r)).groups
 
 
 def _diagonal(ambient: PGroup) -> Subgroup:
@@ -283,7 +274,7 @@ def _no_new_failures(cfg: NormalizedConfig, localdata: LocalData, a, b) -> bool:
     in the pass group P_t of every exceptional place whose P_t holds a.
     """
     eng = _engine(cfg, localdata)
-    return _meets(b, eng.omega) and all(
+    return eng.groups[1].contains(b) and all(
         _meets(b, place) for place in eng.places if _meets(a, place)
     )
 
@@ -324,8 +315,8 @@ def aprime(cfg: NormalizedConfig, localdata: LocalData, a) -> tuple[int, ...]:
 
 
 def oracle_report(cfg, localdata) -> ShaReport:
-    g_sub, gw_sub = _checked_groups(cfg, localdata)
-    diag = _diagonal(g_sub.ambient)  # D <= G <= G_omega, checked above
+    g_sub, gw_sub = _engine(cfg, localdata).groups
+    diag = _diagonal(g_sub.ambient)  # D <= G <= G_omega, checked by the engine
     return ShaReport(
         sha_invariants=tuple(g_sub.invariants_mod(diag)),
         sha_omega_invariants=tuple(gw_sub.invariants_mod(diag)),

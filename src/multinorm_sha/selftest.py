@@ -18,8 +18,8 @@ from math import prod
 
 from .abelian import Character, PGroup, Subgroup, intersect
 from .fields import FieldConfig, NormalizedConfig, ShaInputError, validate_and_normalize
-from .places import Classification, LocalData, Place
-from .oracle import aprime, classify, compute_G_and_Gomega, oracle_report, subtorus_groups
+from .places import LocalData, Place
+from .oracle import aprime, compute_G_and_Gomega, oracle_report, subtorus_groups
 from .structure import StructureResult, assemble, check_monotone_scans
 
 # decides which configurations a seed yields, so changing it changes every
@@ -199,27 +199,25 @@ def check_invariants(
 
     # product decomposition across blocks, with the patchable-subgroup bounds
     g_sub, gw_sub = compute_G_and_Gomega(cfg, local)
+    blocks = {r: subtorus_groups(cfg, local, r) for r in cfg.R}
     p, eps0 = cfg.p, cfg.eps[0]
     prod_g, prod_gw = 1, 1
-    for r in cfg.R:
-        g_r, gw_r = subtorus_groups(cfg, local, r)
+    for r, (g_r, gw_r) in blocks.items():
         prod_gw *= _patchable(gw_r, r, eps0 - pat[r].delta_omega)
         prod_g *= _patchable(g_r, r, eps0 - pat[r].delta)
     _require(gw_sub.order == p ** eps0 * prod_gw, "G_omega != D (+) sum of patchable blocks", cfg, local)
     _require(g_sub.order == p ** eps0 * prod_g, "G != D (+) sum of patchable blocks", cfg, local)
 
     for cert in result.generators:
-        indices = cfg.U(cert.r)
+        g_r, gw_r = blocks[cert.r]
         _require(
-            classify(cfg, local, cert.x_omega, indices=indices)
-            is not Classification.OUTSIDE,
+            gw_r.contains(cert.x_omega),
             f"generator x_omega over U_{cert.r} not in G_omega",
             cfg,
             local,
         )
         _require(
-            classify(cfg, local, cert.x, indices=indices)
-            is Classification.IN_G,
+            g_r.contains(cert.x),
             f"generator x over U_{cert.r} not in G",
             cfg,
             local,
@@ -227,19 +225,9 @@ def check_invariants(
 
     for a in _sample_outside_diagonal(rng, gw_sub, 4):
         ap = aprime(cfg, local, a)  # asserts a' not diagonal, failure set shrinks
-        _require(
-            classify(cfg, local, ap) is not Classification.OUTSIDE,
-            "a' left G_omega",
-            cfg,
-            local,
-        )
-        if classify(cfg, local, a) is Classification.IN_G:
-            _require(
-                classify(cfg, local, ap) is Classification.IN_G,
-                "a' left G",
-                cfg,
-                local,
-            )
+        _require(gw_sub.contains(ap), "a' left G_omega", cfg, local)
+        if g_sub.contains(a):
+            _require(g_sub.contains(ap), "a' left G", cfg, local)
 
     if deep:
         check_monotone_scans(cfg, local)

@@ -93,25 +93,18 @@ class StructureResult:
 # l-equivalence and levels.
 
 def l_classes(cfg: NormalizedConfig, members, l: int) -> list[tuple[int, ...]]:
-    """Partition of `members` under i ~ j iff e_{i,j} >= l (an equivalence
-    relation because subfields of a cyclic extension form a chain)."""
-    members = sorted(members)
-    parent = {i: i for i in members}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in members:
-        for b in members:
-            if a < b and cfg.eij[a][b] >= l:
-                parent[find(a)] = find(b)
-    buckets: dict[int, list[int]] = {}
-    for i in members:
-        buckets.setdefault(find(i), []).append(i)
-    return sorted(tuple(sorted(v)) for v in buckets.values())
+    """Partition of `members` under i ~ j iff e_{i,j} >= l.  This is an
+    equivalence relation because subfields of a cyclic extension form a
+    chain, so each member joins the first class whose first member it meets."""
+    classes: list[list[int]] = []
+    for i in sorted(members):
+        for cls in classes:
+            if cfg.eij[cls[0]][i] >= l:
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    return [tuple(cls) for cls in classes]
 
 
 def level(cfg: NormalizedConfig, members) -> int:

@@ -10,7 +10,9 @@ one-character kernel is the former abelian._kernel_at_level: the package
 builds no kernel of a character, and every test that needs one takes it
 from here.  join, quotient_invariants and
 image_is_cyclic are the former abelian routines of those names, and
-noncyclic_places the former places routine.
+noncyclic_places the former places routine.  reference_l_classes is the
+former structure.l_classes, a union-find that does not lean on the
+relation being transitive.
 """
 
 from __future__ import annotations
@@ -109,3 +111,24 @@ def reference_criterion_trivial(cfg) -> bool:
         pair = intersect(h0, reference_kernel_at_level(cfg.chars[i], cfg.eps[i]))
         acc = pair if acc is None else join(acc, pair)
     return acc == h0
+
+
+def reference_l_classes(cfg, members, l: int) -> list[tuple[int, ...]]:
+    """The classes of the closure of i ~ j iff e_{i,j} >= l, by union-find."""
+    members = sorted(members)
+    parent = {i: i for i in members}
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a in members:
+        for b in members:
+            if a < b and cfg.eij[a][b] >= l:
+                parent[find(a)] = find(b)
+    buckets: dict[int, list[int]] = {}
+    for i in members:
+        buckets.setdefault(find(i), []).append(i)
+    return sorted(tuple(sorted(v)) for v in buckets.values())

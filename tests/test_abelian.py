@@ -338,6 +338,17 @@ def test_annihilator_rejects_non_homocyclic():
         annihilator(PGroup(2, (2, 1)), Subgroup.trivial(PGroup(2, (2, 1))))
 
 
+def test_subgroup_membership_refuses_a_vector_of_another_length():
+    trivial = Subgroup.trivial(PGroup(2, (1,)))
+    assert trivial.contains((0,)) and trivial.contains((2,))
+    assert not trivial.contains((1,))
+    for vec in ((0, 5), (), (0, 0, 0)):
+        with pytest.raises(ValueError, match="rank 1"):
+            trivial.contains(vec)
+    with pytest.raises(ValueError):
+        trivial.issubset(Subgroup.full(PGroup(2, (1, 1))))
+
+
 def test_pgroup_validation():
     with pytest.raises(ValueError):
         PGroup(4, (1,))

@@ -385,14 +385,19 @@ def test_kummer_document_mode(tmp_path, capsys):
 def test_cli_internal_check_failures_exit_5(tmp_path, capsys, monkeypatch):
     import multinorm_sha.cli as cli
     import multinorm_sha.oracle as oracle
+    from multinorm_sha.abelian import Subgroup
 
-    # G and G_omega swapped: sha = Z/2 < sha_omega = Z/4 breaks G <= G_omega
-    def swapped(*args, **kwargs):
-        g_sub, gw_sub = build(*args, **kwargs)
-        return gw_sub, g_sub
+    # G_omega = D, built after G: sha = Z/2 is not inside sha_omega = 0,
+    # which breaks G <= G_omega
+    def omega_is_diagonal(ambient, congruences, first_zero=False):
+        calls.append(congruences)
+        if len(calls) == 2:
+            return Subgroup.span(ambient, [(1,) * ambient.rank])
+        return build(ambient, congruences, first_zero)
 
-    build = oracle._pass_groups
-    monkeypatch.setattr(oracle, "_pass_groups", swapped)
+    calls = []
+    build = oracle._tree_group
+    monkeypatch.setattr(oracle, "_tree_group", omega_is_diagonal)
     path = write(tmp_path, ABSTRACT_17_13)
     assert main(["compute", path, "--method", "oracle"]) == EXIT_INTERNAL
     err = capsys.readouterr().err

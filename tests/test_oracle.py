@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -40,7 +44,6 @@ from multinorm_sha.oracle import (
     oracle_report,
     _engine,
     _pair_levels,
-    _pass_groups,
     quotient_by_D,
     subtorus_groups,
 )
@@ -325,6 +328,38 @@ def test_slice_sweep_matches_full_reference_sweep():
             )
 
 
+def test_classify_refuses_a_vector_of_another_length(quartic_17_13):
+    cfg, local = quartic_17_13
+    assert cfg.m == 2
+    assert classify(cfg, local, (0, 0)) is Classification.IN_G
+    for vec in ((0,), (0, 0, 0), (1, 1, 5)):
+        with pytest.raises(ValueError, match="rank 2"):
+            classify(cfg, local, vec)
+
+
+def test_selftest_leaves_no_group_objects_alive():
+    # thresholds and pass groups live in their config: once a run is over,
+    # no character, subgroup or config of it is reachable
+    code = (
+        "import gc\n"
+        "from multinorm_sha.abelian import Character, Subgroup\n"
+        "from multinorm_sha.fields import NormalizedConfig\n"
+        "from multinorm_sha.selftest import run_selftest\n"
+        "assert run_selftest(0, 50).ok\n"
+        "gc.collect()\n"
+        "kinds = (Character, Subgroup, NormalizedConfig)\n"
+        "print(sum(isinstance(o, kinds) for o in gc.get_objects()))\n"
+    )
+    import multinorm_sha
+
+    src = str(Path(multinorm_sha.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert out.split() == ["0"]
+
+
 def test_budget_counts_the_whole_ambient_before_the_cache(quartic_17_13):
     cfg, local = quartic_17_13
     enumerate_members(cfg, local)  # fills the engine's group cache
@@ -337,14 +372,12 @@ def test_budget_counts_the_whole_ambient_before_the_cache(quartic_17_13):
 def test_chain_check_fires_when_zero_is_not_in_G(monkeypatch, quartic_17_13):
     import multinorm_sha.oracle as oracle
 
-    # a G without the diagonal: the zero of the slice a_1 = 0 stands for D
-    def without_diagonal(*args, **kwargs):
-        g_sub, gw_sub = build(*args, **kwargs)
-        return Subgroup.trivial(g_sub.ambient), gw_sub
+    # a trivial G, without the diagonal
+    def trivial(ambient, congruences, first_zero=False):
+        return Subgroup.trivial(ambient)
 
     cfg, local = quartic_17_13
-    build = oracle._pass_groups
-    monkeypatch.setattr(oracle, "_pass_groups", without_diagonal)
+    monkeypatch.setattr(oracle, "_tree_group", trivial)
     with pytest.raises(InternalCheckError, match="D <= G"):
         oracle_report(cfg, local)
 
@@ -470,7 +503,7 @@ def test_tree_groups_match_the_pair_system():
     for cfg, local in configs:
         for indices in [tuple(range(1, cfg.m + 1))] + [cfg.U(r) for r in cfg.R]:
             groups, slices = pair_system_groups(cfg, local, indices)
-            assert _pass_groups(cfg, local, indices) == groups, (cfg, local, indices)
+            assert _engine(cfg, local, indices).groups == groups, (cfg, local, indices)
             assert enumerate_members(cfg, local, indices) == tuple(
                 tuple(sorted(s.elements())) for s in slices
             ), (cfg, local, indices)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -21,6 +22,7 @@ from multinorm_sha.oracle import (
     enumerate_members,
     in_diagonal,
     oracle_report,
+    subtorus_groups,
 )
 from multinorm_sha.structure import (
     ShapeMismatch,
@@ -34,7 +36,7 @@ from multinorm_sha.structure import (
     shortcut_bicyclic_subfields,
     shortcut_linearly_disjoint,
 )
-from multinorm_sha.selftest import check_invariants, random_config
+from multinorm_sha.selftest import SelftestFailure, check_invariants, random_config
 
 from conftest import NO_PLACES, abstract_config, formula_shaped
 from structure_reference import (
@@ -44,6 +46,7 @@ from structure_reference import (
     reference_criterion_trivial,
     reference_is_sub_bicyclic,
     reference_kernel_at_level,
+    reference_l_classes,
     reference_locally_cyclic,
     reference_pair_composite,
 )
@@ -351,6 +354,70 @@ def test_oracle_equivalence_randomized():
         check_invariants(cfg, local, res, rng, deep=(trial % 15 == 0))
 
 
+def _outside(group):
+    """A unit vector outside a proper subgroup, or None for the whole group."""
+    k = group.ambient.rank
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    return next((u for u in units if not group.contains(u)), None)
+
+
+def test_check_invariants_catches_certificates_outside_their_groups():
+    # a generator whose x leaves G_r, or whose x_omega leaves G_omega_r,
+    # fails the suite with the message naming it
+    rng = random.Random(5)
+    seen = set()
+    while len(seen) < 2:
+        cfg, local = random_config(rng)
+        res = assemble(cfg, local)
+        check_invariants(cfg, local, res, random.Random(0))
+        for t, cert in enumerate(res.generators):
+            g_r, gw_r = subtorus_groups(cfg, local, cert.r)
+            for field_name, group, want in (
+                ("x", g_r, f"generator x over U_{cert.r} not in G"),
+                ("x_omega", gw_r, f"generator x_omega over U_{cert.r} not in G_omega"),
+            ):
+                vec = _outside(group)
+                if vec is None:
+                    continue
+                gens = list(res.generators)
+                gens[t] = dataclasses.replace(cert, **{field_name: vec})
+                broken = dataclasses.replace(res, generators=gens)
+                with pytest.raises(SelftestFailure) as info:
+                    check_invariants(cfg, local, broken, random.Random(0))
+                assert str(info.value) == want
+                seen.add(field_name)
+
+
+def test_l_classes_match_union_find_reference():
+    # the first-member classes against the union-find closure, at every
+    # level, on every index subset of 1,000 random configs and on the full
+    # index set and each block of the seed-0 formula-scale documents
+    from multinorm_sha.cli import parse_document
+
+    from conftest import perfbench_workloads
+
+    cases = []
+    rng = random.Random(29)
+    for _ in range(1000):
+        cfg, _local = random_config(rng)
+        indices = range(1, cfg.m + 1)
+        for size in range(1, cfg.m + 1):
+            cases += [(cfg, c) for c in itertools.combinations(indices, size)]
+    for doc in perfbench_workloads().formula_inputs(0):
+        for raw, _local, _budget, _debug in parse_document(doc):
+            cfg = validate_and_normalize(raw)
+            cases += [(cfg, tuple(range(1, cfg.m + 1)))]
+            cases += [(cfg, cfg.U(r)) for r in cfg.R]
+    checked = 0
+    for cfg, members in cases:
+        for l in range(max(cfg.eps) + 2):
+            assert l_classes(cfg, members, l) == reference_l_classes(cfg, members, l), (
+                cfg.eij, members, l,
+            )
+            checked += 1
+    assert checked > 25_000, checked
+
+
 def test_monotone_scans_on_goldens(quartic_17_13, quartic_bicyclic):
     for cfg, local in (quartic_17_13, quartic_bicyclic):
         check_monotone_scans(cfg, local)
@@ -500,7 +567,6 @@ def test_oracle_path_makes_no_intersect_or_left_kernel_call(
     # pair levels and thresholds come from Hermite forms of images: no
     # subgroup is intersected and no left kernel is taken on the oracle path
     import multinorm_sha.abelian as abelian
-    import multinorm_sha.places as places
     from multinorm_sha.cli import main, parse_document
 
     from conftest import perfbench_workloads
@@ -509,7 +575,6 @@ def test_oracle_path_makes_no_intersect_or_left_kernel_call(
         raise AssertionError("abelian.left_kernel ran")
 
     monkeypatch.setattr(abelian, "left_kernel", refuse)
-    places._sigma_threshold.cache_clear()
     rungs = [
         (raw, local)
         for seed in (0, 1)
