@@ -320,8 +320,9 @@ class Subgroup:
             if rem:
                 return None
             u.append(q)
-            for c in range(i, k):
-                res[c] -= q * self.basis[i][c]
+            if q:  # most digits are 0 on a large lattice
+                for c in range(i, k):
+                    res[c] -= q * self.basis[i][c]
         return u
 
     def contains(self, vec) -> bool:

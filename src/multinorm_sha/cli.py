@@ -30,7 +30,7 @@ from .abelian import BudgetExceeded, Character, PGroup, Subgroup
 from .fields import FieldConfig, ShaInputError, validate_and_normalize
 from .places import LocalData, Place
 from .oracle import DEFAULT_BUDGET, InternalCheckError, ShaReport, oracle_report
-from .structure import StructureResult, assemble, check_monotone_scans
+from .structure import assemble, check_monotone_scans
 from .kummer import KummerSpec, build_kummer, verify_quoted_local_facts
 from .selftest import run_selftest
 
@@ -252,22 +252,18 @@ def _print_fields(p, fields, indent):
 
 def compute_component(cfg_raw, local, method, debug):
     cfg = validate_and_normalize(cfg_raw)
-    if debug:
-        check_monotone_scans(cfg, local)
-    structure: StructureResult | None = None
     reports = {}
-    if method in ("formula", "both"):
+    if method != "oracle" or debug:
         structure = assemble(cfg, local)
+        if debug:
+            check_monotone_scans(cfg, local, structure)
+    if method != "oracle":
         reports["formula"] = structure.report()
-    if method in ("oracle", "both"):
+    if method != "formula":
         reports["oracle"] = oracle_report(cfg, local)
     agreement = None
     if method == "both":
-        agreement = (
-            reports["formula"].sha_invariants == reports["oracle"].sha_invariants
-            and reports["formula"].sha_omega_invariants
-            == reports["oracle"].sha_omega_invariants
-        )
+        agreement = reports["formula"].invariants == reports["oracle"].invariants
     component = {
         "p": cfg.p,
         "group_exponents": list(cfg.group.exponents),
@@ -282,7 +278,7 @@ def compute_component(cfg_raw, local, method, debug):
         "methods": {k: _report_json(v) for k, v in reports.items()},
         "agreement": agreement,
     }
-    if structure is not None:
+    if "formula" in reports:
         component["patching"] = [
             {"r": pd.r, "delta": pd.delta, "delta_omega": pd.delta_omega}
             for pd in structure.patching
@@ -440,15 +436,17 @@ def _check_example(report, entry):
             failures.append(f"{key} = {got}, expected {want}")
     if report["agreement"] is False:
         failures.append("methods disagree")
-    for r, want in entry.get("expected_patching", {}).items():
-        for row in report["components"]:
-            for pd in row.get("patching", []):
-                if str(pd["r"]) == r and pd["delta"] != want:
-                    failures.append(f"delta at r={r} is {pd['delta']}, expected {want}")
-    if entry.get("expect_criterion"):
-        for row in report["components"]:
-            if not row.get("criterion_trivial"):
-                failures.append("triviality criterion did not fire")
+    # patching degrees and the criterion are the formula's data: a component
+    # reported by the oracle alone carries neither
+    for row in report["components"]:
+        if "patching" not in row:
+            continue
+        for pd in row["patching"]:
+            want = entry.get("expected_patching", {}).get(str(pd["r"]))
+            if want is not None and pd["delta"] != want:
+                failures.append(f"delta at r={pd['r']} is {pd['delta']}, expected {want}")
+        if entry.get("expect_criterion") and not row["criterion_trivial"]:
+            failures.append("triviality criterion did not fire")
     return failures
 
 

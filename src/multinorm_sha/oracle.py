@@ -110,6 +110,11 @@ class ShaReport:
         if len(small) > len(big) or any(s > b for s, b in zip(small, big)):
             raise ValueError("sha must embed in sha_omega factor by factor")
 
+    @property
+    def invariants(self) -> tuple[tuple[int, ...], ...]:
+        """(sha, sha_omega, sha_omega/sha): two routes agree iff these match."""
+        return self.sha_invariants, self.sha_omega_invariants, self.quotient_invariants
+
 
 def _pair_levels(cfg: NormalizedConfig) -> dict[tuple[int, int], int]:
     """{(i, j): the chi_0 level of H_ij} for i != j in 1..m, the largest

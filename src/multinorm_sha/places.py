@@ -44,7 +44,6 @@ class Place:
 
     label: str
     group: Subgroup
-    exceptional: bool = True
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,13 @@ from math import prod
 from .abelian import Character, PGroup, Subgroup, intersect
 from .fields import FieldConfig, NormalizedConfig, ShaInputError, validate_and_normalize
 from .places import LocalData, Place
-from .oracle import aprime, compute_G_and_Gomega, oracle_report, subtorus_groups
+from .oracle import (
+    InternalCheckError,
+    aprime,
+    compute_G_and_Gomega,
+    oracle_report,
+    subtorus_groups,
+)
 from .structure import StructureResult, assemble, check_monotone_scans
 
 # decides which configurations a seed yields, so changing it changes every
@@ -28,10 +34,7 @@ AMBIENT_CAP = 4096
 
 
 class SelftestFailure(AssertionError):
-    def __init__(self, message: str, cfg: NormalizedConfig, local: LocalData):
-        super().__init__(message)
-        self.cfg = cfg
-        self.local = local
+    """A structural invariant or the agreement of the routes failed."""
 
 
 @dataclass
@@ -125,9 +128,9 @@ def random_config(rng: random.Random) -> tuple[NormalizedConfig, LocalData]:
         return cfg, LocalData(tuple(places))
 
 
-def _require(condition: bool, message: str, cfg, local):
+def _require(condition: bool, message: str):
     if not condition:
-        raise SelftestFailure(message, cfg, local)
+        raise SelftestFailure(message)
 
 
 def _sample_outside_diagonal(rng: random.Random, gw_sub: Subgroup, k: int):
@@ -176,21 +179,19 @@ def check_invariants(
     pat = {pd.r: pd for pd in result.patching}
     blocks = list(cfg.R)
     for r, rp in zip(blocks, blocks[1:]):
-        _require(pat[r].delta_omega <= pat[rp].delta_omega, "delta_omega not monotone", cfg, local)
-        _require(pat[r].delta_omega - r >= pat[rp].delta_omega - rp, "delta_omega - r increases", cfg, local)
-        _require(pat[r].delta <= pat[rp].delta, "delta not monotone", cfg, local)
-        _require(pat[r].delta - r >= pat[rp].delta - rp, "delta - r increases", cfg, local)
+        _require(pat[r].delta_omega <= pat[rp].delta_omega, "delta_omega not monotone")
+        _require(pat[r].delta_omega - r >= pat[rp].delta_omega - rp, "delta_omega - r increases")
+        _require(pat[r].delta <= pat[rp].delta, "delta not monotone")
+        _require(pat[r].delta - r >= pat[rp].delta - rp, "delta - r increases")
         if r == 0:
-            _require(pat[0].delta_omega == pat[rp].delta_omega, "delta_omega(0) != next block", cfg, local)
-            _require(pat[0].delta == pat[rp].delta, "delta(0) != next block", cfg, local)
+            _require(pat[0].delta_omega == pat[rp].delta_omega, "delta_omega(0) != next block")
+            _require(pat[0].delta == pat[rp].delta, "delta(0) != next block")
 
     for r, tree in result.trees.items():
         def walk(node, bound):
             _require(
                 r <= node.f <= node.f_omega <= bound <= pat[r].delta_omega,
                 f"degree-of-freedom chain broken at r={r}, c={node.members}",
-                cfg,
-                local,
             )
             for child in node.children:
                 walk(child, node.f_omega)
@@ -205,62 +206,52 @@ def check_invariants(
     for r, (g_r, gw_r) in blocks.items():
         prod_gw *= _patchable(gw_r, r, eps0 - pat[r].delta_omega)
         prod_g *= _patchable(g_r, r, eps0 - pat[r].delta)
-    _require(gw_sub.order == p ** eps0 * prod_gw, "G_omega != D (+) sum of patchable blocks", cfg, local)
-    _require(g_sub.order == p ** eps0 * prod_g, "G != D (+) sum of patchable blocks", cfg, local)
+    _require(gw_sub.order == p ** eps0 * prod_gw, "G_omega != D (+) sum of patchable blocks")
+    _require(g_sub.order == p ** eps0 * prod_g, "G != D (+) sum of patchable blocks")
 
     for cert in result.generators:
         g_r, gw_r = blocks[cert.r]
         _require(
             gw_r.contains(cert.x_omega),
             f"generator x_omega over U_{cert.r} not in G_omega",
-            cfg,
-            local,
         )
-        _require(
-            g_r.contains(cert.x),
-            f"generator x over U_{cert.r} not in G",
-            cfg,
-            local,
-        )
+        _require(g_r.contains(cert.x), f"generator x over U_{cert.r} not in G")
 
     for a in _sample_outside_diagonal(rng, gw_sub, 4):
         ap = aprime(cfg, local, a)  # asserts a' not diagonal, failure set shrinks
-        _require(gw_sub.contains(ap), "a' left G_omega", cfg, local)
+        _require(gw_sub.contains(ap), "a' left G_omega")
         if g_sub.contains(a):
-            _require(g_sub.contains(ap), "a' left G", cfg, local)
+            _require(g_sub.contains(ap), "a' left G")
 
     if deep:
-        check_monotone_scans(cfg, local)
+        check_monotone_scans(cfg, local, result)
 
 
 def run_selftest(seed: int, count: int, deep_every: int = 10) -> SelftestSummary:
+    """A failed agreement or invariant is recorded and the run goes on; an
+    internal check that stops a trial is re-raised with the trial's number
+    and configuration appended to its message."""
     rng = random.Random(seed)
     summary = SelftestSummary(count=count, seed=seed)
     for trial in range(count):
         cfg, local = random_config(rng)
-        rep = oracle_report(cfg, local)
-        result = assemble(cfg, local)
-        if (
-            rep.sha_invariants == result.sha_invariants
-            and rep.sha_omega_invariants == result.sha_omega_invariants
-        ):
-            summary.agreements += 1
-        else:
-            summary.failures.append(
-                f"trial {trial}: oracle {rep.sha_invariants}/{rep.sha_omega_invariants} "
-                f"!= formula {result.sha_invariants}/{result.sha_omega_invariants}"
-                + "\n" + describe_config(cfg, local)
-            )
-            continue
+        deep = trial % deep_every == 0
         try:
-            check_invariants(cfg, local, result, rng, deep=(trial % deep_every == 0))
-            summary.invariant_checks += 1
-            if trial % deep_every == 0:
-                summary.deep_checks += 1
-        except SelftestFailure as exc:
-            summary.failures.append(
-                f"trial {trial}: {exc}\n" + describe_config(cfg, local)
+            rep = oracle_report(cfg, local)
+            result = assemble(cfg, local)
+            formula = result.report()
+            _require(
+                rep.invariants == formula.invariants,
+                f"oracle {rep.invariants} != formula {formula.invariants}",
             )
+            summary.agreements += 1
+            check_invariants(cfg, local, result, rng, deep=deep)
+            summary.invariant_checks += 1
+            summary.deep_checks += deep
+        except SelftestFailure as exc:
+            summary.failures.append(f"trial {trial}: {exc}\n" + describe_config(cfg, local))
+        except (InternalCheckError, AssertionError) as exc:
+            raise type(exc)(f"{exc}\ntrial {trial}\n" + describe_config(cfg, local)) from exc
     return summary
 
 

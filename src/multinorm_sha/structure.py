@@ -3,8 +3,9 @@
 Levels and nested equivalence classes of each block U_r, patching degrees,
 degrees of freedom, explicit generator vectors, and the assembled invariant
 factors.  Every scan is one _scan: it walks downward from its upper bound
-and stops at the first admissible value, which is the stated maximum; a
-debug mode checks monotonicity below the hit explicitly (_check_monotone).
+and stops at the first admissible value, which is the stated maximum when
+admissibility is downward closed; the debug mode (check_monotone_scans)
+checks every value below every hit of the scans of an assembled result.
 
 Every field the scans test is a composite K(C, d) of subfields K_i(d),
 i in C, and every test reads the elementary divisors of coefficient rows
@@ -221,23 +222,25 @@ def build_class_tree(
     return make(tuple(cfg.U(r)), bound_omega)
 
 
-def check_monotone_scans(cfg: NormalizedConfig, localdata: LocalData) -> None:
-    """Debug mode: every value below a scan's hit must also be admissible."""
-    for r in cfg.R:
+def check_monotone_scans(
+    cfg: NormalizedConfig, localdata: LocalData, result: StructureResult
+) -> None:
+    """Debug mode: every value from r up to the hit of each scan that built
+    `result` must be admissible too: delta_omega and delta of each block
+    with a nonempty U_gt or U_lt, f_omega and f of every class node."""
+    for pd in result.patching:
+        r = pd.r
         u_r, u_gt, u_lt = cfg.U(r), cfg.U_gt(r), cfg.U_lt(r)
-        if not u_gt and not u_lt:
-            continue
-        d_om = delta_omega(cfg, r)
-        _check_monotone(
-            f"delta_omega scan not monotone at r={r}, d=", r, d_om,
-            lambda d: _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt),
-        )
-        d_ord = delta_ordinary(cfg, localdata, r, d_om)
-        _check_monotone(
-            f"delta scan not monotone at r={r}, d=", r, d_ord,
-            lambda d: _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt),
-        )
-        for node in build_class_tree(cfg, localdata, r, d_om).walk():
+        if u_gt or u_lt:
+            _check_monotone(
+                f"delta_omega scan not monotone at r={r}, d=", r, pd.delta_omega,
+                lambda d: _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt),
+            )
+            _check_monotone(
+                f"delta scan not monotone at r={r}, d=", r, pd.delta,
+                lambda d: _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt),
+            )
+        for node in result.trees[r].walk():
             c, lvl = node.members, node.level
             where = f"not monotone at r={r}, c={c}, f="
             _check_monotone(

@@ -93,6 +93,20 @@ def test_examples_golden():
         assert failures == [], (name, failures)
 
 
+def test_goldens_are_checked_on_the_route_that_reports_them(capsys, monkeypatch):
+    # expected_patching and expect_criterion are formula output: an oracle
+    # report carries no patching data and passes; a wrong degree still fails
+    # wherever the formula runs
+    for method in ("oracle", "formula", "both"):
+        assert main(["examples", "all", "--method", method]) == EXIT_OK, method
+        assert "GOLDEN MISMATCH" not in capsys.readouterr().err
+    monkeypatch.setitem(EXAMPLES["13-17-bicyclic"], "expected_patching", {"1": 3})
+    for method in ("formula", "both"):
+        assert main(["examples", "13-17-bicyclic", "--method", method]) == 4
+        err = capsys.readouterr().err
+        assert err == "  GOLDEN MISMATCH: delta at r=1 is 2, expected 3\n", method
+
+
 def test_cli_validate_and_compute(tmp_path, capsys):
     path = write(tmp_path, ABSTRACT_17_13)
     assert main(["validate", path]) == EXIT_OK
@@ -244,13 +258,89 @@ def test_cli_disagreement_path(command, tmp_path, capsys, monkeypatch):
 def test_debug_monotonicity_on_every_command(command, tmp_path, capsys, monkeypatch):
     import multinorm_sha.cli as cli
 
-    def broken_scan(cfg, local):
+    def broken_scan(cfg, local, result):
         raise AssertionError("delta scan not monotone at r=0, d=1")
 
     monkeypatch.setattr(cli, "check_monotone_scans", broken_scan)
     assert main(report_argv(tmp_path, command)) == EXIT_OK
     assert main(report_argv(tmp_path, command, "--debug-monotonicity")) == EXIT_INTERNAL
     assert "not monotone" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_COMMANDS) + ["selftest"])
+def test_agreement_covers_the_quotient(command, tmp_path, capsys, monkeypatch):
+    # an oracle that matches sha and sha_omega but not sha_omega/sha
+    import dataclasses
+
+    import multinorm_sha.cli as cli
+    import multinorm_sha.selftest as selftest
+
+    honest = cli.oracle_report
+
+    def lying_oracle(cfg, local):
+        rep = honest(cfg, local)
+        return dataclasses.replace(rep, quotient_invariants=(9,) + rep.quotient_invariants)
+
+    monkeypatch.setattr(cli, "oracle_report", lying_oracle)
+    monkeypatch.setattr(selftest, "oracle_report", lying_oracle)
+    if command == "selftest":
+        assert main(["selftest", "--seed", "0", "--count", "3"]) == 4
+        captured = capsys.readouterr()
+        assert "0/3 configs agree" in captured.out
+        assert captured.err.count("FAILURE: trial ") == 3
+    else:
+        assert main(report_argv(tmp_path, command, "--method", "both")) == 4
+        assert "DISAGREEMENT" in capsys.readouterr().err
+
+
+def test_monotone_check_reads_the_single_block_of_17_13(tmp_path, capsys, monkeypatch):
+    # 17-13 is one block with no patching scan; its root class node hits
+    # f_omega = 2, so a predicate failing at f = 1 below it must be caught
+    import multinorm_sha.structure as structure
+    from multinorm_sha.structure import assemble, check_monotone_scans
+
+    from conftest import kummer_config
+
+    cfg, local = kummer_config([17, 221, 13])
+    honest = structure._f_omega_admissible
+
+    def fails_at_one(cfg, members, lvl, f, r):
+        return f != 1 and honest(cfg, members, lvl, f, r)
+
+    monkeypatch.setattr(structure, "_f_omega_admissible", fails_at_one)
+    result = assemble(cfg, local)
+    assert [(n.f_omega, n.f) for n in result.trees[0].walk()][0] == (2, 1)
+    with pytest.raises(AssertionError, match=r"^f_omega scan not monotone at r=0, c=\(1, 2\), f=1$"):
+        check_monotone_scans(cfg, local, result)
+    assert main(report_argv(tmp_path, "compute")) == EXIT_OK
+    capsys.readouterr()
+    argv = report_argv(tmp_path, "compute", "--method", "formula", "--debug-monotonicity")
+    assert main(argv) == EXIT_INTERNAL
+    assert capsys.readouterr().err == (
+        "internal check failed: f_omega scan not monotone at r=0, c=(1, 2), f=1\n"
+    )
+
+
+def test_debug_monotonicity_assembles_once_per_component(tmp_path, capsys, monkeypatch):
+    import multinorm_sha.cli as cli
+
+    calls = []
+    assemble = cli.assemble
+    monkeypatch.setattr(cli, "assemble", lambda cfg, local: calls.append(cfg) or assemble(cfg, local))
+    path = write(tmp_path, EXAMPLES["cyclotomic"]["document"])  # two components
+    for method in ("formula", "both"):
+        calls.clear()
+        assert main(["compute", path, "--method", method, "--debug-monotonicity"]) == EXIT_OK
+        assert len(calls) == 2, method
+
+    def keys(*flags):
+        assert main(["compute", path, "--method", "oracle", "--json", "-", *flags]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        return sorted(report), [sorted(row) for row in report["components"]]
+
+    capsys.readouterr()
+    assert keys("--debug-monotonicity") == keys()
+    assert "patching" not in keys()[1][0]
 
 
 @pytest.mark.parametrize(
@@ -404,7 +494,7 @@ def test_cli_internal_check_failures_exit_5(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal check failed:") and "G <= G_omega" in err
     assert len(err.splitlines()) == 1
 
-    def broken_scan(cfg, local):
+    def broken_scan(cfg, local, result):
         raise AssertionError("delta scan not monotone at r=0, d=1")
 
     monkeypatch.setattr(cli, "check_monotone_scans", broken_scan)
@@ -644,6 +734,50 @@ def test_aprime_postcondition_failure_exits_5(monkeypatch, capsys):
     assert err.startswith("internal check failed: failure set of a'")
 
 
+def _stop_in_oracle_chain(monkeypatch):
+    from multinorm_sha.abelian import Subgroup
+
+    monkeypatch.setattr(Subgroup, "issubset", lambda self, other: False)
+
+
+def _stop_in_aprime(monkeypatch):
+    import multinorm_sha.oracle as oracle
+
+    monkeypatch.setattr(oracle, "_no_new_failures", lambda *args: False)
+
+
+def _stop_in_deep_check(monkeypatch):
+    import multinorm_sha.structure as structure
+
+    # the scans never test their floor r, so only the check sees this
+    honest = structure._f_omega_admissible
+    monkeypatch.setattr(
+        structure, "_f_omega_admissible", lambda cfg, c, lvl, f, r: f != r and honest(cfg, c, lvl, f, r)
+    )
+
+
+@pytest.mark.parametrize(
+    "stop, message",
+    [
+        (_stop_in_oracle_chain, "expected G <= G_omega"),
+        (_stop_in_aprime, "failure set of a' is not contained in that of a"),
+        (_stop_in_deep_check, "f_omega scan not monotone at r=0, c=(1, 2), f=0"),
+    ],
+    ids=["oracle-chain", "aprime", "deep-monotonicity"],
+)
+def test_selftest_names_the_trial_an_internal_check_stops(stop, message, monkeypatch, capsys):
+    import multinorm_sha.selftest as selftest
+
+    drawn = []
+    draw = selftest.random_config
+    monkeypatch.setattr(selftest, "random_config", lambda rng: drawn.append(draw(rng)) or drawn[-1])
+    stop(monkeypatch)
+    assert main(["selftest", "--seed", "0", "--count", "3"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    trial, config = len(drawn) - 1, selftest.describe_config(*drawn[-1])
+    assert err == f"internal check failed: {message}\ntrial {trial}\n{config}\n"
+
+
 # ---------------------------------------------------------------------------
 # The JSON report is the standard library's compact encoding, keys sorted.
 
@@ -672,12 +806,12 @@ def test_json_stdout_reencodes_to_itself(benchmark_documents, tmp_path, capsys):
 
 def test_formula_scale_agreement_gate(tmp_path, capsys):
     # every seed-0 formula-scale document under --method both is answered,
-    # and the routes agree on each
+    # the routes agree on each, and every scan of the formula is monotone
     docs = perfbench_workloads().formula_inputs(0)
     assert len(docs) == 503
     for t, doc in enumerate(docs):
         path = write(tmp_path, doc, name=f"scale{t}.json")
-        rc = main(["compute", path, "--method", "both", "--json", "-"])
+        rc = main(["compute", path, "--method", "both", "--debug-monotonicity", "--json", "-"])
         captured = capsys.readouterr()
         assert rc == EXIT_OK, (t, rc, captured.err)
         assert json.loads(captured.out)["agreement"] is True, t

@@ -420,7 +420,7 @@ def test_l_classes_match_union_find_reference():
 
 def test_monotone_scans_on_goldens(quartic_17_13, quartic_bicyclic):
     for cfg, local in (quartic_17_13, quartic_bicyclic):
-        check_monotone_scans(cfg, local)
+        check_monotone_scans(cfg, local, assemble(cfg, local))
 
 
 def test_quotient_annotation_matches_oracle_when_defined(quartic_17_13):
@@ -547,8 +547,7 @@ def test_formula_route_makes_no_intersect_call(golden_components, no_intersect, 
     ran = {"disjoint": 0, "bicyclic": 0}
     for raw, local in [(FieldConfig(group, chars, ()), NO_PLACES)] + golden_components:
         cfg = validate_and_normalize(raw)
-        assemble(cfg, local)
-        check_monotone_scans(cfg, local)
+        check_monotone_scans(cfg, local, assemble(cfg, local))
         for name, shortcut in (
             ("disjoint", lambda: shortcut_linearly_disjoint(cfg, local)),
             ("bicyclic", lambda: shortcut_bicyclic_subfields(cfg)),
