@@ -8,14 +8,13 @@ structure comes from Smith normal form.  No kernel of a character is
 built: the order of chi_0 on a subgroup cut by other characters is read
 off the Hermite form of the subgroup's image in their targets
 (:meth:`Character.image_level`).  Everything is plain Python integer
-arithmetic; all values are immutable after construction.
+arithmetic.  The value types of the package derive from :class:`Value`,
+which makes them immutable once constructed.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, prod
 
 CYCLIC_SWEEP_CAP = 2 ** 16  # bound on |A| for passes over its elements
@@ -207,44 +206,87 @@ def divisor_valuations(rows, p: int, d: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Groups and subgroups.
 
-@dataclass(frozen=True)
-class PGroup:
+_set = object.__setattr__  # sets a field of a Value inside its __init__
+
+
+class Value:
+    """Base of the package's value types: slotted and immutable, equal to an
+    instance of the same type with equal fields (``_fields``), hashed by
+    those fields, with the hash cached.  Written out by hand: a class
+    decorator generating these methods ran at every import and took most
+    of the package's import time."""
+
+    __slots__ = ("_hash",)
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values):
+        """Set the fields, in the order of ``_fields``, from ``__init__``."""
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", hash(self._key()))
+            return self._hash
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PGroup(Value):
     """A finite abelian p-group (+)_j Z/p^{n_j}, exponents non-increasing."""
 
-    p: int
-    exponents: tuple[int, ...]
+    __slots__ = ("p", "exponents", "moduli", "_p_diag")
+    _fields = ("p", "exponents")
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(n) for n in self.exponents))
-        if not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if not self.exponents:
+    def __init__(self, p: int, exponents: tuple[int, ...]):
+        exponents = tuple(int(n) for n in exponents)
+        _set(self, "p", p)
+        _set(self, "exponents", exponents)
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if not exponents:
             raise ValueError("need at least one cyclic factor")
-        if any(n < 1 for n in self.exponents):
+        if any(n < 1 for n in exponents):
             raise ValueError("exponents must be >= 1")
-        if any(a < b for a, b in zip(self.exponents, self.exponents[1:])):
+        if any(a < b for a, b in zip(exponents, exponents[1:])):
             raise ValueError("exponents must be non-increasing")
+        moduli = tuple(p ** n for n in exponents)
+        _set(self, "moduli", moduli)
+        _set(self, "_p_diag", tuple(
+            tuple(m if j == i else 0 for j in range(len(moduli)))
+            for i, m in enumerate(moduli)
+        ))
 
     @property
     def rank(self) -> int:
         return len(self.exponents)
 
-    @cached_property
-    def moduli(self) -> tuple[int, ...]:
-        return tuple(self.p ** n for n in self.exponents)
-
     @property
     def order(self) -> int:
         return self.p ** sum(self.exponents)
 
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.rank
-
     def reduce(self, vec) -> tuple[int, ...]:
         return tuple(int(x) % m for x, m in zip(vec, self.moduli))
-
-    def add(self, a, b) -> tuple[int, ...]:
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
 
     def elements(self):
         """Iterate over all elements (tuples of residues)."""
@@ -253,13 +295,6 @@ class PGroup:
     def contains(self, vec) -> bool:
         return len(vec) == self.rank and all(
             0 <= x < m for x, m in zip(vec, self.moduli)
-        )
-
-    @cached_property
-    def _p_diag(self) -> tuple[tuple[int, ...], ...]:
-        k = self.rank
-        return tuple(
-            tuple(self.moduli[i] if j == i else 0 for j in range(k)) for i in range(k)
         )
 
     def _p_rows(self) -> list[list[int]]:
@@ -277,12 +312,14 @@ def _check_elements(ambient: PGroup, gens) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Value):
     """Subgroup of a PGroup as a canonical full-rank HNF lattice basis."""
 
-    ambient: PGroup
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("ambient", "basis")
+
+    def __init__(self, ambient: PGroup, basis: tuple[tuple[int, ...], ...]):
+        _set(self, "ambient", ambient)
+        _set(self, "basis", basis)
 
     @classmethod
     def span(cls, ambient: PGroup, gens) -> "Subgroup":
@@ -407,30 +444,28 @@ def cyclic_subgroups(ambient: PGroup, cap: int = CYCLIC_SWEEP_CAP) -> list[Subgr
     return list(seen.values())
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Value):
     """Surjective-capable character A -> Z/p^exponent, a = sum(coeffs*a) map."""
 
-    ambient: PGroup
-    exponent: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("ambient", "exponent", "coeffs", "modulus")
+    _fields = ("ambient", "exponent", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if len(self.coeffs) != self.ambient.rank:
+    def __init__(self, ambient: PGroup, exponent: int, coeffs: tuple[int, ...]):
+        coeffs = tuple(int(c) for c in coeffs)
+        _set(self, "ambient", ambient)
+        _set(self, "exponent", exponent)
+        _set(self, "coeffs", coeffs)
+        if len(coeffs) != ambient.rank:
             raise ValueError("coefficient count must match ambient rank")
-        if self.exponent < 1:
+        if exponent < 1:
             raise ValueError("target exponent must be >= 1")
-        p, eps = self.ambient.p, self.exponent
-        for c, n in zip(self.coeffs, self.ambient.exponents):
-            if (c * p ** n) % p ** eps:
+        modulus = ambient.p ** exponent
+        for c, n, m in zip(coeffs, ambient.exponents, ambient.moduli):
+            if (c * m) % modulus:
                 raise ValueError(
-                    f"coefficient {c} does not define a map on Z/p^{n} into Z/p^{eps}"
+                    f"coefficient {c} does not define a map on Z/p^{n} into Z/p^{exponent}"
                 )
-
-    @property
-    def modulus(self) -> int:
-        return self.ambient.p ** self.exponent
+        _set(self, "modulus", modulus)
 
     def value(self, vec) -> int:
         return sum(c * x for c, x in zip(self.coeffs, vec)) % self.modulus

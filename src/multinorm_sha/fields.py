@@ -44,10 +44,9 @@ From it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .abelian import Character, PGroup, divisor_valuations, valuation
+from .abelian import Character, PGroup, Value, divisor_valuations, valuation
 
 
 class ShaInputError(Exception):
@@ -71,26 +70,22 @@ class NonSeparatingAmbient(ShaInputError):
     group of the compositum of the K_i."""
 
 
-@dataclass(frozen=True)
-class FieldConfig:
+class FieldConfig(Value):
     """Raw user-facing configuration: ambient group plus one character per field."""
 
-    group: PGroup
-    chars: tuple[Character, ...]
-    labels: tuple[str, ...]
+    __slots__ = _fields = ("group", "chars", "labels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "chars", tuple(self.chars))
-        if not self.labels:
-            object.__setattr__(
-                self, "labels", tuple(f"K{i}" for i in range(len(self.chars)))
-            )
+    def __init__(self, group: PGroup, chars: tuple[Character, ...], labels: tuple[str, ...]):
+        chars = tuple(chars)
+        if not labels:
+            labels = tuple(f"K{i}" for i in range(len(chars)))
         else:
-            object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-        if len(self.labels) != len(self.chars):
+            labels = tuple(str(s) for s in labels)
+        self._init(group, chars, labels)
+        if len(labels) != len(chars):
             raise ShaInputError("one label per character required")
-        for chi in self.chars:
-            if chi.ambient != self.group:
+        for chi in chars:
+            if chi.ambient != group:
                 raise ShaInputError("character ambient mismatch")
 
 

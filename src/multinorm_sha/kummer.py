@@ -33,7 +33,6 @@ with deterministic Miller-Rabin deciding primality exactly below MR_BOUND.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -43,6 +42,7 @@ from .abelian import (
     Character,
     PGroup,
     Subgroup,
+    Value,
     _is_prime,
 )
 from .fields import FieldConfig, ShaInputError, same_field, separates
@@ -208,26 +208,19 @@ def _local_class(alpha, kind: str, pi, q: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Configuration building.
 
-@dataclass(frozen=True)
-class KummerSpec:
+class KummerSpec(Value):
     """Radicands b_i defining K_i = Q(i)(b_i^{1/4}); positive odd integers."""
 
-    radicands: tuple[int, ...]
-    labels: tuple[str, ...] = ()
+    __slots__ = _fields = ("radicands", "labels")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "radicands", tuple(int(b) for b in self.radicands)
-        )
-        if not self.labels:
-            object.__setattr__(
-                self,
-                "labels",
-                tuple(f"Q(i)(4rt{{{b}}})" for b in self.radicands),
-            )
+    def __init__(self, radicands: tuple[int, ...], labels: tuple[str, ...] = ()):
+        radicands = tuple(int(b) for b in radicands)
+        if not labels:
+            labels = tuple(f"Q(i)(4rt{{{b}}})" for b in radicands)
         else:
-            object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-        if len(self.labels) != len(self.radicands):
+            labels = tuple(str(s) for s in labels)
+        self._init(radicands, labels)
+        if len(labels) != len(radicands):
             raise ShaInputError("one label per radicand required")
 
 

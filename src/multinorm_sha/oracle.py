@@ -72,9 +72,7 @@ every place and every n is the tests' reference, not called here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .abelian import BudgetExceeded, PGroup, Subgroup
+from .abelian import BudgetExceeded, PGroup, Subgroup, Value
 from .fields import NormalizedConfig
 from .places import (
     Classification,
@@ -91,21 +89,21 @@ class InternalCheckError(RuntimeError):
     """A consistency check of the oracle failed; the oracle itself is broken."""
 
 
-@dataclass(frozen=True)
-class ShaReport:
+class ShaReport(Value):
     """Invariant factors (p-exponents, non-increasing) of sha, sha_omega and
     sha_omega/sha, as found by one route."""
 
-    sha_invariants: tuple[int, ...]
-    sha_omega_invariants: tuple[int, ...]
-    quotient_invariants: tuple[int, ...]
-    method: str
+    __slots__ = _fields = (
+        "sha_invariants", "sha_omega_invariants", "quotient_invariants", "method"
+    )
 
-    def __post_init__(self):
-        for seq in (self.sha_invariants, self.sha_omega_invariants):
+    def __init__(self, sha_invariants: tuple[int, ...], sha_omega_invariants: tuple[int, ...],
+                 quotient_invariants: tuple[int, ...], method: str):
+        self._init(sha_invariants, sha_omega_invariants, quotient_invariants, method)
+        for seq in (sha_invariants, sha_omega_invariants):
             if any(a < b for a, b in zip(seq, seq[1:])):
                 raise ValueError("invariant factors must be non-increasing")
-        small, big = self.sha_invariants, self.sha_omega_invariants
+        small, big = sha_invariants, sha_omega_invariants
         # subgroup invariants divide group invariants factor by factor
         if len(small) > len(big) or any(s > b for s, b in zip(small, big)):
             raise ValueError("sha must embed in sha_omega factor by factor")

@@ -24,13 +24,13 @@ definitional subgroup test behind sigma_contains lives in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
 from .abelian import (
     PGroup,
     Subgroup,
+    Value,
     cyclic_subgroups,
     divisor_valuations,
     valuation,
@@ -38,23 +38,24 @@ from .abelian import (
 from .fields import NormalizedConfig
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Value):
     """An exceptional place, carrying its decomposition subgroup of A."""
 
-    label: str
-    group: Subgroup
+    __slots__ = _fields = ("label", "group")
+
+    def __init__(self, label: str, group: Subgroup):
+        self._init(label, group)
 
 
-@dataclass(frozen=True)
-class LocalData:
+class LocalData(Value):
     """The finite list of exceptional places (possibly empty)."""
 
-    exceptional: tuple[Place, ...] = field(default_factory=tuple)
+    __slots__ = _fields = ("exceptional",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "exceptional", tuple(self.exceptional))
-        labels = [pl.label for pl in self.exceptional]
+    def __init__(self, exceptional: tuple[Place, ...] = ()):
+        exceptional = tuple(exceptional)
+        self._init(exceptional)
+        labels = [pl.label for pl in exceptional]
         if len(set(labels)) != len(labels):
             raise ValueError("exceptional place labels must be unique")
 

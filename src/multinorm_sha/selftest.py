@@ -13,8 +13,7 @@ off the Hermite basis of G_omega.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from math import prod
+from math import gcd, prod
 
 from .abelian import Character, PGroup, Subgroup, intersect
 from .fields import FieldConfig, NormalizedConfig, ShaInputError, validate_and_normalize
@@ -37,14 +36,22 @@ class SelftestFailure(AssertionError):
     """A structural invariant or the agreement of the routes failed."""
 
 
-@dataclass
 class SelftestSummary:
-    count: int
-    seed: int
-    agreements: int = 0
-    invariant_checks: int = 0
-    deep_checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    """The tallies of a run, filled in by :func:`run_selftest` as it goes."""
+
+    def __init__(self, count: int, seed: int, agreements: int = 0, invariant_checks: int = 0,
+                 deep_checks: int = 0, failures: list[str] | None = None):
+        self.count = count
+        self.seed = seed
+        self.agreements = agreements
+        self.invariant_checks = invariant_checks
+        self.deep_checks = deep_checks
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def ok(self) -> bool:
@@ -62,10 +69,9 @@ def _generic_characters(rng, group: PGroup, nfields: int):
             if vmin:
                 c -= c % group.p ** vmin
             coeffs.append(c)
-        chi = Character(group, eps, tuple(coeffs))
-        if not chi.is_surjective():
+        if gcd(*coeffs, group.p) != 1:  # not surjective
             return None
-        chars.append(chi)
+        chars.append(Character(group, eps, tuple(coeffs)))
     return chars
 
 
@@ -82,9 +88,8 @@ def _block_characters(rng, group: PGroup, nfields: int):
             vmin = max(0, eps - s)
             if vmin:
                 c -= c % p ** vmin
-            chi = Character(group, eps, (a, c))
-            if chi.is_surjective():
-                chars.append(chi)
+            if gcd(a, c, p) == 1:  # surjective
+                chars.append(Character(group, eps, (a, c)))
                 break
         else:
             return None

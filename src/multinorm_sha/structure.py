@@ -26,23 +26,20 @@ the rows c_0 and c_i, i in U_0, taken mod p, have F_p rank at least 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .abelian import divisor_valuations
+from .abelian import Value, divisor_valuations
 from .fields import NormalizedConfig
 from .places import LocalData, locally_cyclic
 from .oracle import ShaReport
 
 
-@dataclass(frozen=True)
-class ClassNode:
+class ClassNode(Value):
     """One l-equivalence class of a block U_r, with its degrees of freedom."""
 
-    members: tuple[int, ...]
-    level: int
-    f_omega: int
-    f: int
-    children: tuple["ClassNode", ...]
+    __slots__ = _fields = ("members", "level", "f_omega", "f", "children")
+
+    def __init__(self, members: tuple[int, ...], level: int, f_omega: int, f: int,
+                 children: tuple[ClassNode, ...]):
+        self._init(members, level, f_omega, f, children)
 
     def walk(self):
         yield self
@@ -50,35 +47,36 @@ class ClassNode:
             yield from child.walk()
 
 
-@dataclass(frozen=True)
-class PatchingData:
-    r: int
-    delta_omega: int
-    delta: int
+class PatchingData(Value):
+    __slots__ = _fields = ("r", "delta_omega", "delta")
+
+    def __init__(self, r: int, delta_omega: int, delta: int):
+        self._init(r, delta_omega, delta)
 
 
-@dataclass(frozen=True)
-class GeneratorCert:
-    """A generator vector over U_r: entries `entry` on `support`, 0 elsewhere."""
+class GeneratorCert(Value):
+    """A generator vector over U_r: entries `entry` on `support`, 0 elsewhere.
+    ``kind`` is "block" (the U_r constant vector) or "class"."""
 
-    r: int
-    kind: str  # "block" (the U_r constant vector) or "class"
-    support: tuple[int, ...]
-    x_omega: tuple[int, ...]
-    x: tuple[int, ...]
-    order_omega: int
-    order: int
+    __slots__ = _fields = ("r", "kind", "support", "x_omega", "x", "order_omega", "order")
+
+    def __init__(self, r: int, kind: str, support: tuple[int, ...], x_omega: tuple[int, ...],
+                 x: tuple[int, ...], order_omega: int, order: int):
+        self._init(r, kind, support, x_omega, x, order_omega, order)
 
 
-@dataclass
-class StructureResult:
-    patching: list[PatchingData]
-    trees: dict[int, ClassNode]
-    generators: list[GeneratorCert]
-    sha_invariants: tuple[int, ...]
-    sha_omega_invariants: tuple[int, ...]
-    quotient_annotation: tuple[int, ...]
-    criterion_trivial: bool = field(default=False)
+class StructureResult(Value):
+    __slots__ = _fields = (
+        "patching", "trees", "generators", "sha_invariants",
+        "sha_omega_invariants", "quotient_annotation", "criterion_trivial",
+    )
+
+    def __init__(self, patching: list[PatchingData], trees: dict[int, ClassNode],
+                 generators: list[GeneratorCert], sha_invariants: tuple[int, ...],
+                 sha_omega_invariants: tuple[int, ...],
+                 quotient_annotation: tuple[int, ...], criterion_trivial: bool = False):
+        self._init(patching, trees, generators, sha_invariants, sha_omega_invariants,
+                   quotient_annotation, criterion_trivial)
 
     def report(self) -> ShaReport:
         return ShaReport(

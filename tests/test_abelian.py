@@ -1,3 +1,4 @@
+import inspect
 import random
 from math import prod
 
@@ -78,15 +79,19 @@ SMALL_GROUPS = [
 ]
 
 
+def add(group, a, b):
+    return tuple((x + y) % m for x, y, m in zip(a, b, group.moduli))
+
+
 def brute_span(group, gens):
     """Closure of gens under addition, by fixed-point iteration."""
-    elems = {group.zero()}
-    frontier = [group.zero()]
+    elems = {(0,) * group.rank}
+    frontier = [(0,) * group.rank]
     gens = [group.reduce(g) for g in gens]
     while frontier:
         cur = frontier.pop()
         for g in gens:
-            nxt = group.add(cur, g)
+            nxt = add(group, cur, g)
             if nxt not in elems:
                 elems.add(nxt)
                 frontier.append(nxt)
@@ -204,12 +209,12 @@ def brute_quotient_census(group, sub):
     """(|A/H|, max element order in A/H) by direct coset arithmetic."""
     elems = list(sub.elements())
     eset = set(elems)
-    reps = {min(tuple(group.add(g, h)) for h in elems) for g in group.elements()}
+    reps = {min(tuple(add(group, g, h)) for h in elems) for g in group.elements()}
     orders = []
     for rep in reps:
         n, cur = 1, rep
         while cur not in eset:
-            cur = group.add(cur, rep)
+            cur = add(group, cur, rep)
             n += 1
         orders.append(n)
     return len(reps), max(orders)
@@ -462,3 +467,56 @@ def test_is_prime_refuses_above_exact_range():
     # a small factor still decides it exactly
     assert not _is_prime(3 * MR_BOUND)
     assert not _is_prime(2 ** 100)
+
+
+def _value_cases():
+    from multinorm_sha.fields import FieldConfig
+    from multinorm_sha.kummer import KummerSpec
+    from multinorm_sha.oracle import ShaReport
+    from multinorm_sha.places import LocalData, Place
+    from multinorm_sha.structure import ClassNode, GeneratorCert, PatchingData, StructureResult
+
+    group = PGroup(2, (3, 1))
+    chi, psi = Character(group, 3, (1, 0)), Character(group, 1, (0, 1))
+    place = Place("v", Subgroup.span(group, [(2, 1)]))
+    node = ClassNode((1, 2), 1, 2, 1, ())
+    patch, cert = PatchingData(0, 2, 1), GeneratorCert(0, "block", (1, 2), (1, 1), (2, 2), 4, 2)
+    return [
+        (PGroup, (2, (3, 1))),
+        (Subgroup, (group, ((1, 0), (0, 1)))),
+        (Character, (group, 3, (1, 4))),
+        (FieldConfig, (group, (chi, psi, chi), ("a", "b", "c"))),
+        (KummerSpec, ((17, 13, 221), ("x", "y", "z"))),
+        (Place, ("v", place.group)),
+        (LocalData, ((place,),)),
+        (ShaReport, ((1,), (2, 1), (1, 1), "oracle")),
+        (ClassNode, ((1, 2), 1, 2, 1, (node,))),
+        (PatchingData, (0, 2, 1)),
+        (GeneratorCert, (1, "class", (2,), (3,), (4,), 4, 2)),
+        (StructureResult, ([patch], {0: node}, [cert], (1,), (2, 1), (1, 1), True)),
+    ]
+
+
+VALUE_CASES = _value_cases()
+
+
+@pytest.mark.parametrize("cls, args", VALUE_CASES, ids=[cls.__name__ for cls, _ in VALUE_CASES])
+def test_value_types_are_immutable_values(cls, args):
+    a, b = cls(*args), cls(*args)
+    assert a is not b and a == b and not a != b
+    if cls.__name__ == "StructureResult":
+        with pytest.raises(TypeError):  # it holds lists and a dict
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    assert a != args and a != tuple(getattr(a, n) for n in a._fields)
+    assert repr(a).startswith(f"{cls.__name__}(")
+    # equality and hashing see every constructor argument
+    assert a._fields == tuple(inspect.signature(cls).parameters)
+    for name in a._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert not hasattr(a, "__dict__")  # slotted
+    assert a == b

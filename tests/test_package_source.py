@@ -92,3 +92,16 @@ def test_benchmark_span_targets_resolve():
         if not callable(getattr(importlib.import_module(f"multinorm_sha.{module}"), name, None))
     ]
     assert not missing, missing
+
+
+def test_no_module_imports_dataclasses():
+    # the value types derive from abelian.Value; the dataclass decorators
+    # and their import chain took most of the package's import time
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert not hits, hits

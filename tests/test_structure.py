@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -25,7 +24,9 @@ from multinorm_sha.oracle import (
     subtorus_groups,
 )
 from multinorm_sha.structure import (
+    GeneratorCert,
     ShapeMismatch,
+    StructureResult,
     assemble,
     check_monotone_scans,
     criterion_trivial,
@@ -380,8 +381,14 @@ def test_check_invariants_catches_certificates_outside_their_groups():
                 if vec is None:
                     continue
                 gens = list(res.generators)
-                gens[t] = dataclasses.replace(cert, **{field_name: vec})
-                broken = dataclasses.replace(res, generators=gens)
+                x_omega, x = (cert.x_omega, vec) if field_name == "x" else (vec, cert.x)
+                gens[t] = GeneratorCert(
+                    cert.r, cert.kind, cert.support, x_omega, x, cert.order_omega, cert.order
+                )
+                broken = StructureResult(
+                    res.patching, res.trees, gens, res.sha_invariants,
+                    res.sha_omega_invariants, res.quotient_annotation, res.criterion_trivial,
+                )
                 with pytest.raises(SelftestFailure) as info:
                     check_invariants(cfg, local, broken, random.Random(0))
                 assert str(info.value) == want
