@@ -259,23 +259,25 @@ class PGroup(Value):
     _fields = ("p", "exponents")
 
     def __init__(self, p: int, exponents: tuple[int, ...]):
-        exponents = tuple(int(n) for n in exponents)
+        exponents = tuple(map(int, exponents))
         _set(self, "p", p)
         _set(self, "exponents", exponents)
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if not exponents:
             raise ValueError("need at least one cyclic factor")
-        if any(n < 1 for n in exponents):
+        if min(exponents) < 1:
             raise ValueError("exponents must be >= 1")
-        if any(a < b for a, b in zip(exponents, exponents[1:])):
+        if list(exponents) != sorted(exponents, reverse=True):
             raise ValueError("exponents must be non-increasing")
-        moduli = tuple(p ** n for n in exponents)
+        moduli = tuple([p ** n for n in exponents])
+        diag = []
+        for i, m in enumerate(moduli):
+            row = [0] * len(moduli)
+            row[i] = m
+            diag.append(tuple(row))
         _set(self, "moduli", moduli)
-        _set(self, "_p_diag", tuple(
-            tuple(m if j == i else 0 for j in range(len(moduli)))
-            for i, m in enumerate(moduli)
-        ))
+        _set(self, "_p_diag", tuple(diag))
 
     @property
     def rank(self) -> int:

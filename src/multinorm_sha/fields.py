@@ -243,24 +243,20 @@ def validate_and_normalize(cfg: FieldConfig) -> NormalizedConfig:
             )
 
     # e[i][j] = log_p [K_i cap K_j : k], one meet per pair; the diagonal is eps.
+    # Each meet also drops the superfield K_i of K_j (e_ij = eps_j < eps_i),
+    # and of equal fields keeps the first (e_ij = eps_i <= eps_j drops K_j).
     n = len(chars)
-    e = [[chi.exponent] * n for chi in chars]
+    eps = [chi.exponent for chi in chars]
+    e = [[x] * n for x in eps]
+    dropped = [False] * n
     for i in range(n):
         for j in range(i + 1, n):
-            e[i][j] = e[j][i] = meet(chars[i], chars[j])
-
-    # Drop the superfield K_i of any other K_j; of equal fields keep the first.
-    keep = []
-    for i, chi in enumerate(chars):
-        redundant = any(
-            j != i
-            and psi.exponent <= chi.exponent
-            and e[i][j] == psi.exponent
-            and (psi.exponent < chi.exponent or j < i)
-            for j, psi in enumerate(chars)
-        )
-        if not redundant:
-            keep.append(i)
+            e[i][j] = e[j][i] = eij = meet(chars[i], chars[j])
+            if eij == eps[j] < eps[i]:
+                dropped[i] = True
+            elif eij == eps[i] <= eps[j]:
+                dropped[j] = True
+    keep = [i for i in range(n) if not dropped[i]]
     if len(keep) < 3:
         raise TooFewFields(
             f"only {len(keep)} field(s) remain after pruning; need at least 3"

@@ -255,7 +255,9 @@ def subtorus_groups(cfg, localdata, r: int):
 
 
 def _diagonal(ambient: PGroup) -> Subgroup:
-    return Subgroup.span(ambient, [(1,) * ambient.rank])
+    """D, written in Hermite form: the row (1, ..., 1), whose entries are
+    already reduced below every later pivot p^{e_j}, then p^{e_j} at j >= 2."""
+    return Subgroup(ambient, ((1,) * ambient.rank,) + ambient._p_diag[1:])
 
 
 def quotient_by_D(group: Subgroup) -> list[int]:

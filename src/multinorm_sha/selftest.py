@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from math import gcd, prod
 
-from .abelian import Character, PGroup, Subgroup, intersect
+from .abelian import Character, PGroup, Subgroup
 from .fields import FieldConfig, NormalizedConfig, ShaInputError, validate_and_normalize
 from .places import LocalData, Place
 from .oracle import (
@@ -58,28 +58,30 @@ class SelftestSummary:
         return not self.failures and self.agreements == self.count
 
 
-def _generic_characters(rng, group: PGroup, nfields: int):
-    chars = []
+def _generic_characters(rng, p: int, exps, nfields: int):
+    """nfields draws (eps, coeffs) of characters on (+) Z/p^{n_l}, n_l in
+    ``exps``, or None at the first draw that is not surjective."""
+    draws = []
     for _ in range(nfields):
-        eps = rng.randint(1, group.exponents[0])
+        eps = rng.randint(1, exps[0])
         coeffs = []
-        for n in group.exponents:
-            c = rng.randrange(group.p ** eps)
+        for n in exps:
+            c = rng.randrange(p ** eps)
             vmin = max(0, eps - n)
             if vmin:
-                c -= c % group.p ** vmin
+                c -= c % p ** vmin
             coeffs.append(c)
-        if gcd(*coeffs, group.p) != 1:  # not surjective
+        if gcd(*coeffs, p) != 1:  # not surjective
             return None
-        chars.append(Character(group, eps, tuple(coeffs)))
-    return chars
+        draws.append((eps, tuple(coeffs)))
+    return draws
 
 
-def _block_characters(rng, group: PGroup, nfields: int):
-    """Characters (a, c) on a rank-two group: v_p(c) steers e_{0,i}, so these
-    configurations tend to split into several blocks U_r."""
-    p, (n, s) = group.p, group.exponents
-    chars = [Character(group, n, (1, 0))]
+def _block_characters(rng, p: int, exps, nfields: int):
+    """Draws (eps, (a, c)) of characters on a rank-two group: v_p(c) steers
+    e_{0,i}, so these configurations tend to split into several blocks U_r."""
+    n, s = exps
+    draws = [(n, (1, 0))]
     for _ in range(nfields - 1):
         for _ in range(20):
             eps = rng.choice([n, n, max(1, n - 1)])
@@ -89,11 +91,11 @@ def _block_characters(rng, group: PGroup, nfields: int):
             if vmin:
                 c -= c % p ** vmin
             if gcd(a, c, p) == 1:  # surjective
-                chars.append(Character(group, eps, (a, c)))
+                draws.append((eps, (a, c)))
                 break
         else:
             return None
-    return chars
+    return draws
 
 
 def random_config(rng: random.Random) -> tuple[NormalizedConfig, LocalData]:
@@ -103,20 +105,21 @@ def random_config(rng: random.Random) -> tuple[NormalizedConfig, LocalData]:
         if block_style:
             p = rng.choice([2, 2, 3])
             n = rng.choice([2, 3, 3]) if p == 2 else 2
-            group = PGroup(p, (n, rng.randint(1, n)))
-            chars = _block_characters(rng, group, rng.choice([3, 4, 4]))
+            exps = (n, rng.randint(1, n))
+            draws = _block_characters(rng, p, exps, rng.choice([3, 4, 4]))
         else:
             p = rng.choice([2, 2, 3])
             rank = rng.choice([1, 2, 2, 3])
             exps = sorted((rng.randint(1, 3) for _ in range(rank)), reverse=True)
             while p ** sum(exps) > 729:
                 exps = sorted((rng.randint(1, 2) for _ in range(rank)), reverse=True)
-            group = PGroup(p, tuple(exps))
-            chars = _generic_characters(rng, group, rng.choice([3, 3, 3, 4, 4, 5]))
-        if chars is None:
+            draws = _generic_characters(rng, p, exps, rng.choice([3, 3, 3, 4, 4, 5]))
+        if draws is None:
             continue
+        group = PGroup(p, tuple(exps))
+        chars = tuple(Character(group, eps, coeffs) for eps, coeffs in draws)
         try:
-            cfg = validate_and_normalize(FieldConfig(group, tuple(chars), ()))
+            cfg = validate_and_normalize(FieldConfig(group, chars, ()))
         except ShaInputError:
             continue
         if prod(p ** e for e in cfg.eis) > AMBIENT_CAP:
@@ -166,10 +169,15 @@ def _patchable(group: Subgroup, r: int, k: int) -> int:
     """The vectors x = 0 mod p^k of a block group G_r or G_omega_r over U_r,
     U_0 counting only those with x[0] == 0: |group cap p^k A_r|, over
     p^max(0, e - k) for U_0 (e its first exponent), as group = slice (+) D_r
-    and s + c(1,...,1) lies in p^k A_r iff s does and p^min(k, e) divides c."""
+    and s + c(1,...,1) lies in p^k A_r iff s does and p^min(k, e) divides c.
+    No intersection is built: |H cap K| = |H| |K| / |H + K|, and H + p^k A_r
+    is one Hermite form of the basis of H and the rows p^k e_l."""
     amb = group.ambient
-    rows = [amb.reduce(amb.p ** k * x for x in row) for row in Subgroup.full(amb).basis]
-    count = intersect(group, Subgroup.span(amb, rows)).order
+    q = amb.p ** k
+    rows = [[q if j == l else 0 for j in range(amb.rank)] for l in range(amb.rank)]
+    join = Subgroup._span_rows(amb, list(group.basis) + rows)
+    multiples = prod(m // gcd(m, q) for m in amb.moduli)  # |p^k A_r|
+    count = group.order * multiples // join.order
     return count // amb.p ** max(0, amb.exponents[0] - k) if r == 0 else count
 
 

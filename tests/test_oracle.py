@@ -107,19 +107,41 @@ def test_quotient_by_d_cases():
 
 
 def test_report_spans_the_diagonal_once(monkeypatch, quartic_17_13):
-    # one D for both quotients; the chain D <= G <= G_omega is checked before
+    # one D for both quotients, written down with no Hermite form; the chain
+    # D <= G <= G_omega is checked before
+    from multinorm_sha import oracle
+
     cfg, local = quartic_17_13
-    spans = []
+    spans, diagonals = [], []
     span = Subgroup.span.__func__
+    diagonal = oracle._diagonal
 
     def counted(cls, ambient, gens):
         spans.append(list(gens))
         return span(cls, ambient, gens)
 
     monkeypatch.setattr(Subgroup, "span", classmethod(counted))
+    monkeypatch.setattr(oracle, "_diagonal", lambda amb: diagonals.append(amb) or diagonal(amb))
     rep = oracle_report(cfg, local)
-    assert spans == [[(1,) * cfg.m]]
+    assert spans == []
+    assert diagonals == [PGroup(cfg.p, cfg.eis)]
     assert (rep.sha_invariants, rep.sha_omega_invariants) == ((1,), (2,))
+
+
+def test_diagonal_is_its_span():
+    # D's Hermite basis, written down, is the one the span computes
+    from itertools import combinations_with_replacement
+
+    from multinorm_sha.oracle import _diagonal
+
+    groups = 0
+    for p in (2, 3, 5, 7):
+        for rank in range(1, 6):
+            for exps in combinations_with_replacement(range(6, 0, -1), rank):
+                amb = PGroup(p, exps)
+                assert _diagonal(amb) == Subgroup.span(amb, [(1,) * rank]), amb
+                groups += 1
+    assert groups == 1844
 
 
 def test_budget():
@@ -247,6 +269,24 @@ def test_patchable_counts_match_the_listed_counts():
                     assert _patchable(group, r, k) == _listed_patchable(members, cfg, r, k)
                     cases += 1
     assert cases > 3000
+
+
+def test_random_config_stream_is_pinned():
+    # which configs a seed yields: the selftest's runs, the benchmark's
+    # selftest digest and every failure report a user quotes depend on it,
+    # so a change to the stream must be deliberate and change this value
+    import hashlib
+
+    from multinorm_sha.selftest import describe_config
+
+    text = "".join(
+        describe_config(*random_config(rng)) + "\n\n"
+        for rng in (random.Random(s) for s in range(10))
+        for _ in range(25)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "619cb05c516f7dc3b03e894fdb8fa42679e2e36d1bfee04f8df61d5f83b25d6a"
+    )
 
 
 def test_sampler_draws_like_rng_sample_on_the_listed_vectors():

@@ -52,15 +52,19 @@ def test_no_assert_statements():
     assert not asserts
 
 
-def test_structure_imports_no_lattice_routine():
-    # the formula route answers its field questions on character rows
-    lattice = {"Subgroup", "join", "intersect", "left_kernel", "quotient_invariants"}
-    imported = {
+def _imported_from_abelian(name):
+    return {
         alias.name
-        for node in ast.walk(_parse(PACKAGE / "structure.py"))
+        for node in ast.walk(_parse(PACKAGE / name))
         if isinstance(node, ast.ImportFrom) and node.module in ("abelian", "multinorm_sha.abelian")
         for alias in node.names
     }
+
+
+def test_structure_imports_no_lattice_routine():
+    # the formula route answers its field questions on character rows
+    lattice = {"Subgroup", "join", "intersect", "left_kernel", "quotient_invariants"}
+    imported = _imported_from_abelian("structure.py")
     assert imported and not imported & lattice, imported
 
 
@@ -80,6 +84,13 @@ def test_oracle_imports_nothing_from_structure():
         assert "abelian" in modules, (name, modules)
         assert not modules & {"structure", "multinorm_sha.structure"}, (name, modules)
         assert not abelian & {"intersect", "left_kernel"}, (name, abelian)
+
+
+def test_selftest_imports_no_intersection():
+    # the patchable counts come from one Hermite form of a sum of subgroups,
+    # |H cap K| = |H| |K| / |H + K|, with no intersection or left kernel
+    imported = _imported_from_abelian("selftest.py")
+    assert imported and not imported & {"intersect", "left_kernel"}, imported
 
 
 def test_benchmark_span_targets_resolve():
