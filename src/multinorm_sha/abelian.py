@@ -176,6 +176,10 @@ def divisor_valuations(rows, p: int, d: int) -> list[int]:
     unit and divides every other entry, so it clears its column with no
     xgcd, and its row then falls away by column moves that change no other
     row.  The search runs level by level, every entry being divisible by p^v.
+
+    For d <= D the answer over Z/p^d is the answer over Z/p^D with the
+    valuations v >= d dropped, since a Smith form over Z/p^D reduces to one
+    over Z/p^d; so one reduction at the highest degree serves every lower one.
     """
     q = p ** d
     mat = [row for row in ([x % q for x in r] for r in rows) if any(row)]
@@ -453,7 +457,7 @@ class Character(Value):
     _fields = ("ambient", "exponent", "coeffs")
 
     def __init__(self, ambient: PGroup, exponent: int, coeffs: tuple[int, ...]):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         _set(self, "ambient", ambient)
         _set(self, "exponent", exponent)
         _set(self, "coeffs", coeffs)

@@ -48,12 +48,14 @@ class SchemaError(ShaInputError):
 # ---------------------------------------------------------------------------
 # Config document parsing.
 
-def _expect_object(obj, what, required, optional):
+def _expect_object(obj, what, required, optional=frozenset()):
     if not isinstance(obj, dict):
         raise SchemaError(f"{what} must be a JSON object")
+    if obj.keys() == required:
+        return
     keys = set(obj)
-    missing = set(required) - keys
-    unknown = keys - set(required) - set(optional)
+    missing = required - keys
+    unknown = keys - required - optional
     if missing:
         raise SchemaError(f"{what} is missing key(s): {', '.join(sorted(missing))}")
     if unknown:
@@ -71,21 +73,31 @@ def _expect_int(value, what, minimum=None):
 def _expect_int_list(value, what):
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{what} must be a nonempty array of integers")
+    if all(type(v) is int for v in value):
+        return value
     return [_expect_int(v, f"entry of {what}") for v in value]
 
 
 def _expect_printable_power(p, n, what):
     """Refuse n when p^n has more decimal digits than str() may write."""
     limit = sys.get_int_max_str_digits()
+    if not limit or n * p.bit_length() <= 3 * limit:
+        return  # p^n < 2^(3 limit) < 10^limit: unlimited, or far below it
     edge = limit / math.log10(p)  # p^n has limit + 1 digits from n = edge on
-    if limit and (n > edge + 1 or (n > edge - 1 and p ** n >= 10 ** limit)):
+    if n > edge + 1 or (n > edge - 1 and p ** n >= 10 ** limit):
         raise SchemaError(
             f"{what} {n}: p^{n} has more than {limit} decimal digits, "
             "the interpreter's limit for printing an integer"
         )
 
 
-_COMMON_OPTIONAL = {"budget", "debug_monotonicity"}
+_COMMON_OPTIONAL = frozenset({"budget", "debug_monotonicity"})
+_ABSTRACT_KEYS = frozenset({"mode", "p", "exponents", "characters"})
+_ABSTRACT_OPTIONAL = _COMMON_OPTIONAL | {"exceptional_places"}
+_CHARACTER_KEYS = frozenset({"label", "target_exponent", "coeffs"})
+_PLACE_KEYS = frozenset({"label", "generators"})
+_KUMMER_KEYS = frozenset({"mode", "radicands"})
+_KUMMER_OPTIONAL = _COMMON_OPTIONAL | {"labels"}
 
 
 def _parse_options(obj):
@@ -98,12 +110,7 @@ def _parse_options(obj):
 
 
 def parse_abstract(obj) -> tuple[FieldConfig, LocalData, int, bool]:
-    _expect_object(
-        obj,
-        "abstract config",
-        {"mode", "p", "exponents", "characters"},
-        {"exceptional_places"} | _COMMON_OPTIONAL,
-    )
+    _expect_object(obj, "abstract config", _ABSTRACT_KEYS, _ABSTRACT_OPTIONAL)
     p = _expect_int(obj["p"], "p", minimum=2)
     exponents = _expect_int_list(obj["exponents"], "exponents")
     for n in exponents:
@@ -117,9 +124,7 @@ def parse_abstract(obj) -> tuple[FieldConfig, LocalData, int, bool]:
         raise SchemaError("characters must be a nonempty array")
     chars, labels = [], []
     for t, entry in enumerate(chars_raw):
-        _expect_object(
-            entry, f"characters[{t}]", {"label", "target_exponent", "coeffs"}, set()
-        )
+        _expect_object(entry, f"characters[{t}]", _CHARACTER_KEYS)
         if not isinstance(entry["label"], str):
             raise SchemaError(f"characters[{t}].label must be a string")
         eps = _expect_int(entry["target_exponent"], f"characters[{t}].target_exponent", 1)
@@ -139,9 +144,7 @@ def parse_abstract(obj) -> tuple[FieldConfig, LocalData, int, bool]:
         raise SchemaError("exceptional_places must be an array")
     places = []
     for t, entry in enumerate(places_raw):
-        _expect_object(
-            entry, f"exceptional_places[{t}]", {"label", "generators"}, set()
-        )
+        _expect_object(entry, f"exceptional_places[{t}]", _PLACE_KEYS)
         if not isinstance(entry["label"], str):
             raise SchemaError(f"exceptional_places[{t}].label must be a string")
         gens_raw = entry["generators"]
@@ -171,9 +174,7 @@ def parse_abstract(obj) -> tuple[FieldConfig, LocalData, int, bool]:
 
 
 def parse_kummer(obj) -> tuple[FieldConfig, LocalData, int, bool]:
-    _expect_object(
-        obj, "kummer config", {"mode", "radicands"}, {"labels"} | _COMMON_OPTIONAL
-    )
+    _expect_object(obj, "kummer config", _KUMMER_KEYS, _KUMMER_OPTIONAL)
     radicands = _expect_int_list(obj["radicands"], "radicands")
     labels = obj.get("labels", [])
     if not isinstance(labels, list) or any(not isinstance(s, str) for s in labels):

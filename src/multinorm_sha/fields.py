@@ -27,10 +27,12 @@ Normalization needs only congruences of characters.  K_i cap K_j =
 K_i(e_ij), with e_ij the largest f for which K_i(f) = K_j(f).  Two
 characters onto Z/p^f have one kernel iff they differ by a unit, so e_ij is
 the largest f <= min(eps_i, eps_j) with chi_i = y chi_j (mod p^f)
-coefficient by coefficient.  A unit coordinate l0 of chi_j fixes
-y = c_i[l0] / c_j[l0] mod p^min(eps_i, eps_j), and e_ij is the least p-adic
-valuation of the c_i[l] - y c_j[l], capped at min(eps_i, eps_j) (:func:`meet`).
-From it:
+coefficient by coefficient.  Scale each chi_i once, by the inverse of its
+first unit coefficient c_i[l_i], to the row u_i with u_i[l_i] = 1
+(:func:`unit_row`).  If l_i != l_j, one character is a unit where the other
+is not, so no y works mod p and e_ij = 0.  Otherwise y = c_i[l_i] / c_j[l_i]
+and chi_i = y chi_j (mod p^f) iff u_i = u_j (mod p^f), so e_ij is the p-adic
+valuation of gcd(p^min(eps_i, eps_j), u_i - u_j) (:func:`meet`).  From it:
 
 * K_j <= K_i iff eps_j <= eps_i and e_ij = eps_j, and K_j = K_i iff
   moreover eps_j = eps_i (:func:`same_field`);
@@ -45,6 +47,7 @@ From it:
 from __future__ import annotations
 
 from math import gcd
+from operator import mul, sub
 
 from .abelian import Character, PGroup, Value, divisor_valuations, valuation
 
@@ -109,6 +112,7 @@ class NormalizedConfig:
         self.m = len(self.chars) - 1
         self.eps = tuple(chi.exponent for chi in self.chars)
         self.eij = tuple(tuple(r) for r in eij)
+        self._divisors: dict = {}
 
         n = self.m + 1
         parts: dict[int, list[int]] = {}
@@ -156,9 +160,9 @@ class NormalizedConfig:
     def U_lt(self, r: int) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.m + 1) if self.e0(i) < r)
 
-    def rows(self, C, d: int, top: int | None = None) -> list[list[int]]:
-        """Coefficient rows of the chi_i mod p^d, i in C, as characters into
-        Z/p^top (times p^(top - d)); top defaults to d."""
+    def check_degree(self, C, d: int) -> tuple[int, ...]:
+        """C as a tuple, once K_i(d) exists for every i in C (ValueError
+        otherwise)."""
         C = tuple(C)
         if not C:
             raise ValueError("empty index set")
@@ -167,22 +171,52 @@ class NormalizedConfig:
                 raise ValueError(f"degree {d} exceeds eps_{i} = {self.eps[i]}")
         if d < 0:
             raise ValueError(f"subfield degree {d} out of range [0, {self.eps[C[0]]}]")
+        return C
+
+    def rows(self, C, d: int, top: int | None = None) -> list[list[int]]:
+        """Coefficient rows of the chi_i mod p^d, i in C, as characters into
+        Z/p^top (times p^(top - d)); top defaults to d."""
+        C = self.check_degree(C, d)
         top = d if top is None else top
         q, s = self.p ** top, self.p ** (top - d)
         return [[c * s % q for c in self.chars[i].coeffs] for i in C]
 
+    def divisors(self, blocks, top: int, image_of=None) -> list[int]:
+        """Elementary divisor valuations over Z/p^top of the rows p^s c_i,
+        i in C, for each (C, s) in the tuple ``blocks`` (so the rows of C at
+        degree top - s), or, given a subgroup ``image_of``, of their values
+        on its basis.  The integer matrix does not depend on top, so it is
+        reduced once, at the highest top asked so far, and each lower top is
+        read off that reduction (:func:`abelian.divisor_valuations`).  The
+        memo lives in the config, so it goes when the config goes."""
+        key = (blocks, image_of)
+        hit = self._divisors.get(key)
+        if hit is None or not hit[0] <= top <= hit[1]:
+            mat = []
+            for C, s in blocks:
+                self.check_degree(C, top - s)
+                ps = self.p ** s
+                mat += [[c * ps for c in self.chars[i].coeffs] for i in C]
+            if image_of is not None:
+                mat = [[sum(map(mul, row, g)) for g in image_of.basis] for row in mat]
+            hit = self._divisors[key] = (
+                max(s for _, s in blocks), top, divisor_valuations(mat, self.p, top)
+            )
+        _, reduced_at, vals = hit
+        return vals if top == reduced_at else [v for v in vals if v < top]
+
     def is_sub_bicyclic(self, C, d: int) -> bool:
         """Whether K(C, d) embeds in a bicyclic extension: X(C, d) has at
         most two elementary divisors."""
-        return len(divisor_valuations(self.rows(C, d), self.p, d)) <= 2
+        return len(self.divisors(((tuple(C), 0),), d)) <= 2
 
     def contains(self, outer, d_out: int, inner, d_in: int) -> bool:
         """Whether K(inner, d_in) <= K(outer, d_out): over Z/p^N, N the larger
         degree, the inner rows leave the span of the outer rows as it is."""
         top = max(d_out, d_in)
-        rows = self.rows(outer, d_out, top)
-        return divisor_valuations(rows, self.p, top) == divisor_valuations(
-            rows + self.rows(inner, d_in, top), self.p, top
+        blocks = ((tuple(outer), top - d_out),)
+        return self.divisors(blocks, top) == self.divisors(
+            blocks + ((tuple(inner), top - d_in),), top
         )
 
     def field_table(self):
@@ -193,21 +227,28 @@ class NormalizedConfig:
         return rows
 
 
-def meet(chi: Character, psi: Character) -> int:
-    """log_p [K_chi cap K_psi : k] for surjective characters on one A."""
-    p = chi.ambient.p
-    top = min(chi.exponent, psi.exponent)
-    q = p ** top
-    for c0, d0 in zip(chi.coeffs, psi.coeffs):
-        if d0 % p:
-            break
-    else:
-        raise ValueError("meet needs a surjective character")
-    y = c0 * pow(d0, -1, q) % q
-    g = q
-    for c, d in zip(chi.coeffs, psi.coeffs):
-        g = gcd(g, c - y * d)
-    return valuation(p, g)
+def unit_row(chi: Character) -> tuple[int, list[int]]:
+    """(l, u): the first unit coordinate l of chi, and its row divided by
+    c[l] mod p^eps, so that u[l] = 1."""
+    p, q = chi.ambient.p, chi.modulus
+    for l, c in enumerate(chi.coeffs):
+        if c % p:
+            inv = pow(c, -1, q)
+            return l, [x * inv % q for x in chi.coeffs]
+    raise ValueError("meet needs a surjective character")
+
+
+def meet(chi: Character, psi: Character, rows=None) -> int:
+    """log_p [K_chi cap K_psi : k] for surjective characters on one A.
+
+    With (l, u) and (l', u') their unit rows (:func:`unit_row`): the fields
+    meet above k only if l = l', and then e is the p-adic valuation of
+    gcd(p^min(eps_chi, eps_psi), u - u').  ``rows`` passes the two unit rows
+    when the caller has them already."""
+    (l, u), (l2, u2) = rows or (unit_row(chi), unit_row(psi))
+    if l != l2:
+        return 0
+    return valuation(chi.ambient.p, gcd(min(chi.modulus, psi.modulus), *map(sub, u, u2)))
 
 
 def same_field(chi: Character, psi: Character) -> bool:
@@ -247,11 +288,12 @@ def validate_and_normalize(cfg: FieldConfig) -> NormalizedConfig:
     # and of equal fields keeps the first (e_ij = eps_i <= eps_j drops K_j).
     n = len(chars)
     eps = [chi.exponent for chi in chars]
+    units = [unit_row(chi) for chi in chars]
     e = [[x] * n for x in eps]
     dropped = [False] * n
     for i in range(n):
         for j in range(i + 1, n):
-            e[i][j] = e[j][i] = eij = meet(chars[i], chars[j])
+            e[i][j] = e[j][i] = eij = meet(chars[i], chars[j], (units[i], units[j]))
             if eij == eps[j] < eps[i]:
                 dropped[i] = True
             elif eij == eps[i] <= eps[j]:

@@ -32,7 +32,6 @@ from .abelian import (
     Subgroup,
     Value,
     cyclic_subgroups,
-    divisor_valuations,
     valuation,
 )
 from .fields import NormalizedConfig
@@ -162,15 +161,11 @@ def locally_cyclic(cfg: NormalizedConfig, localdata: LocalData, C, d: int) -> bo
     decomposition group D the local Galois group is DH/H, H the subgroup of
     K(C, d).  H is the kernel of a -> (chi_i(a) mod p^d)_{i in C}, so DH/H is
     the image of D in (Z/p^d)^C, the span of the rows chi_i(g) over the basis
-    rows g of D: cyclic iff it has at most one elementary divisor.
+    rows g of D: cyclic iff it has at most one elementary divisor.  Each
+    place's image matrix is reduced once per index set
+    (:meth:`NormalizedConfig.divisors`).
     """
-    rows = cfg.rows(C, d)
-    q = cfg.p ** d
-    for place in localdata.exceptional:
-        image = [
-            [sum(c * x for c, x in zip(row, g)) % q for row in rows]
-            for g in place.group.basis
-        ]
-        if len(divisor_valuations(image, cfg.p, d)) > 1:
-            return False
-    return True
+    C = cfg.check_degree(C, d)
+    return all(
+        len(cfg.divisors(((C, 0),), d, place.group)) <= 1 for place in localdata.exceptional
+    )

@@ -11,7 +11,11 @@ Every field the scans test is a composite K(C, d) of subfields K_i(d),
 i in C, and every test reads the elementary divisors of coefficient rows
 over Z/p^d: bicyclicity and containment through the duality in
 :mod:`fields`, local cyclicity through the image of each decomposition
-group (:func:`places.locally_cyclic`).  No subgroup of A is built.
+group (:func:`places.locally_cyclic`).  No subgroup of A is built.  A scan
+asks about fixed integer matrices at varying degrees, so each matrix is
+reduced once, at the highest degree asked, and every lower degree is read
+off that reduction (:meth:`NormalizedConfig.divisors`); the scans and the
+debug walk both run downward so that the first degree asked is the highest.
 
 The intersection criterion, cap_{i in U_0} K_0 K_i = K_0, reads in the dual
 of A as cap_i <chi_0, chi_i> = <chi_0>.  Modulo <chi_0> each chi_i, i in
@@ -107,15 +111,16 @@ def l_classes(cfg: NormalizedConfig, members, l: int) -> list[tuple[int, ...]]:
 
 
 def level(cfg: NormalizedConfig, members) -> int:
-    """Level of a class: last l before it splits; eps_i for a singleton."""
+    """Level of a class: last l before it splits; eps_i for a singleton.
+    e_ij >= min(e_ia, e_aj) (the chain argument of l_classes), so the least
+    e over all pairs is the least over the pairs of any one member a."""
     members = tuple(members)
     if not members:
         raise ValueError("empty index set")
     if len(members) == 1:
         return cfg.eps[members[0]]
-    return min(
-        cfg.eij[a][b] for a in members for b in members if a < b
-    )
+    a, *rest = members
+    return min(cfg.eij[a][j] for j in rest)
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +181,16 @@ def _freedom_degree(cfg, members, lvl, f, r) -> int | None:
 
 
 def _f_omega_admissible(cfg, members, lvl, f, r) -> bool:
-    """K(c, deg) is sub-bicyclic and contains K_0(f).  L(c) >= r, so
-    deg >= f and both tests read the class rows reduced once over Z/p^deg
-    (NormalizedConfig.is_sub_bicyclic and .contains)."""
+    """K(c, deg) is sub-bicyclic and contains K_0(f), as in
+    NormalizedConfig.is_sub_bicyclic and .contains.  L(c) >= r, so deg >= f,
+    and both tests read the class rows, the second with the row
+    p^(deg - f) c_0 = p^(L(c) - r) c_0 added: fixed matrices over the scan."""
     deg = _freedom_degree(cfg, members, lvl, f, r)
     if deg is None:
         return False
-    rows = cfg.rows(members, deg)
-    divisors = divisor_valuations(rows, cfg.p, deg)
-    return len(divisors) <= 2 and divisors == divisor_valuations(
-        rows + cfg.rows((0,), f, deg), cfg.p, deg
-    )
+    blocks = ((members, 0),)
+    divisors = cfg.divisors(blocks, deg)
+    return len(divisors) <= 2 and divisors == cfg.divisors(blocks + (((0,), lvl - r),), deg)
 
 
 def _f_admissible(cfg, localdata, members, lvl, f, r) -> bool:
@@ -252,21 +256,23 @@ def check_monotone_scans(
 
 
 def _check_monotone(message, floor, hit, admissible) -> None:
-    """AssertionError naming the first value in floor..hit not admissible."""
-    for v in range(floor, hit + 1):
-        if not admissible(v):
-            raise AssertionError(f"{message}{v}")
+    """AssertionError naming the first value in floor..hit not admissible.
+    The walk runs downward, as the scans do, so each matrix is reduced at
+    its highest degree first and the lower ones are read off it."""
+    bad = [v for v in range(hit, floor - 1, -1) if not admissible(v)]
+    if bad:
+        raise AssertionError(f"{message}{bad[-1]}")
 
 
 # ---------------------------------------------------------------------------
 # Generators and assembly.
 
-def _class_generators(cfg, r, node: ClassNode):
-    """Indicator generators on chosen subclasses: one per child but the last."""
+def _class_generators(cfg, r, node: ClassNode, pos: dict[int, int]):
+    """Indicator generators on chosen subclasses: one per child but the last;
+    ``pos`` maps each member of U_r to its coordinate."""
     out = []
     p, eps0 = cfg.p, cfg.eps[0]
-    width = len(cfg.U(r))
-    pos = {i: t for t, i in enumerate(cfg.U(r))}
+    width = len(pos)
     for chosen in sorted(node.children, key=lambda c: c.members)[:-1]:
         xw = [0] * width
         x = [0] * width
@@ -330,11 +336,12 @@ def assemble(cfg: NormalizedConfig, localdata: LocalData) -> StructureResult:
 
         tree = build_class_tree(cfg, localdata, r, d_om)
         trees[r] = tree
+        pos = {i: t for t, i in enumerate(cfg.U(r))}
         for node in tree.walk():
             n_next = len(node.children)
             if n_next <= 1:
                 continue
-            certs.extend(_class_generators(cfg, r, node))
+            certs.extend(_class_generators(cfg, r, node, pos))
             omega_exps.extend([node.f_omega - r] * (n_next - 1))
             ordinary_exps.extend([node.f - r] * (n_next - 1))
             quotient_exps.extend([node.f_omega - node.f] * (n_next - 1))

@@ -248,6 +248,24 @@ def test_image_is_cyclic():
     assert not image_is_cyclic(full, h)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_divisor_valuations_read_off_a_higher_degree(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
+    top = data.draw(st.integers(0, 12), label="D")
+    d = data.draw(st.integers(0, top), label="d")
+    width = data.draw(st.integers(1, 4), label="columns")
+    entry = st.builds(
+        lambda k, u: p ** k * u, st.integers(0, 12), st.integers(-(p ** 2), p ** 2)
+    )
+    mat = data.draw(
+        st.lists(st.lists(entry, min_size=width, max_size=width), max_size=6), label="M"
+    )
+    assert divisor_valuations(mat, p, d) == [
+        v for v in divisor_valuations(mat, p, top) if v < d
+    ]
+
+
 def test_divisor_valuations_match_smith_form():
     # over Z/p^d the matrix M has the elementary divisors p^v, v < d, of the
     # integer matrix [M; p^d I]; zero rows and columns included

@@ -694,6 +694,25 @@ def test_exponent_at_the_int_to_str_limit(int_limit, tmp_path, capsys):
     assert err.startswith("config error: characters[0].target_exponent 100000000: p^"), err
 
 
+def test_exponent_at_the_least_int_to_str_limit(tmp_path, capsys):
+    # at the least limit the interpreter allows, 640 digits, the digit bound
+    # still refuses 2^2127 (641 digits) and 2^2200 (663) and admits 2^2126
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        three = [(1, 0), (0, 1), (1, 1)]
+        assert main(["validate", write(tmp_path, homocyclic_doc(2126, three))]) == EXIT_OK
+        assert str(2 ** 2126) in capsys.readouterr().out
+        for n in (2127, 2200):
+            assert main(["validate", write(tmp_path, homocyclic_doc(n, three))]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == (
+                f"config error: exponent {n}: p^{n} has more than 640 decimal digits, "
+                "the interpreter's limit for printing an integer\n"
+            )
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 @pytest.mark.parametrize("command", ["compute", "validate"])
 @pytest.mark.parametrize(
     "content, message",

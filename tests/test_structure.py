@@ -78,6 +78,23 @@ def test_levels_and_classes():
         level(cfg2, ())
 
 
+def test_level_is_the_least_pair_level():
+    # level reads one member's row of e; the definition is the least e_ij
+    # over all pairs of the class
+    rng = random.Random(11)
+    sets = 0
+    for _ in range(1000):
+        cfg, _local = random_config(rng)
+        everyone = range(1, cfg.m + 1)
+        for size in range(2, cfg.m + 1):
+            for members in itertools.combinations(everyone, size):
+                assert level(cfg, members) == min(
+                    cfg.eij[a][b] for a in members for b in members if a < b
+                ), members
+                sets += 1
+    assert sets > 2000
+
+
 def test_l_classes_threshold_graph():
     # e matrix on the quartic fields: e_{1,2} = 1, e_{1,3} = e_{2,3} = 0
     cfg = abstract_config(
@@ -517,6 +534,43 @@ def test_composite_and_criterion_match_reference():
         _check_against_reference(rng, cfg, _random_places(rng, cfg.group), shaped)
         count += 1
     assert all(min(v.values()) >= 5 for v in shaped.values()), shaped
+
+
+def test_scans_reduce_each_matrix_once(monkeypatch):
+    # five fields on (Z/2^n)^2 and one place: every scan and the debug walk
+    # read their degrees off one reduction per matrix, so the number of
+    # reductions does not grow with n
+    import multinorm_sha.abelian as abelian
+    import multinorm_sha.fields as fields
+    import multinorm_sha.places as places
+    import multinorm_sha.structure as structure
+
+    calls = []
+    reduce = abelian.divisor_valuations
+
+    def counted(rows, p, d):
+        calls.append(d)
+        return reduce(rows, p, d)
+
+    for module in (fields, places, structure):
+        if hasattr(module, "divisor_valuations"):
+            monkeypatch.setattr(module, "divisor_valuations", counted)
+    counts = {}
+    for n in (10, 40):
+        group = PGroup(2, (n, n))
+        chars = tuple(
+            Character(group, n, c) for c in ((1, 0), (0, 1), (1, 1), (1, 3), (1, 5))
+        )
+        cfg = validate_and_normalize(FieldConfig(group, chars, ()))
+        local = LocalData((Place("v", Subgroup.span(group, [(4, 0), (0, 4)])),))
+        calls.clear()
+        result = assemble(cfg, local)
+        made = len(calls)
+        check_monotone_scans(cfg, local, result)
+        counts[n] = (made, len(calls) - made)
+        assert result.sha_invariants == (2, 2, 2)
+        assert result.sha_omega_invariants == (n, n - 1, n - 2)
+    assert counts[10] == counts[40], counts
 
 
 def test_composite_keeps_its_errors():
