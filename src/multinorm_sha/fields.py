@@ -23,7 +23,10 @@ test is that adding the C_in rows to the C_out rows leaves the elementary
 divisors, so the order, of their span unchanged
 (:meth:`NormalizedConfig.contains`).
 
-Normalization needs only congruences of characters.  K_i cap K_j =
+Normalization needs only congruences of characters, so it runs on their
+(eps, coeffs) rows alone (:func:`normalize_rows`): validate_and_normalize
+checks surjectivity, naming the field, and wraps the result, and the selftest
+decides each raw draw on its rows before it builds anything.  K_i cap K_j =
 K_i(e_ij), with e_ij the largest f for which K_i(f) = K_j(f).  Two
 characters onto Z/p^f have one kernel iff they differ by a unit, so e_ij is
 the largest f <= min(eps_i, eps_j) with chi_i = y chi_j (mod p^f)
@@ -99,15 +102,15 @@ class NormalizedConfig:
     e_{0,i} is non-decreasing.  Derived constants: eps[i] = log_p [K_i:k],
     eij[i][j] = log_p [K_i cap K_j : k] (diagonal carries eps), e0(i) and
     ei(i) for the interaction with K_0, and the partition U_r of 1..m by
-    e_{0,i} = r.  Built only by :func:`validate_and_normalize`, which hands
-    over eij.
+    e_{0,i} = r.  Built from a FieldConfig and the (permutation, eij) that
+    :func:`normalize_rows` returns for its characters.
     """
 
-    def __init__(self, group: PGroup, chars, labels, permutation, eij):
-        self.group = group
-        self.p = group.p
-        self.chars = tuple(chars)
-        self.labels = tuple(labels)
+    def __init__(self, cfg: FieldConfig, permutation, eij):
+        self.group = cfg.group
+        self.p = cfg.group.p
+        self.chars = tuple(cfg.chars[i] for i in permutation)
+        self.labels = tuple(cfg.labels[i] for i in permutation)
         self.permutation = tuple(permutation)
         self.m = len(self.chars) - 1
         self.eps = tuple(chi.exponent for chi in self.chars)
@@ -227,15 +230,29 @@ class NormalizedConfig:
         return rows
 
 
+def _unit_row(p: int, q: int, coeffs) -> tuple[int, list[int]]:
+    for l, c in enumerate(coeffs):
+        if c % p:
+            inv = pow(c, -1, q)
+            return l, [x * inv % q for x in coeffs]
+    raise ValueError("meet needs a surjective character")
+
+
+def _meet(p: int, q: int, rows) -> int:
+    (l, u), (l2, u2) = rows
+    return valuation(p, gcd(q, *map(sub, u, u2))) if l == l2 else 0
+
+
+def _fp_rank(p: int, exponents, rows) -> int:
+    return len(divisor_valuations(
+        [[c * p ** (n - 1) // p ** (eps - 1) % p for c, n in zip(coeffs, exponents)]
+         for eps, coeffs in rows], p, 1))
+
+
 def unit_row(chi: Character) -> tuple[int, list[int]]:
     """(l, u): the first unit coordinate l of chi, and its row divided by
     c[l] mod p^eps, so that u[l] = 1."""
-    p, q = chi.ambient.p, chi.modulus
-    for l, c in enumerate(chi.coeffs):
-        if c % p:
-            inv = pow(c, -1, q)
-            return l, [x * inv % q for x in chi.coeffs]
-    raise ValueError("meet needs a surjective character")
+    return _unit_row(chi.ambient.p, chi.modulus, chi.coeffs)
 
 
 def meet(chi: Character, psi: Character, rows=None) -> int:
@@ -245,10 +262,8 @@ def meet(chi: Character, psi: Character, rows=None) -> int:
     meet above k only if l = l', and then e is the p-adic valuation of
     gcd(p^min(eps_chi, eps_psi), u - u').  ``rows`` passes the two unit rows
     when the caller has them already."""
-    (l, u), (l2, u2) = rows or (unit_row(chi), unit_row(psi))
-    if l != l2:
-        return 0
-    return valuation(chi.ambient.p, gcd(min(chi.modulus, psi.modulus), *map(sub, u, u2)))
+    rows = rows or (unit_row(chi), unit_row(psi))
+    return _meet(chi.ambient.p, min(chi.modulus, psi.modulus), rows)
 
 
 def same_field(chi: Character, psi: Character) -> bool:
@@ -259,41 +274,27 @@ def same_field(chi: Character, psi: Character) -> bool:
 def separates(group: PGroup, chars) -> bool:
     """Whether the common kernel of ``chars`` in A is trivial: the F_p rank,
     the number of elementary divisors over Z/p, is rank(A)."""
-    p = group.p
-    rows = [
-        [c * p ** (n - 1) // p ** (chi.exponent - 1) % p
-         for c, n in zip(chi.coeffs, group.exponents)]
-        for chi in chars
-    ]
-    return len(divisor_valuations(rows, p, 1)) == group.rank
+    rows = [(chi.exponent, chi.coeffs) for chi in chars]
+    return _fp_rank(group.p, group.exponents, rows) == group.rank
 
 
-def validate_and_normalize(cfg: FieldConfig) -> NormalizedConfig:
-    """Prune superfields, reindex to the standing conventions, derive constants.
-
-    Raises NonSurjectiveCharacter, TooFewFields, IntersectionNotBase or
-    NonSeparatingAmbient when the input does not describe m+1 >= 3 distinct
-    cyclic p-power extensions with pairwise-incomparable fields, compositum
-    Galois group A and common intersection k.
-    """
-    chars = cfg.chars
-    for chi, label in zip(chars, cfg.labels):
-        if not chi.is_surjective():
-            raise NonSurjectiveCharacter(
-                f"character of {label} does not map onto Z/p^{chi.exponent}"
-            )
-
+def normalize_rows(p: int, exponents, rows) -> tuple[list[int], list[list[int]]]:
+    """The row-level core of :func:`validate_and_normalize`, on the (eps,
+    coeffs) rows of surjective characters of (+) Z/p^{n_l}, n_l in
+    ``exponents``: (order, eij), the kept indices in normalized order and
+    the e_ij in that order (eps on the diagonal), or TooFewFields,
+    IntersectionNotBase or NonSeparatingAmbient.  Builds no group or character."""
     # e[i][j] = log_p [K_i cap K_j : k], one meet per pair; the diagonal is eps.
     # Each meet also drops the superfield K_i of K_j (e_ij = eps_j < eps_i),
     # and of equal fields keeps the first (e_ij = eps_i <= eps_j drops K_j).
-    n = len(chars)
-    eps = [chi.exponent for chi in chars]
-    units = [unit_row(chi) for chi in chars]
+    n = len(rows)
+    eps = [x for x, _ in rows]
+    units = [_unit_row(p, p ** x, coeffs) for x, coeffs in rows]
     e = [[x] * n for x in eps]
     dropped = [False] * n
     for i in range(n):
         for j in range(i + 1, n):
-            e[i][j] = e[j][i] = eij = meet(chars[i], chars[j], (units[i], units[j]))
+            e[i][j] = e[j][i] = eij = _meet(p, p ** min(eps[i], eps[j]), (units[i], units[j]))
             if eij == eps[j] < eps[i]:
                 dropped[i] = True
             elif eij == eps[i] <= eps[j]:
@@ -310,20 +311,29 @@ def validate_and_normalize(cfg: FieldConfig) -> NormalizedConfig:
             "the fields intersect in a proper extension of k with Galois "
             f"invariants [{common}]"
         )
-    if not separates(cfg.group, [chars[i] for i in keep]):
+    if _fp_rank(p, exponents, [rows[i] for i in keep]) != len(exponents):
         raise NonSeparatingAmbient(
             "characters do not jointly separate A; pass the Galois group of "
             "the compositum as the ambient group"
         )
 
-    zero = min(keep, key=lambda i: (chars[i].exponent, i))
-    rest = [i for i in keep if i != zero]
-    rest.sort(key=lambda i: (e[zero][i], i))
-    order = [zero] + rest
-    return NormalizedConfig(
-        cfg.group,
-        [chars[i] for i in order],
-        [cfg.labels[i] for i in order],
-        order,
-        [[e[i][j] for j in order] for i in order],
-    )
+    zero = min(keep, key=lambda i: (eps[i], i))
+    order = [zero] + sorted((i for i in keep if i != zero), key=lambda i: (e[zero][i], i))
+    return order, [[e[i][j] for j in order] for i in order]
+
+
+def validate_and_normalize(cfg: FieldConfig) -> NormalizedConfig:
+    """Prune superfields, reindex to the standing conventions, derive constants.
+
+    Raises NonSurjectiveCharacter, TooFewFields, IntersectionNotBase or
+    NonSeparatingAmbient when the input does not describe m+1 >= 3 distinct
+    cyclic p-power extensions with pairwise-incomparable fields, compositum
+    Galois group A and common intersection k: surjectivity here, naming the
+    field, and the rest in :func:`normalize_rows`."""
+    for chi, label in zip(cfg.chars, cfg.labels):
+        if not chi.is_surjective():
+            raise NonSurjectiveCharacter(
+                f"character of {label} does not map onto Z/p^{chi.exponent}"
+            )
+    rows = [(chi.exponent, chi.coeffs) for chi in cfg.chars]
+    return NormalizedConfig(cfg, *normalize_rows(cfg.group.p, cfg.group.exponents, rows))

@@ -7,7 +7,8 @@ chain, patching-degree monotonicity between blocks, the degree-of-freedom
 chain, the block product decomposition, generator membership, and the
 two-valued-approximation properties.  No group is listed: the block
 decomposition compares subgroup orders, and the a' test vectors are read
-off the Hermite basis of G_omega.
+off the Hermite basis of G_omega.  Draws are kept or refused on their rows
+(:func:`fields.normalize_rows`); only a kept draw is built into a config.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 from math import gcd, prod
 
 from .abelian import Character, PGroup, Subgroup
-from .fields import FieldConfig, NormalizedConfig, ShaInputError, validate_and_normalize
+from .fields import FieldConfig, NormalizedConfig, ShaInputError, normalize_rows
 from .places import LocalData, Place
 from .oracle import (
     InternalCheckError,
@@ -116,16 +117,18 @@ def random_config(rng: random.Random) -> tuple[NormalizedConfig, LocalData]:
             draws = _generic_characters(rng, p, exps, rng.choice([3, 3, 3, 4, 4, 5]))
         if draws is None:
             continue
-        group = PGroup(p, tuple(exps))
-        chars = tuple(Character(group, eps, coeffs) for eps, coeffs in draws)
         try:
-            cfg = validate_and_normalize(FieldConfig(group, chars, ()))
+            order, eij = normalize_rows(p, exps, draws)
         except ShaInputError:
             continue
-        if prod(p ** e for e in cfg.eis) > AMBIENT_CAP:
+        e0 = eij[0][1:]  # the e_{0,i}: e_i = eps_0 - e_{0,i}, and U_r for each r in e0
+        if p ** sum(eij[0][0] - r for r in e0) > AMBIENT_CAP:
             continue
-        if block_style and len(cfg.R) < 2 and rng.random() < 0.8:
+        if block_style and len(set(e0)) < 2 and rng.random() < 0.8:
             continue  # chase genuinely multi-block instances
+        group = PGroup(p, tuple(exps))
+        chars = tuple(Character(group, eps, coeffs) for eps, coeffs in draws)
+        cfg = NormalizedConfig(FieldConfig(group, chars, ()), order, eij)
         places = []
         for t in range(rng.randint(0, 3)):
             gens = [

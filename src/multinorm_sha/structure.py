@@ -145,6 +145,10 @@ def delta_omega(cfg: NormalizedConfig, r: int) -> int:
 
 
 def _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt) -> bool:
+    """K(U_gt, d) <= K_0(d) K_i(d) for each i in U_r, and K(U_r, d) <= K_0(d)
+    K_i(d) for each i in U_lt: containment in the intersection of the K_0(d)
+    K_i(d), not in their composite K((0,) + U_r, d), so one test per i (one
+    merged test gives delta_omega(0) = 4, not 1, on the 448 fields of (Z/16)^3)."""
     if u_gt and not all(cfg.contains((0, i), d, u_gt, d) for i in u_r):
         return False
     return not u_lt or all(cfg.contains((0, i), d, u_r, d) for i in u_lt)
@@ -296,8 +300,11 @@ def _class_generators(cfg, r, node: ClassNode, pos: dict[int, int]):
 def criterion_trivial(cfg: NormalizedConfig) -> bool:
     """Intersection criterion: cap of K_0 K_i over i in U_0 equals K_0, iff
     the rows c_0 and c_i, i in U_0, have F_p rank at least 3 (see the module
-    docstring).  When it holds both obstruction groups vanish."""
-    return len(divisor_valuations(cfg.rows((0,) + cfg.U(0), 1), cfg.p, 1)) >= 3
+    docstring).  When it holds both obstruction groups vanish.  That rank is
+    at most min(rank(A), |U_0| + 1), so below 3 of either no matrix is built."""
+    u0 = cfg.U(0)
+    return (cfg.group.rank >= 3 and len(u0) >= 2
+            and len(divisor_valuations(cfg.rows((0,) + u0, 1), cfg.p, 1)) >= 3)
 
 
 def assemble(cfg: NormalizedConfig, localdata: LocalData) -> StructureResult:

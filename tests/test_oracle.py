@@ -289,6 +289,59 @@ def test_random_config_stream_is_pinned():
     )
 
 
+def test_random_config_builds_only_the_configs_it_returns(monkeypatch):
+    # a draw is decided on its rows (fields.normalize_rows), so a selftest
+    # round builds one group per config it keeps; refused and chased draws
+    # build none
+    import multinorm_sha.selftest as selftest
+
+    built = []
+
+    def counting_pgroup(*args):
+        built.append(args)
+        return PGroup(*args)
+
+    monkeypatch.setattr(selftest, "PGroup", counting_pgroup)
+    for s in range(10):
+        assert run_selftest(s, 25).ok
+    assert len(built) == 250
+
+
+def test_random_config_hands_over_the_normalization(monkeypatch):
+    # every config random_config returns is what validate_and_normalize
+    # makes of its draws, and every draw defines a map onto its target,
+    # whether normalization keeps it or refuses it
+    import multinorm_sha.selftest as selftest
+
+    drawn = []
+
+    def recording(make):
+        def draw(rng, p, exps, nfields):
+            draws = make(rng, p, exps, nfields)
+            if draws is not None:
+                drawn.append((p, tuple(exps), draws))
+            return draws
+        return draw
+
+    for name in ("_generic_characters", "_block_characters"):
+        monkeypatch.setattr(selftest, name, recording(getattr(selftest, name)))
+    rng = random.Random(31)
+    for _ in range(500):
+        cfg, _local = random_config(rng)
+        p, exps, draws = drawn[-1]
+        group = PGroup(p, exps)
+        raw = FieldConfig(group, tuple(Character(group, e, c) for e, c in draws), ())
+        want = validate_and_normalize(raw)
+        assert (cfg.group, cfg.chars, cfg.permutation, cfg.labels, cfg.eij, cfg.R) == (
+            want.group, want.chars, want.permutation, want.labels, want.eij, want.R
+        )
+    assert len(drawn) > 2_000
+    for p, exps, draws in drawn:
+        group = PGroup(p, exps)
+        for eps, coeffs in draws:
+            assert Character(group, eps, coeffs).is_surjective(), (p, exps, eps, coeffs)
+
+
 def test_sampler_draws_like_rng_sample_on_the_listed_vectors():
     rng = random.Random(5)
     for _ in range(200):

@@ -7,6 +7,7 @@ from multinorm_sha.abelian import (
     Character,
     PGroup,
     Subgroup,
+    divisor_valuations,
     intersect,
 )
 from multinorm_sha.fields import (
@@ -39,7 +40,7 @@ from multinorm_sha.structure import (
 )
 from multinorm_sha.selftest import SelftestFailure, check_invariants, random_config
 
-from conftest import NO_PLACES, abstract_config, formula_shaped
+from conftest import NO_PLACES, abstract_config, formula_shaped, perfbench_workloads
 from structure_reference import (
     noncyclic_places,
     reference_composite,
@@ -93,6 +94,28 @@ def test_level_is_the_least_pair_level():
                 ), members
                 sets += 1
     assert sets > 2000
+
+
+def test_criterion_shortcut_matches_the_reduction():
+    # criterion_trivial builds no matrix when rank(A) < 3 or |U_0| < 2, as
+    # the F_p rank of c_0 and the c_i, i in U_0, is at most
+    # min(rank(A), |U_0| + 1); it must agree with that rank everywhere
+    from multinorm_sha.cli import parse_document
+
+    configs = [
+        validate_and_normalize(raw)
+        for doc in perfbench_workloads().formula_inputs(0)
+        for raw, *_ in parse_document(doc)
+    ]
+    assert len(configs) == 503
+    rng = random.Random(29)
+    configs += [random_config(rng)[0] for _ in range(1000)]
+    shortcuts = 0
+    for cfg in configs:
+        rank = len(divisor_valuations(cfg.rows((0,) + cfg.U(0), 1), cfg.p, 1))
+        assert criterion_trivial(cfg) is (rank >= 3), cfg
+        shortcuts += cfg.group.rank < 3 or len(cfg.U(0)) < 2
+    assert shortcuts > 210
 
 
 def test_l_classes_threshold_graph():
