@@ -306,13 +306,11 @@ def compute_component(cfg_raw, local, method, debug):
     return component
 
 
-def build_report(components, method, debug_override=None):
+def build_report(components, method, debug=False):
     t0 = time.perf_counter()
     rows = [
-        compute_component(
-            cfg_raw, local, method, debug if debug_override is None else debug_override
-        )
-        for cfg_raw, local, _budget, debug in components
+        compute_component(cfg_raw, local, method, debug or component_debug)
+        for cfg_raw, local, _budget, component_debug in components
     ]
     sha_ed, sha_omega_ed = [], []
     for row in rows:
@@ -515,7 +513,7 @@ def _run(args, documents, golden=False) -> int:
         report = build_report(
             parse_document(document),
             args.method or "both",
-            debug_override=args.debug_monotonicity or None,
+            debug=args.debug_monotonicity,
         )
         failures = _check_example(report, EXAMPLES[name]) if golden else []
         if show_text:

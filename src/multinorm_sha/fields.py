@@ -31,8 +31,8 @@ K_i(e_ij), with e_ij the largest f for which K_i(f) = K_j(f).  Two
 characters onto Z/p^f have one kernel iff they differ by a unit, so e_ij is
 the largest f <= min(eps_i, eps_j) with chi_i = y chi_j (mod p^f)
 coefficient by coefficient.  Scale each chi_i once, by the inverse of its
-first unit coefficient c_i[l_i], to the row u_i with u_i[l_i] = 1
-(:func:`unit_row`).  If l_i != l_j, one character is a unit where the other
+first unit coefficient c_i[l_i], to the row u_i with u_i[l_i] = 1 (its
+unit row).  If l_i != l_j, one character is a unit where the other
 is not, so no y works mod p and e_ij = 0.  Otherwise y = c_i[l_i] / c_j[l_i]
 and chi_i = y chi_j (mod p^f) iff u_i = u_j (mod p^f), so e_ij is the p-adic
 valuation of gcd(p^min(eps_i, eps_j), u_i - u_j) (:func:`meet`).  From it:
@@ -249,20 +249,14 @@ def _fp_rank(p: int, exponents, rows) -> int:
          for eps, coeffs in rows], p, 1))
 
 
-def unit_row(chi: Character) -> tuple[int, list[int]]:
-    """(l, u): the first unit coordinate l of chi, and its row divided by
-    c[l] mod p^eps, so that u[l] = 1."""
-    return _unit_row(chi.ambient.p, chi.modulus, chi.coeffs)
-
-
-def meet(chi: Character, psi: Character, rows=None) -> int:
+def meet(chi: Character, psi: Character) -> int:
     """log_p [K_chi cap K_psi : k] for surjective characters on one A.
 
-    With (l, u) and (l', u') their unit rows (:func:`unit_row`): the fields
-    meet above k only if l = l', and then e is the p-adic valuation of
-    gcd(p^min(eps_chi, eps_psi), u - u').  ``rows`` passes the two unit rows
-    when the caller has them already."""
-    rows = rows or (unit_row(chi), unit_row(psi))
+    With (l, u) and (l', u') their unit rows, each the row divided by its
+    first unit coefficient c[l] mod p^eps: the fields meet above k only if
+    l = l', and then e is the p-adic valuation of gcd(p^min(eps_chi,
+    eps_psi), u - u')."""
+    rows = [_unit_row(chi.ambient.p, x.modulus, x.coeffs) for x in (chi, psi)]
     return _meet(chi.ambient.p, min(chi.modulus, psi.modulus), rows)
 
 

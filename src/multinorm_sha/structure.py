@@ -1,8 +1,10 @@
 """Closed-form computation of the obstruction groups.
 
-Levels and nested equivalence classes of each block U_r, patching degrees,
-degrees of freedom, explicit generator vectors, and the assembled invariant
-factors.  Every scan is one _scan: it walks downward from its upper bound
+Levels and nested equivalence classes of each block U_r, its patching
+degrees (one :func:`patching_degrees` call), degrees of freedom, and the
+generator certificates: one constant vector per block and one indicator per
+child but the last of a class.  The invariant factors are their orders.
+Every scan is one _scan: it walks downward from its upper bound
 and stops at the first admissible value, which is the stated maximum when
 admissibility is downward closed; the debug mode (check_monotone_scans)
 checks every value below every hit of the scans of an assembled result.
@@ -30,7 +32,7 @@ the rows c_0 and c_i, i in U_0, taken mod p, have F_p rank at least 3.
 
 from __future__ import annotations
 
-from .abelian import Value, divisor_valuations
+from .abelian import Value, divisor_valuations, valuation
 from .fields import NormalizedConfig
 from .places import LocalData, locally_cyclic
 from .oracle import ShaReport
@@ -134,14 +136,17 @@ def _scan(top: int, floor: int, admissible) -> int:
     return floor
 
 
-def delta_omega(cfg: NormalizedConfig, r: int) -> int:
-    """Algebraic patching degree of U_r (scan downward, first admissible)."""
+def patching_degrees(cfg: NormalizedConfig, localdata: LocalData, r: int) -> PatchingData:
+    """Patching degrees of U_r: delta_omega scans down from eps_0, and delta,
+    its local-cyclicity refinement, scans down from that hit."""
     if r not in cfg.R:
         raise ValueError(f"no fields with e_0i = {r}")
     u_r, u_gt, u_lt = cfg.U(r), cfg.U_gt(r), cfg.U_lt(r)
     if not u_gt and not u_lt:
-        return cfg.eps[0]
-    return _scan(cfg.eps[0], r, lambda d: _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt))
+        return PatchingData(r, cfg.eps[0], cfg.eps[0])
+    d_om = _scan(cfg.eps[0], r, lambda d: _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt))
+    d_ord = _scan(d_om, r, lambda d: _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt))
+    return PatchingData(r, d_om, d_ord)
 
 
 def _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt) -> bool:
@@ -152,20 +157,6 @@ def _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt) -> bool:
     if u_gt and not all(cfg.contains((0, i), d, u_gt, d) for i in u_r):
         return False
     return not u_lt or all(cfg.contains((0, i), d, u_r, d) for i in u_lt)
-
-
-def delta_ordinary(
-    cfg: NormalizedConfig, localdata: LocalData, r: int, d_om: int | None = None
-) -> int:
-    """Patching degree of U_r: the local-cyclicity refinement of delta_omega,
-    the scan's bound (computed unless the caller passes it as d_om)."""
-    if r not in cfg.R:
-        raise ValueError(f"no fields with e_0i = {r}")
-    u_r, u_gt, u_lt = cfg.U(r), cfg.U_gt(r), cfg.U_lt(r)
-    if not u_gt and not u_lt:
-        return cfg.eps[0]
-    top = delta_omega(cfg, r) if d_om is None else d_om
-    return _scan(top, r, lambda d: _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt))
 
 
 def _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt) -> bool:
@@ -271,30 +262,19 @@ def _check_monotone(message, floor, hit, admissible) -> None:
 # ---------------------------------------------------------------------------
 # Generators and assembly.
 
-def _class_generators(cfg, r, node: ClassNode, pos: dict[int, int]):
-    """Indicator generators on chosen subclasses: one per child but the last;
-    ``pos`` maps each member of U_r to its coordinate."""
-    out = []
+def _certificate(cfg, r, kind, support, pos, deg_omega, deg) -> GeneratorCert:
+    """The generator over U_r that is p^(eps_0 - d) mod p^(eps_0 - r) on
+    `support` and 0 elsewhere, of order p^(d - r): x_omega in G_omega with
+    d = deg_omega, and x in G with d = deg.  ``pos`` maps each member of U_r
+    to its coordinate."""
     p, eps0 = cfg.p, cfg.eps[0]
-    width = len(pos)
-    for chosen in sorted(node.children, key=lambda c: c.members)[:-1]:
-        xw = [0] * width
-        x = [0] * width
-        for i in chosen.members:
-            xw[pos[i]] = p ** (eps0 - node.f_omega) % p ** (eps0 - r)
-            x[pos[i]] = p ** (eps0 - node.f) % p ** (eps0 - r)
-        out.append(
-            GeneratorCert(
-                r=r,
-                kind="class",
-                support=chosen.members,
-                x_omega=tuple(xw),
-                x=tuple(x),
-                order_omega=p ** (node.f_omega - r),
-                order=p ** (node.f - r),
-            )
-        )
-    return out
+    entry_omega, entry = (p ** (eps0 - d) % p ** (eps0 - r) for d in (deg_omega, deg))
+    x_omega, x = [0] * len(pos), [0] * len(pos)
+    for i in support:
+        x_omega[pos[i]], x[pos[i]] = entry_omega, entry
+    return GeneratorCert(
+        r, kind, support, tuple(x_omega), tuple(x), p ** (deg_omega - r), p ** (deg - r)
+    )
 
 
 def criterion_trivial(cfg: NormalizedConfig) -> bool:
@@ -308,58 +288,30 @@ def criterion_trivial(cfg: NormalizedConfig) -> bool:
 
 
 def assemble(cfg: NormalizedConfig, localdata: LocalData) -> StructureResult:
-    """Invariant factors of both groups from patching data and class trees."""
-    patching = []
-    trees = {}
-    certs = []
-    omega_exps: list[int] = []
-    ordinary_exps: list[int] = []
-    quotient_exps: list[int] = []
-    p, eps0 = cfg.p, cfg.eps[0]
-
+    """Both groups as direct sums of their generator certificates, each
+    invariant factor the order of one certificate.  U_0's constant vectors
+    stand for the diagonal D, which both quotients divide out."""
+    patching, trees, certs = [], {}, []
     for r in cfg.R:
-        d_om = delta_omega(cfg, r)
-        d_ord = delta_ordinary(cfg, localdata, r, d_om)
-        patching.append(PatchingData(r, d_om, d_ord))
-        width = len(cfg.U(r))
-        certs.append(
-            GeneratorCert(
-                r=r,
-                kind="block",
-                support=cfg.U(r),
-                x_omega=(p ** (eps0 - d_om) % p ** (eps0 - r),) * width,
-                x=(p ** (eps0 - d_ord) % p ** (eps0 - r),) * width,
-                order_omega=p ** (d_om - r),
-                order=p ** (d_ord - r),
-            )
-        )
-        if r != 0:
-            if d_om - r:
-                omega_exps.append(d_om - r)
-            if d_ord - r:
-                ordinary_exps.append(d_ord - r)
-            if d_om - d_ord:
-                quotient_exps.append(d_om - d_ord)
-
-        tree = build_class_tree(cfg, localdata, r, d_om)
-        trees[r] = tree
+        pd = patching_degrees(cfg, localdata, r)
+        patching.append(pd)
         pos = {i: t for t, i in enumerate(cfg.U(r))}
-        for node in tree.walk():
-            n_next = len(node.children)
-            if n_next <= 1:
-                continue
-            certs.extend(_class_generators(cfg, r, node, pos))
-            omega_exps.extend([node.f_omega - r] * (n_next - 1))
-            ordinary_exps.extend([node.f - r] * (n_next - 1))
-            quotient_exps.extend([node.f_omega - node.f] * (n_next - 1))
+        certs.append(_certificate(cfg, r, "block", cfg.U(r), pos, pd.delta_omega, pd.delta))
+        trees[r] = build_class_tree(cfg, localdata, r, pd.delta_omega)
+        for node in trees[r].walk():
+            for chosen in sorted(node.children, key=lambda c: c.members)[:-1]:
+                certs.append(
+                    _certificate(cfg, r, "class", chosen.members, pos, node.f_omega, node.f)
+                )
 
+    orders = [(c.order, c.order_omega) for c in certs if c.r or c.kind == "class"]
     return StructureResult(
         patching=patching,
         trees=trees,
         generators=certs,
-        sha_invariants=_invariants(ordinary_exps),
-        sha_omega_invariants=_invariants(omega_exps),
-        quotient_annotation=_invariants(quotient_exps),
+        sha_invariants=_invariants(valuation(cfg.p, o) for o, _ in orders),
+        sha_omega_invariants=_invariants(valuation(cfg.p, w) for _, w in orders),
+        quotient_annotation=_invariants(valuation(cfg.p, w // o) for o, w in orders),
         criterion_trivial=criterion_trivial(cfg),
     )
 

@@ -289,6 +289,30 @@ def test_random_config_stream_is_pinned():
     )
 
 
+def test_selftest_config_stream_is_pinned(monkeypatch):
+    # which configs `selftest --seed s --count 25` checks, s = 0..9: run_selftest
+    # draws each trial's a' samples from the rng it draws the configs from, so
+    # most of them are not the back-to-back draws pinned above
+    import hashlib
+
+    import multinorm_sha.selftest as selftest
+
+    texts = []
+
+    def recording(rng):
+        cfg, local = random_config(rng)
+        texts.append(selftest.describe_config(cfg, local) + "\n\n")
+        return cfg, local
+
+    monkeypatch.setattr(selftest, "random_config", recording)
+    for s in range(10):
+        assert run_selftest(s, 25).ok
+    assert len(texts) == 250
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+        "ec04d768a1f8b28137a9cfe569985a56bc1207e3144be0e71d39e5b446c9560d"
+    )
+
+
 def test_random_config_builds_only_the_configs_it_returns(monkeypatch):
     # a draw is decided on its rows (fields.normalize_rows), so a selftest
     # round builds one group per config it keeps; refused and chased draws

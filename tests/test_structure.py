@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -26,15 +27,15 @@ from multinorm_sha.oracle import (
 )
 from multinorm_sha.structure import (
     GeneratorCert,
+    PatchingData,
     ShapeMismatch,
     StructureResult,
     assemble,
     check_monotone_scans,
     criterion_trivial,
-    delta_omega,
-    delta_ordinary,
     l_classes,
     level,
+    patching_degrees,
     shortcut_bicyclic_subfields,
     shortcut_linearly_disjoint,
 )
@@ -118,6 +119,47 @@ def test_criterion_shortcut_matches_the_reduction():
     assert shortcuts > 210
 
 
+def test_certificate_orders_are_the_orders_of_their_vectors():
+    # the formula's answer is read off its certificates: each order is the
+    # additive order of its vector in (+)_{i in U_r} Z/p^{e_i}, and sha,
+    # sha_omega and the quotient are the log_p of the orders of every
+    # certificate but U_0's block vector, sorted, nonzero
+    from multinorm_sha.cli import parse_document
+
+    cases = [
+        (validate_and_normalize(raw), local)
+        for doc in perfbench_workloads().formula_inputs(0)
+        for raw, local, *_ in parse_document(doc)
+    ]
+    assert len(cases) == 503
+    rng = random.Random(7)
+    cases += [random_config(rng) for _ in range(1000)]
+    certs = 0
+    for cfg, local in cases:
+        p = cfg.p
+        res = assemble(cfg, local)
+        exps = []
+        for cert in res.generators:
+            moduli = [p ** cfg.e_i(i) for i in cfg.U(cert.r)]
+            pair = []
+            for vec, order in ((cert.x, cert.order), (cert.x_omega, cert.order_omega)):
+                assert len(vec) == len(moduli)
+                q = max(m // gcd(m, x) for x, m in zip(vec, moduli))
+                assert order == q, (cfg, cert)
+                pair.append(next(k for k in itertools.count() if p ** k >= q))
+            if cert.r or cert.kind == "class":
+                exps.append(pair)
+            certs += 1
+
+        def invariants(values):
+            return tuple(sorted((v for v in values if v), reverse=True))
+
+        assert res.sha_invariants == invariants(e for e, _ in exps)
+        assert res.sha_omega_invariants == invariants(w for _, w in exps)
+        assert res.quotient_annotation == invariants(w - e for e, w in exps)
+    assert certs > 5000
+
+
 def test_l_classes_threshold_graph():
     # e matrix on the quartic fields: e_{1,2} = 1, e_{1,3} = e_{2,3} = 0
     cfg = abstract_config(
@@ -139,15 +181,15 @@ def test_l_classes_threshold_graph():
 def test_delta_omega_block_is_everything():
     cfg = disjoint_config()
     assert cfg.U(0) == (1, 2)
-    assert delta_omega(cfg, 0) == cfg.eps[0]
+    assert patching_degrees(cfg, NO_PLACES, 0).delta_omega == cfg.eps[0]
 
 
 def test_delta_omega_pair_block():
     cfg = pair_block_config()
-    assert delta_omega(cfg, 0) == 2
-    assert delta_omega(cfg, 1) == 2
+    assert patching_degrees(cfg, NO_PLACES, 0).delta_omega == 2
+    assert patching_degrees(cfg, NO_PLACES, 1).delta_omega == 2
     with pytest.raises(ValueError):
-        delta_omega(cfg, 2)
+        patching_degrees(cfg, NO_PLACES, 2)
 
 
 def test_delta_omega_criterion_shape():
@@ -163,9 +205,9 @@ def test_delta_omega_criterion_shape():
 
 def test_delta_ordinary_paper_block(quartic_bicyclic):
     cfg, local = quartic_bicyclic
-    assert delta_omega(cfg, 1) == 2
-    assert delta_ordinary(cfg, local, 1) == 2
-    assert delta_ordinary(cfg, NO_PLACES, 1) == delta_omega(cfg, 1)
+    assert patching_degrees(cfg, local, 1) == PatchingData(1, 2, 2)
+    no_places = patching_degrees(cfg, NO_PLACES, 1)
+    assert no_places.delta == no_places.delta_omega
 
 
 def test_freedom_paper_values(quartic_17_13, quartic_17_409):
