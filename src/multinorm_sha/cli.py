@@ -235,7 +235,8 @@ def _report_json(rep: ShaReport):
 
 def _fields_json(cfg):
     return [
-        {"label": lab, "epsilon": eps, "e0": e0} for lab, eps, e0 in cfg.field_table()
+        {"label": lab, "epsilon": eps, "e0": e0}
+        for lab, eps, e0 in zip(cfg.labels, cfg.eps, cfg.eij[0])
     ]
 
 

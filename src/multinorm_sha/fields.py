@@ -103,7 +103,8 @@ class NormalizedConfig:
     eij[i][j] = log_p [K_i cap K_j : k] (diagonal carries eps), e0(i) and
     ei(i) for the interaction with K_0, and the partition U_r of 1..m by
     e_{0,i} = r.  Built from a FieldConfig and the (permutation, eij) that
-    :func:`normalize_rows` returns for its characters.
+    :func:`normalize_rows` returns for its characters.  Its one memo holds
+    the rest: divisor reductions, thresholds, pair levels and pass engines.
     """
 
     def __init__(self, cfg: FieldConfig, permutation, eij):
@@ -115,7 +116,7 @@ class NormalizedConfig:
         self.m = len(self.chars) - 1
         self.eps = tuple(chi.exponent for chi in self.chars)
         self.eij = tuple(tuple(r) for r in eij)
-        self._divisors: dict = {}
+        self._memo: dict = {}
 
         n = self.m + 1
         parts: dict[int, list[int]] = {}
@@ -173,16 +174,16 @@ class NormalizedConfig:
             if d > self.eps[i]:
                 raise ValueError(f"degree {d} exceeds eps_{i} = {self.eps[i]}")
         if d < 0:
-            raise ValueError(f"subfield degree {d} out of range [0, {self.eps[C[0]]}]")
+            bound = min(self.eps[i] for i in C)
+            raise ValueError(f"subfield degree {d} out of range [0, {bound}]")
         return C
 
-    def rows(self, C, d: int, top: int | None = None) -> list[list[int]]:
-        """Coefficient rows of the chi_i mod p^d, i in C, as characters into
-        Z/p^top (times p^(top - d)); top defaults to d."""
-        C = self.check_degree(C, d)
-        top = d if top is None else top
-        q, s = self.p ** top, self.p ** (top - d)
-        return [[c * s % q for c in self.chars[i].coeffs] for i in C]
+    def memo(self, key, compute):
+        """The value under ``key`` in the config's one memo of derived data,
+        made by ``compute()`` on the first ask; each key starts with its kind."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def divisors(self, blocks, top: int, image_of=None) -> list[int]:
         """Elementary divisor valuations over Z/p^top of the rows p^s c_i,
@@ -190,10 +191,10 @@ class NormalizedConfig:
         degree top - s), or, given a subgroup ``image_of``, of their values
         on its basis.  The integer matrix does not depend on top, so it is
         reduced once, at the highest top asked so far, and each lower top is
-        read off that reduction (:func:`abelian.divisor_valuations`).  The
-        memo lives in the config, so it goes when the config goes."""
-        key = (blocks, image_of)
-        hit = self._divisors.get(key)
+        read off that reduction (:func:`abelian.divisor_valuations`), kept in
+        the memo and replaced when a higher top is asked."""
+        key = ("divisors", blocks, image_of)
+        hit = self._memo.get(key)
         if hit is None or not hit[0] <= top <= hit[1]:
             mat = []
             for C, s in blocks:
@@ -202,7 +203,7 @@ class NormalizedConfig:
                 mat += [[c * ps for c in self.chars[i].coeffs] for i in C]
             if image_of is not None:
                 mat = [[sum(map(mul, row, g)) for g in image_of.basis] for row in mat]
-            hit = self._divisors[key] = (
+            hit = self._memo[key] = (
                 max(s for _, s in blocks), top, divisor_valuations(mat, self.p, top)
             )
         _, reduced_at, vals = hit
@@ -221,13 +222,6 @@ class NormalizedConfig:
         return self.divisors(blocks, top) == self.divisors(
             blocks + ((tuple(inner), top - d_in),), top
         )
-
-    def field_table(self):
-        """Rows (label, eps_i, e_{0,i}) in normalized order."""
-        rows = [(self.labels[0], self.eps[0], self.eps[0])]
-        for i in range(1, self.m + 1):
-            rows.append((self.labels[i], self.eps[i], self.e0(i)))
-        return rows
 
 
 def _unit_row(p: int, q: int, coeffs) -> tuple[int, list[int]]:

@@ -63,6 +63,7 @@ listing enumerate_members is the tests' reference.
 
 One engine per index set (_PassLevels) writes G and G_omega down and
 checks D <= G <= G_omega when it is built; every caller reads its groups.
+The config's one memo (NormalizedConfig.memo) keeps the engines and levels.
 Membership is read off them: classify, and the generic half of the
 post-condition of the two-valued approximation a' (no place fails for a'
 that did not fail for a).  Only the exceptional half tests the congruences
@@ -117,16 +118,12 @@ class ShaReport(Value):
 def _pair_levels(cfg: NormalizedConfig) -> dict[tuple[int, int], int]:
     """{(i, j): the chi_0 level of H_ij} for i != j in 1..m, the largest
     min(t_i, t_j) over the generic places: one Hermite form of the image of
-    A per pair, cached per config and shared by every index set."""
-    levels = cfg.__dict__.get("_pair_levels")
-    if levels is None:
-        chars = cfg.chars
-        levels = {}
-        for i in range(1, cfg.m + 1):
-            for j in range(i + 1, cfg.m + 1):
-                level = chars[0].image_level(None, (chars[i], chars[j]))
-                levels[i, j] = levels[j, i] = level
-        cfg.__dict__["_pair_levels"] = levels
+    A per pair, which _PassLevels keeps in the config's memo for every index set."""
+    chars, levels = cfg.chars, {}
+    for i in range(1, cfg.m + 1):
+        for j in range(i + 1, cfg.m + 1):
+            level = chars[0].image_level(None, (chars[i], chars[j]))
+            levels[i, j] = levels[j, i] = level
     return levels
 
 
@@ -167,7 +164,7 @@ class _PassLevels:
         self.ambient = PGroup(cfg.p, self.exps)
         k = len(indices)
         pairs = [(x, y) for x in range(k) for y in range(x + 1, k)]
-        generic = _pair_levels(cfg)
+        generic = cfg.memo(("pair_levels",), lambda: _pair_levels(cfg))
         omega = [
             min(self.exps[x], self.exps[y], generic[indices[x], indices[y]])
             for x, y in pairs
@@ -202,11 +199,7 @@ def _engine(cfg: NormalizedConfig, localdata: LocalData, indices=None) -> _PassL
     if indices is None:
         indices = range(1, cfg.m + 1)
     indices = tuple(indices)
-    cache = cfg.__dict__.setdefault("_oracle_cache", {})
-    key = (localdata, indices)
-    if key not in cache:
-        cache[key] = _PassLevels(cfg, localdata, indices)
-    return cache[key]
+    return cfg.memo(("engine", localdata, indices), lambda: _PassLevels(cfg, localdata, indices))
 
 
 def classify(cfg: NormalizedConfig, localdata: LocalData, a, indices=None) -> Classification:

@@ -11,10 +11,10 @@ places; a failure at an exceptional place means a finite one.
 The runtime reads the place model (Place, LocalData), sigma_threshold and
 local cyclicity from here.  sigma_threshold is log_p |chi_0(D cap ker chi_i)|,
 read off the Hermite form of the image of D's basis under (chi_i, chi_0)
-(abelian.Character.image_level) with no subgroup intersected, and memoized
-in the config it belongs to, not in a module cache; the oracle reads its
-generic pair levels the same way off the image of A.  The literal
-membership path, fail_set over generic_place_candidates through
+(abelian.Character.image_level) with no subgroup intersected, and kept in
+the config's one memo (NormalizedConfig.memo), not in a module cache; the
+oracle reads its generic pair levels the same way off the image of A.  The
+literal membership path, fail_set over generic_place_candidates through
 omega_contains and sigma_contains, tries every place and every n; no
 runtime path calls it.  It is the reference the tests hold the oracle's
 pass groups against, and it stays here because the benchmark's span
@@ -96,14 +96,10 @@ def generic_place_candidates(cfg: NormalizedConfig) -> tuple[Subgroup, ...]:
 
 def sigma_threshold(cfg: NormalizedConfig, d_sub: Subgroup, i: int) -> int:
     """Least d with sigma_contains true; monotone, so one number suffices:
-    the chi_0 level of D cap ker chi_i, read off the image of D's basis.
-    The memo lives in the config, so it goes when the config goes."""
-    memo = cfg.__dict__.setdefault("_thresholds", {})
-    key = (d_sub, i)
-    level = memo.get(key)
-    if level is None:
-        level = memo[key] = cfg.chars[0].image_level(d_sub.basis, (cfg.chars[i],))
-    return level
+    the chi_0 level of D cap ker chi_i, read off the image of D's basis,
+    once per config."""
+    return cfg.memo(("threshold", d_sub, i),
+                    lambda: cfg.chars[0].image_level(d_sub.basis, (cfg.chars[i],)))
 
 
 def sigma_contains(cfg: NormalizedConfig, d_sub: Subgroup, i: int, d: int) -> bool:

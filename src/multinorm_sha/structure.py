@@ -32,7 +32,7 @@ the rows c_0 and c_i, i in U_0, taken mod p, have F_p rank at least 3.
 
 from __future__ import annotations
 
-from .abelian import Value, divisor_valuations, valuation
+from .abelian import Value, valuation
 from .fields import NormalizedConfig
 from .places import LocalData, locally_cyclic
 from .oracle import ShaReport
@@ -176,16 +176,12 @@ def _freedom_degree(cfg, members, lvl, f, r) -> int | None:
 
 
 def _f_omega_admissible(cfg, members, lvl, f, r) -> bool:
-    """K(c, deg) is sub-bicyclic and contains K_0(f), as in
-    NormalizedConfig.is_sub_bicyclic and .contains.  L(c) >= r, so deg >= f,
-    and both tests read the class rows, the second with the row
+    """K(c, deg) is sub-bicyclic and contains K_0(f).  L(c) >= r, so
+    deg >= f, and both tests read the class rows, the second with the row
     p^(deg - f) c_0 = p^(L(c) - r) c_0 added: fixed matrices over the scan."""
     deg = _freedom_degree(cfg, members, lvl, f, r)
-    if deg is None:
-        return False
-    blocks = ((members, 0),)
-    divisors = cfg.divisors(blocks, deg)
-    return len(divisors) <= 2 and divisors == cfg.divisors(blocks + (((0,), lvl - r),), deg)
+    return (deg is not None and cfg.is_sub_bicyclic(members, deg)
+            and cfg.contains(members, deg, (0,), f))
 
 
 def _f_admissible(cfg, localdata, members, lvl, f, r) -> bool:
@@ -284,7 +280,7 @@ def criterion_trivial(cfg: NormalizedConfig) -> bool:
     at most min(rank(A), |U_0| + 1), so below 3 of either no matrix is built."""
     u0 = cfg.U(0)
     return (cfg.group.rank >= 3 and len(u0) >= 2
-            and len(divisor_valuations(cfg.rows((0,) + u0, 1), cfg.p, 1)) >= 3)
+            and len(cfg.divisors((((0,) + u0, 0),), 1)) >= 3)
 
 
 def assemble(cfg: NormalizedConfig, localdata: LocalData) -> StructureResult:

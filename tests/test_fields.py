@@ -181,19 +181,29 @@ def test_composite():
     # X(C, d), the rows of the chi_i mod p^d, i in C: K_1 alone, degree 0 (the
     # base field), and K_0 K_1, whose Galois group is all of A
     cfg = abstract_config(2, (2, 2), [(2, (1, 0)), (2, (0, 1)), (2, (1, 1))])
-    assert divisor_valuations(cfg.rows((1,), 2), 2, 2) == [0]
-    assert divisor_valuations(cfg.rows((1,), 1), 2, 1) == [0]
-    assert divisor_valuations(cfg.rows((0, 1, 2), 0), 2, 0) == []
-    assert divisor_valuations(cfg.rows((0, 1), 2), 2, 2) == [0, 0]
+    assert cfg.divisors((((1,), 0),), 2) == [0]
+    assert cfg.divisors((((1,), 0),), 1) == [0]
+    assert cfg.divisors((((0, 1, 2), 0),), 0) == []
+    assert cfg.divisors((((0, 1), 0),), 2) == [0, 0]
     # scaled into Z/p^top, a row of K_i(1) has order p
-    assert cfg.rows((1,), 1, 3) == [[c % 2 * 4 for c in cfg.chars[1].coeffs]]
-    assert divisor_valuations(cfg.rows((1,), 1, 3), 2, 3) == [2]
+    row = [c % 2 * 4 for c in cfg.chars[1].coeffs]
+    assert cfg.divisors((((1,), 2),), 3) == divisor_valuations([row], 2, 3) == [2]
     assert cfg.contains((0, 1), 2, (2,), 2) and cfg.contains((2,), 2, (2,), 1)
     assert not cfg.contains((0,), 2, (1,), 1) and not cfg.contains((0,), 1, (0,), 2)
     with pytest.raises(ValueError):
-        cfg.rows((), 1)
+        cfg.divisors((((), 0),), 1)
     with pytest.raises(ValueError):
-        cfg.rows((0,), 3)
+        cfg.divisors((((0,), 0),), 3)
+
+
+def test_negative_degree_names_the_least_eps():
+    # a degree over C lies in [0, min eps_i, i in C], wherever the least sits in C
+    cfg = abstract_config(2, (2, 2), [(1, (1, 0)), (2, (0, 1)), (2, (1, 1))])
+    assert cfg.eps == (1, 2, 2)
+    with pytest.raises(ValueError, match=r"^subfield degree -1 out of range \[0, 1\]$"):
+        cfg.check_degree((1, 0), -1)
+    with pytest.raises(ValueError, match=r"^subfield degree -1 out of range \[0, 2\]$"):
+        cfg.check_degree((2, 1), -1)
 
 
 def test_intersection_exponent():
@@ -220,10 +230,10 @@ def test_pair_composite():
     # d = 0, the whole compositum (Galois group A) at d = 2
     cfg = abstract_config(2, (2, 2), [(2, (1, 0)), (2, (0, 1)), (2, (1, 1))])
     assert cfg.eij[1][2] == 0
-    assert divisor_valuations(cfg.rows((1, 2), 0), 2, 0) == []
-    assert divisor_valuations(cfg.rows((1, 2), 2), 2, 2) == [0, 0]
+    assert cfg.divisors((((1, 2), 0),), 0) == []
+    assert cfg.divisors((((1, 2), 0),), 2) == [0, 0]
     with pytest.raises(ValueError):
-        cfg.rows((1, 2), 3)
+        cfg.divisors((((1, 2), 0),), 3)
 
 
 def test_galois_correspondence_consistency():

@@ -116,3 +116,15 @@ def test_no_module_imports_dataclasses():
         or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
     ]
     assert not hits, hits
+
+
+def test_no_module_reaches_into_an_instance_dict():
+    # a config's derived data lives in its one memo (NormalizedConfig.memo),
+    # so no module stores anything through an object's __dict__
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+    ]
+    assert not hits, hits

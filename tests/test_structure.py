@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from math import gcd
 
 import pytest
@@ -113,7 +114,8 @@ def test_criterion_shortcut_matches_the_reduction():
     configs += [random_config(rng)[0] for _ in range(1000)]
     shortcuts = 0
     for cfg in configs:
-        rank = len(divisor_valuations(cfg.rows((0,) + cfg.U(0), 1), cfg.p, 1))
+        rows = [[c % cfg.p for c in cfg.chars[i].coeffs] for i in (0,) + cfg.U(0)]
+        rank = len(divisor_valuations(rows, cfg.p, 1))
         assert criterion_trivial(cfg) is (rank >= 3), cfg
         shortcuts += cfg.group.rank < 3 or len(cfg.U(0)) < 2
     assert shortcuts > 210
@@ -641,13 +643,81 @@ def test_scans_reduce_each_matrix_once(monkeypatch):
 def test_composite_keeps_its_errors():
     cfg = pair_block_config()
     with pytest.raises(ValueError, match="empty index set"):
-        cfg.rows((), 1)
+        cfg.is_sub_bicyclic((), 1)
     with pytest.raises(ValueError, match="exceeds eps_1"):
         cfg.is_sub_bicyclic((1, 0), 3)
     with pytest.raises(ValueError, match="out of range"):
         cfg.contains((0, 1), 1, (0,), -1)
     with pytest.raises(ValueError, match="exceeds eps_2"):
         locally_cyclic(cfg, NO_PLACES, (2,), 3)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("_delta_omega_admissible", "delta_omega scan not monotone at r=0, d=0"),
+    ("_delta_admissible", "delta scan not monotone at r=0, d=0"),
+    ("_f_omega_admissible", "f_omega scan not monotone at r=0, c=(1,), f=0"),
+    ("_f_admissible", "f scan not monotone at r=0, c=(1,), f=0"),
+])
+def test_debug_check_reaches_the_floor_of_each_scan(name, message, monkeypatch):
+    # a scan never asks its floor r, so a predicate failing only there leaves
+    # every hit as it is; the debug walk goes down to r and names it
+    import multinorm_sha.structure as structure
+
+    cfg = pair_block_config()
+    honest_result = assemble(cfg, NO_PLACES)
+    check_monotone_scans(cfg, NO_PLACES, honest_result)
+    honest = getattr(structure, name)
+
+    def fails_at_floor(*args):
+        if name.startswith("_delta"):  # (..., d, u_r, u_gt, u_lt): r = e_{0,i}, i in U_r
+            value, floor = args[-4], cfg.e0(args[-3][0])
+        else:  # (..., f, r)
+            value, floor = args[-2], args[-1]
+        return value != floor and honest(*args)
+
+    monkeypatch.setattr(structure, name, fails_at_floor)
+    assert assemble(cfg, NO_PLACES) == honest_result
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        check_monotone_scans(cfg, NO_PLACES, honest_result)
+
+
+def _all_characters_up_to_units(p, n, rank=3):
+    """One character onto Z/p^n per kernel on (Z/p^n)^rank: the coefficient
+    rows whose first unit entry is 1."""
+    q = p ** n
+    specs = []
+    for first in range(rank):
+        for head in itertools.product(range(0, q, p), repeat=first):
+            for tail in itertools.product(range(q), repeat=rank - first - 1):
+                specs.append((n, head + (1,) + tail))
+    return specs
+
+
+@pytest.mark.parametrize("n, count, degrees", [(3, 112, (1, 1, 2)), (4, 448, (1, 1, 2, 3))])
+def test_all_characters_of_a_cube(n, count, degrees, monkeypatch):
+    # every cyclic degree-2^n field inside (Z/2^n)^3: one block per r < n,
+    # delta = delta_omega, and both groups trivial; the oracle agrees on the
+    # smaller document.  Containment in the composite K((0,) + U_r, d), one
+    # merged test in place of one per i, would put delta_omega(0) at n.
+    import multinorm_sha.structure as structure
+
+    specs = _all_characters_up_to_units(2, n)
+    cfg = abstract_config(2, (n,) * 3, specs)
+    assert len(specs) == cfg.m + 1 == count
+    result = assemble(cfg, NO_PLACES)
+    assert tuple(pd.delta_omega for pd in result.patching) == degrees
+    assert all(pd.delta == pd.delta_omega for pd in result.patching)
+    assert result.sha_invariants == result.sha_omega_invariants == ()
+    if n == 3:
+        assert oracle_report(cfg, NO_PLACES).invariants == result.report().invariants
+
+    def merged(cfg, d, u_r, u_gt, u_lt):
+        if u_gt and not cfg.contains((0,) + u_r, d, u_gt, d):
+            return False
+        return not u_lt or all(cfg.contains((0, i), d, u_r, d) for i in u_lt)
+
+    monkeypatch.setattr(structure, "_delta_omega_admissible", merged)
+    assert patching_degrees(cfg, NO_PLACES, 0).delta_omega == n
 
 
 # ---------------------------------------------------------------------------
