@@ -6,10 +6,11 @@ P*Z^k <= L <= Z^k (P = diag(p^{n_j})), kept in a canonical row-style Hermite
 normal form, so equal subgroups compare equal and hash equal.  Quotient
 structure comes from Smith normal form.  No kernel of a character is
 built: the order of chi_0 on a subgroup cut by other characters is read
-off the Hermite form of the subgroup's image in their targets
-(:meth:`Character.image_level`).  Everything is plain Python integer
-arithmetic.  The value types of the package derive from :class:`Value`,
-which makes them immutable once constructed.
+off the last pivot of an echelon form of the subgroup's image in their
+targets (:meth:`Character.image_level`), and the order of a span off the
+pivots of its echelon form (:func:`span_order`).  Everything is plain
+Python integer arithmetic.  The value types of the package derive from
+:class:`Value`, which makes them immutable once constructed.
 """
 
 from __future__ import annotations
@@ -149,6 +150,14 @@ def left_kernel(rows, width: int) -> list[list[int]]:
     ]
     rank = _echelon(mat, width)
     return [row[width:] for row in mat[rank:]]
+
+
+def span_order(ambient: PGroup, rows) -> int:
+    """|<rows>| in ``ambient``: |A| over the product of the pivots of an
+    echelon form of the rows and P, with no back-reduction."""
+    mat = [list(r) for r in rows] + ambient._p_rows()
+    k = _echelon(mat, ambient.rank)
+    return ambient.order // abs(prod(mat[h][h] for h in range(k)))
 
 
 def smith_invariants(mat) -> list[int]:
@@ -483,7 +492,7 @@ class Character(Value):
         """log_p |chi(S cap ker psi_1 cap ...)|, S the span of ``gens`` (all
         of A when None): the rows (psi_1(g), ..., chi(g)) and p^(target) on
         each target's diagonal span the image of S, and the last pivot of
-        their Hermite form generates chi of the common kernel."""
+        their echelon form generates chi of the common kernel."""
         chars = (*kernels, self)
         if any(psi.ambient != self.ambient for psi in kernels):
             raise ValueError("ambient mismatch")
@@ -493,5 +502,5 @@ class Character(Value):
             rows = [[psi.value(g) for psi in chars] for g in gens]
         r = len(chars)
         rows += [[psi.modulus * (s == t) for t in range(r)] for s, psi in enumerate(chars)]
-        pivot = hermite_normal_form(rows, r)[-1][-1]
-        return self.exponent - valuation(self.ambient.p, pivot)
+        _echelon(rows, r)  # full column rank: row r-1 is (0, ..., 0, pivot)
+        return self.exponent - valuation(self.ambient.p, abs(rows[r - 1][r - 1]))

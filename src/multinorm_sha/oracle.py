@@ -31,7 +31,7 @@ chi_0 levels of S cap H_i [cap H_j], H_i = ker chi_i, with S = A for a pair
 and S = D for a threshold.  No kernel is built: the rows
 (chi_i(g) [, chi_j(g)], chi_0(g)), g over generators of S (for S = A the
 coefficient columns), and p^{eps} on each target's diagonal span the image
-of S, and the last pivot p^b of their Hermite form generates chi_0 of the
+of S, and the last pivot p^b of their echelon form generates chi_0 of the
 common kernel, so the level is eps_0 - b (abelian.Character.image_level).
 
 A place with decomposition group D lies in Sigma_i^d iff D cap H_i lies in
@@ -49,7 +49,7 @@ At most: if min(t_i, t_j) = L >= 1 and s_0 = a, then
 eps_i >= s_i >= a + eps_i - eps_0 + L forces a <= eps_0 - L, and
 p^{eps_0 - L - a} g lies in H_ij with chi_0-valuation exactly eps_0 - L.
 So M_ij = min(e_i, e_j, eps_0 - b) over the generic places, from one
-small Hermite form per pair; no element of A is visited.
+small echelon form per pair; no element of A is visited.
 
 Spanning trees.  Congruence is transitive, and by the cycle property a pair
 off a maximum spanning tree of the levels M_xy has a level no higher than
@@ -63,6 +63,8 @@ listing enumerate_members is the tests' reference.
 
 One engine per index set (_PassLevels) writes G and G_omega down and
 checks D <= G <= G_omega when it is built; every caller reads its groups.
+Where no exceptional place raises a pair level the two lists are equal:
+one group is spanned for both, and oracle_report runs one Smith form.
 The config's one memo (NormalizedConfig.memo) keeps the engines and levels.
 Membership is read off them: classify, and the generic half of the
 post-condition of the two-valued approximation a' (no place fails for a'
@@ -117,7 +119,7 @@ class ShaReport(Value):
 
 def _pair_levels(cfg: NormalizedConfig) -> dict[tuple[int, int], int]:
     """{(i, j): the chi_0 level of H_ij} for i != j in 1..m, the largest
-    min(t_i, t_j) over the generic places: one Hermite form of the image of
+    min(t_i, t_j) over the generic places: one echelon form of the image of
     A per pair, which _PassLevels keeps in the config's memo for every index set."""
     chars, levels = cfg.chars, {}
     for i in range(1, cfg.m + 1):
@@ -155,7 +157,9 @@ def _meets(a, congruences) -> bool:
 class _PassLevels:
     """G and G_omega over one (config, places, index set), checked
     D <= G <= G_omega when built, with their congruences and the pass
-    group P_t of each exceptional place."""
+    group P_t of each exceptional place.  When the congruence lists of G
+    and G_omega are equal, one group is spanned and ``groups`` holds it
+    twice, the same object."""
 
     def __init__(self, cfg: NormalizedConfig, localdata: LocalData, indices):
         self.exps = tuple(cfg.e_i(i) for i in indices)
@@ -186,7 +190,8 @@ class _PassLevels:
         # the pass group P_t of each exceptional place on its own
         self.places = tuple(congruences(lv) for lv in exceptional)
         g_sub = _tree_group(self.ambient, self.g)
-        gw_sub = _tree_group(self.ambient, self.omega)
+        # no exceptional place raises a level: one group is both
+        gw_sub = g_sub if self.g == self.omega else _tree_group(self.ambient, self.omega)
         # the chain is verified, not assumed
         if not g_sub.contains((1,) * k):
             raise InternalCheckError("expected D <= G")
@@ -284,27 +289,21 @@ def aprime(cfg: NormalizedConfig, localdata: LocalData, a) -> tuple[int, ...]:
     InternalCheckError: a' is not diagonal, and every place failing for a'
     already failed for a (_no_new_failures, through the pass groups).
     """
-    if in_diagonal(cfg, a):
+    p, exps, a1 = cfg.p, cfg.eis, a[0]
+    moduli = [p ** e for e in exps]
+    deltas = {
+        i: delta(p, a1, exps[0], a[i - 1], exps[i - 1])
+        for i in range(1, cfg.m + 1)
+        if (a1 - a[i - 1]) % moduli[i - 1]
+    }
+    if not deltas:
         raise ValueError("a lies in the diagonal subgroup")
-    if classify(cfg, localdata, a) is Classification.OUTSIDE:
+    if not _engine(cfg, localdata).groups[1].contains(a):
         raise ValueError("a is not in G_omega")
-    p = cfg.p
-    e1 = cfg.e_i(1)
-    a1 = a[0]
-    inside = set(i_n(cfg, a, a1))
-    outside = [i for i in range(1, cfg.m + 1) if i not in inside]
-    dmin = min(delta(p, a1, e1, a[i - 1], cfg.e_i(i)) for i in outside)
-    stratum = [
-        i for i in outside if delta(p, a1, e1, a[i - 1], cfg.e_i(i)) == dmin
-    ]
-    j = stratum[0]
-    out = []
-    for i in range(1, cfg.m + 1):
-        if i in stratum:
-            out.append(a[j - 1] % p ** cfg.e_i(i))
-        else:
-            out.append(a1 % p ** cfg.e_i(i))
-    res = tuple(out)
+    dmin = min(deltas.values())
+    stratum = {i for i, d in deltas.items() if d == dmin}
+    aj = a[min(stratum) - 1]
+    res = tuple((aj if i in stratum else a1) % q for i, q in enumerate(moduli, 1))
     if in_diagonal(cfg, res):
         raise InternalCheckError("a' landed in the diagonal subgroup")
     if not _no_new_failures(cfg, localdata, a, res):
@@ -315,8 +314,11 @@ def aprime(cfg: NormalizedConfig, localdata: LocalData, a) -> tuple[int, ...]:
 def oracle_report(cfg, localdata) -> ShaReport:
     g_sub, gw_sub = _engine(cfg, localdata).groups
     diag = _diagonal(g_sub.ambient)  # D <= G <= G_omega, checked by the engine
+    sha = tuple(g_sub.invariants_mod(diag))
+    if gw_sub is g_sub:  # the engine built one group for both
+        return ShaReport(sha, sha, (), "oracle")
     return ShaReport(
-        sha_invariants=tuple(g_sub.invariants_mod(diag)),
+        sha_invariants=sha,
         sha_omega_invariants=tuple(gw_sub.invariants_mod(diag)),
         quotient_invariants=tuple(gw_sub.invariants_mod(g_sub)),
         method="oracle",

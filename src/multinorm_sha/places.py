@@ -10,7 +10,7 @@ places; a failure at an exceptional place means a finite one.
 
 The runtime reads the place model (Place, LocalData), sigma_threshold and
 local cyclicity from here.  sigma_threshold is log_p |chi_0(D cap ker chi_i)|,
-read off the Hermite form of the image of D's basis under (chi_i, chi_0)
+read off the echelon form of the image of D's basis under (chi_i, chi_0)
 (abelian.Character.image_level) with no subgroup intersected, and kept in
 the config's one memo (NormalizedConfig.memo), not in a module cache; the
 oracle reads its generic pair levels the same way off the image of A.  The

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from math import gcd, prod
 
-from .abelian import Character, PGroup, Subgroup
+from .abelian import Character, PGroup, Subgroup, span_order
 from .fields import FieldConfig, NormalizedConfig, ShaInputError, normalize_rows
 from .places import LocalData, Place
 from .oracle import (
@@ -167,14 +167,14 @@ def _patchable(group: Subgroup, r: int, k: int) -> int:
     U_0 counting only those with x[0] == 0: |group cap p^k A_r|, over
     p^max(0, e - k) for U_0 (e its first exponent), as group = slice (+) D_r
     and s + c(1,...,1) lies in p^k A_r iff s does and p^min(k, e) divides c.
-    No intersection is built: |H cap K| = |H| |K| / |H + K|, and H + p^k A_r
-    is one Hermite form of the basis of H and the rows p^k e_l."""
+    No intersection is built: |H cap K| = |H| |K| / |H + K|, and |H + p^k A_r|
+    is read off the pivots of one echelon form of the basis of H and the
+    rows p^k e_l (abelian.span_order)."""
     amb = group.ambient
     q = amb.p ** k
     rows = [[q if j == l else 0 for j in range(amb.rank)] for l in range(amb.rank)]
-    join = Subgroup._span_rows(amb, list(group.basis) + rows)
     multiples = prod(m // gcd(m, q) for m in amb.moduli)  # |p^k A_r|
-    count = group.order * multiples // join.order
+    count = group.order * multiples // span_order(amb, list(group.basis) + rows)
     return count // amb.p ** max(0, amb.exponents[0] - k) if r == 0 else count
 
 
@@ -214,8 +214,11 @@ def check_invariants(
     p, eps0 = cfg.p, cfg.eps[0]
     prod_g, prod_gw = 1, 1
     for r, (g_r, gw_r) in blocks.items():
-        prod_gw *= _patchable(gw_r, r, eps0 - pat[r].delta_omega)
-        prod_g *= _patchable(g_r, r, eps0 - pat[r].delta)
+        count = _patchable(gw_r, r, eps0 - pat[r].delta_omega)
+        prod_gw *= count
+        if g_r is not gw_r or pat[r].delta != pat[r].delta_omega:
+            count = _patchable(g_r, r, eps0 - pat[r].delta)
+        prod_g *= count
     _require(gw_sub.order == p ** eps0 * prod_gw, "G_omega != D (+) sum of patchable blocks")
     _require(g_sub.order == p ** eps0 * prod_g, "G != D (+) sum of patchable blocks")
 

@@ -16,6 +16,9 @@ The full pair system the engine solved before it spanned its groups along
 spanning trees is kept here too: pair_system_groups hands every pair
 congruence to congruence_kernel, the former abelian routine, one left
 kernel of the stacked congruences.
+
+reference_aprime is the former two-pass aprime, which found the indices
+a_1 dominates twice and each delta twice; oracle.aprime finds them once.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ import itertools
 from functools import lru_cache
 
 from multinorm_sha.abelian import PGroup, Subgroup, left_kernel
-from multinorm_sha.oracle import InternalCheckError
+from multinorm_sha.oracle import InternalCheckError, _no_new_failures, classify, in_diagonal
 from multinorm_sha.places import (
     Classification,
     delta,
     generic_place_candidates,
+    i_n,
     sigma_threshold,
 )
 
@@ -223,3 +227,34 @@ def reference_groups(cfg, localdata, indices=None):
         Subgroup._span_rows(ambient, list(as_subgroup(ambient, mem).basis) + diag)
         for mem in (g_members, gw_members)
     )
+
+
+def reference_aprime(cfg, localdata, a) -> tuple[int, ...]:
+    """The two-valued approximation a' of a, as oracle.aprime computed it
+    before it found the outside indices and their deltas in one pass."""
+    if in_diagonal(cfg, a):
+        raise ValueError("a lies in the diagonal subgroup")
+    if classify(cfg, localdata, a) is Classification.OUTSIDE:
+        raise ValueError("a is not in G_omega")
+    p = cfg.p
+    e1 = cfg.e_i(1)
+    a1 = a[0]
+    inside = set(i_n(cfg, a, a1))
+    outside = [i for i in range(1, cfg.m + 1) if i not in inside]
+    dmin = min(delta(p, a1, e1, a[i - 1], cfg.e_i(i)) for i in outside)
+    stratum = [
+        i for i in outside if delta(p, a1, e1, a[i - 1], cfg.e_i(i)) == dmin
+    ]
+    j = stratum[0]
+    out = []
+    for i in range(1, cfg.m + 1):
+        if i in stratum:
+            out.append(a[j - 1] % p ** cfg.e_i(i))
+        else:
+            out.append(a1 % p ** cfg.e_i(i))
+    res = tuple(out)
+    if in_diagonal(cfg, res):
+        raise InternalCheckError("a' landed in the diagonal subgroup")
+    if not _no_new_failures(cfg, localdata, a, res):
+        raise InternalCheckError("failure set of a' is not contained in that of a")
+    return res

@@ -14,6 +14,7 @@ from multinorm_sha.abelian import (
     Character,
     PGroup,
     Subgroup,
+    hermite_normal_form,
     intersect,
     valuation,
 )
@@ -54,6 +55,7 @@ from oracle_reference import (
     SweepContext,
     as_subgroup,
     pair_system_groups,
+    reference_aprime,
     reference_congruences,
     reference_groups,
     signature_thresholds,
@@ -201,6 +203,40 @@ def test_aprime_preserves_membership(quartic_17_13, quartic_bicyclic):
             assert classify(cfg, local, ap) is not Classification.OUTSIDE
             if a in g_set:
                 assert classify(cfg, local, ap) is Classification.IN_G
+
+
+def _outcome(f, cfg, local, a):
+    try:
+        return f(cfg, local, a)
+    except (ValueError, InternalCheckError) as exc:
+        return type(exc), str(exc)
+
+
+def test_aprime_matches_the_two_pass_reference():
+    # the one-pass aprime against the former one on vectors of G_omega off
+    # the diagonal, diagonal vectors and vectors of the whole ambient
+    rng = random.Random(29)
+    kinds = {"answer": 0, "diagonal": 0, "outside": 0}
+    vectors = 0
+    while vectors < 2_400:
+        cfg, local = random_config(rng)
+        gw_sub = compute_G_and_Gomega(cfg, local)[1]
+        moduli = gw_sub.ambient.moduli
+        c = rng.randrange(moduli[0])
+        batch = _sample_outside_diagonal(rng, gw_sub, 3) + [
+            tuple(c % q for q in moduli),
+            tuple(rng.randrange(q) for q in moduli),
+            tuple(rng.randrange(q) for q in moduli),
+        ]
+        for a in batch:
+            got = _outcome(aprime, cfg, local, a)
+            assert got == _outcome(reference_aprime, cfg, local, a), (cfg, local, a)
+            if isinstance(got[0], type):
+                kinds["diagonal" if "diagonal" in got[1] else "outside"] += 1
+            else:
+                kinds["answer"] += 1
+            vectors += 1
+    assert min(kinds.values()) > 100, kinds
 
 
 def test_closure_check_fires_on_inconsistent_input():
@@ -445,6 +481,36 @@ def test_slice_sweep_matches_full_reference_sweep():
             )
 
 
+def test_engine_spans_one_group_when_the_lists_match(monkeypatch):
+    # G is spanned once and serves as G_omega exactly when no exceptional
+    # place raises a pair level; the report matches the three quotients on
+    # every config, with or without exceptional places
+    import multinorm_sha.oracle as oracle
+
+    spans = []
+    tree_group = oracle._tree_group
+    monkeypatch.setattr(
+        oracle, "_tree_group", lambda *args, **kw: spans.append(args) or tree_group(*args, **kw)
+    )
+    rng = random.Random(31)
+    shared = place_free = 0
+    for _ in range(300):
+        cfg, local = random_config(rng)  # a fresh config: an empty memo
+        spans.clear()
+        eng = _engine(cfg, local)
+        equal = eng.g == eng.omega
+        assert len(spans) == (1 if equal else 2), (cfg, local)
+        assert (eng.groups[0] is eng.groups[1]) is equal, (cfg, local)
+        g_sub, gw_sub = eng.groups
+        rep = oracle_report(cfg, local)
+        assert rep.sha_invariants == tuple(quotient_by_D(g_sub))
+        assert rep.sha_omega_invariants == tuple(quotient_by_D(gw_sub))
+        assert rep.quotient_invariants == tuple(gw_sub.invariants_mod(g_sub))
+        shared += equal
+        place_free += not local.exceptional
+    assert shared > 150 and 300 - shared > 50 and place_free > 40, (shared, place_free)
+
+
 def test_classify_refuses_a_vector_of_another_length(quartic_17_13):
     cfg, local = quartic_17_13
     assert cfg.m == 2
@@ -577,6 +643,60 @@ def test_image_level_matches_intersection_reference():
         assert chi0.image_level(gens, kernels) == level, (cfg, sub, kernels)
         seen.add((kind, len(kernels)))
     assert len(seen) == 12, seen
+
+
+def _hermite_level(chi0, gens, kernels):
+    """image_level as the last pivot of a Hermite form, back-reduced."""
+    chars = (*kernels, chi0)
+    if gens is None:
+        rows = [list(col) for col in zip(*(psi.coeffs for psi in chars))]
+    else:
+        rows = [[psi.value(g) for psi in chars] for g in gens]
+    r = len(chars)
+    rows += [[psi.modulus * (s == t) for t in range(r)] for s, psi in enumerate(chars)]
+    return chi0.exponent - valuation(chi0.ambient.p, hermite_normal_form(rows, r)[-1][-1])
+
+
+def _hermite_patchable(group, r, k):
+    """_patchable with |H + p^k A_r| from the Hermite form of the join."""
+    amb = group.ambient
+    q = amb.p ** k
+    rows = [[q * (j == l) for j in range(amb.rank)] for l in range(amb.rank)]
+    join = Subgroup._span_rows(amb, list(group.basis) + rows)
+    count = group.order * prod(m // min(m, q) for m in amb.moduli) // join.order
+    return count // amb.p ** max(0, amb.exponents[0] - k) if r == 0 else count
+
+
+def test_levels_and_patchable_counts_need_no_hermite_form(monkeypatch):
+    # image_level and _patchable read the echelon form: with the Hermite
+    # form refused they still give its values, on 300 configs
+    import multinorm_sha.abelian as abelian
+
+    rng = random.Random(47)
+    levels, counts = [], []
+    for _ in range(300):
+        cfg, local = random_config(rng)
+        chi0, group = cfg.chars[0], cfg.group
+        kernels = tuple(rng.choice(cfg.chars[1:]) for _ in range(rng.randint(1, 2)))
+        random_span = Subgroup.span(group, [
+            tuple(rng.randrange(m) for m in group.moduli) for _ in range(rng.randint(1, 3))
+        ])
+        spans = [None, random_span.basis] + [pl.group.basis for pl in local.exceptional]
+        levels += [(chi0, gens, kernels, _hermite_level(chi0, gens, kernels)) for gens in spans]
+        for r in cfg.R:
+            for block in subtorus_groups(cfg, local, r):
+                k = rng.randint(0, cfg.eps[0])
+                counts.append((block, r, k, _hermite_patchable(block, r, k)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Hermite form ran")
+
+    monkeypatch.setattr(abelian, "hermite_normal_form", refuse)
+    for chi0, gens, kernels, want in levels:
+        assert chi0.image_level(gens, kernels) == want, (chi0, gens, kernels)
+    for block, r, k, want in counts:
+        assert _patchable(block, r, k) == want, (block, r, k)
+    assert len(levels) > 700 and len(counts) > 800, (len(levels), len(counts))
 
 
 def _ladder_configs():

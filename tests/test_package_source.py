@@ -70,7 +70,7 @@ def test_structure_imports_no_lattice_routine():
 
 def test_oracle_imports_nothing_from_structure():
     # the oracle's spanning trees grow on its own pair levels, never on the
-    # formula's class trees; and its levels and thresholds come from Hermite
+    # formula's class trees; and its levels and thresholds come from echelon
     # forms of images, so neither it nor places.py intersects subgroups
     for name in ("oracle.py", "places.py"):
         modules, abelian = set(), set()
@@ -87,7 +87,7 @@ def test_oracle_imports_nothing_from_structure():
 
 
 def test_selftest_imports_no_intersection():
-    # the patchable counts come from one Hermite form of a sum of subgroups,
+    # the patchable counts come from one echelon form of a sum of subgroups,
     # |H cap K| = |H| |K| / |H + K|, with no intersection or left kernel
     imported = _imported_from_abelian("selftest.py")
     assert imported and not imported & {"intersect", "left_kernel"}, imported
