@@ -176,10 +176,12 @@ def smith_invariants(mat) -> list[int]:
     return diags
 
 
-def divisor_valuations(rows, p: int, d: int) -> list[int]:
+def divisor_valuations(rows, p: int, d: int, pivots=None) -> list[int]:
     """Valuations v < d of the elementary divisors p^v of an integer matrix
     over Z/p^d, in increasing order; its row span mod p^d is the direct sum
-    of the Z/p^(d - v).
+    of the Z/p^(d - v).  Given a list ``pivots``, the pivot rows are appended
+    to it as they are popped: a step only subtracts multiples of its pivot
+    row from the rows left, so the pivot rows span the rows mod p^d.
 
     Z/p^d is a local ring: an entry of least valuation v is p^v times a
     unit and divides every other entry, so it clears its column with no
@@ -205,6 +207,8 @@ def divisor_valuations(rows, p: int, d: int) -> list[int]:
             continue
         r, j = hit
         top = mat.pop(r)
+        if pivots is not None:
+            pivots.append(top)
         inv = pow(top[j] // pv, -1, q // pv)
         for row in mat:
             if row[j]:

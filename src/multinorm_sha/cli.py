@@ -7,6 +7,17 @@ integers are exact; reports are plain JSON-compatible data.
 The optional document key "budget" is accepted and range-checked but read
 by nothing: the oracle writes its groups down and lists no vector.
 
+The commands, their positionals and options live in one table, COMMANDS,
+which one small parser reads.  A command comes first; its options and
+positionals follow in any order.  An option is named in full or by a
+unique prefix (`--radic` for `--radicands`).  Its value is `--opt=value`
+or the next token, unless that begins with `--`: a value may begin with
+one `-`, as in `--radicands -3,5` or `--json -`.  `-h` or `--help` prints
+the help of the program or of a command and exits 0.  A usage error (an
+unknown command or option, a missing or extra positional, a bad value)
+prints argparse's two lines, the usage and `multinorm-sha CMD: error:
+...`, on stderr and exits 2.
+
 Exit codes: 0 success, 2 validation error (including an out-of-range
 command-line option), 3 a Kummer budget or the exact primality bound
 refused the input, 4 disagreement between computation routes (or a failed
@@ -18,13 +29,11 @@ local facts).
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
-import re
 import sys
 import time
+from types import SimpleNamespace
 
 from .abelian import BudgetExceeded, Character, PGroup, Subgroup
 from .fields import FieldConfig, ShaInputError, validate_and_normalize
@@ -587,92 +596,166 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
-@functools.lru_cache(maxsize=None)
-def make_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
-        prog="multinorm-sha",
-        description=(
-            "Obstruction groups of multinorm-one tori attached to products "
-            "of cyclic prime-power extensions, computed from the definition "
-            "place by place and by closed-form assembly, cross-checked."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command: (handler, positionals, options, help).  Each option:
+# (kind, default, limit, help).  A "flag" takes no value and is True when
+# given; an "int" is at least `limit` unless that is None; a "choice" is one
+# of the strings in `limit`; a "path" is a nonempty string; a "text" is any
+# string.  An option whose default is REQUIRED must be given.
+REQUIRED = object()
 
-    sp = sub.add_parser("validate", help="schema-check and normalize a config file")
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_validate)
+_COMPUTE_OPTIONS = {
+    "--method": ("choice", None, ("formula", "oracle", "both"), "default: both"),
+    "--json": ("path", None, None, "write the JSON report to this path ('-': stdout)"),
+    "--debug-monotonicity": (
+        "flag", False, None, "check every value below each scan's hit (exit 5 if not)"
+    ),
+}
 
-    sp = sub.add_parser("compute", help="compute the groups for a config file")
-    sp.add_argument("file")
-    _add_compute_flags(sp)
-    sp.set_defaults(func=cmd_compute)
+COMMANDS = {
+    "validate": (cmd_validate, ("file",), {}, "schema-check and normalize a config file"),
+    "compute": (cmd_compute, ("file",), _COMPUTE_OPTIONS, "compute the groups for a config file"),
+    "examples": (cmd_examples, ("name",), _COMPUTE_OPTIONS, "run a built-in example (or 'all')"),
+    "kummer": (cmd_kummer, (), {
+        "--radicands": ("text", REQUIRED, None, "comma-separated integers"),
+        "--labels": ("text", "", None, "comma-separated field labels"),
+        "--compute": ("flag", False, None, "report the groups, not the configuration"),
+        **_COMPUTE_OPTIONS,
+    }, "build a quartic Kummer configuration"),
+    "selftest": (cmd_selftest, (), {
+        "--seed": ("int", 0, None, "seed of the random draws"),
+        "--count": ("int", 100, 1, "configurations to check"),
+        "--deep-every": ("int", 10, 1, "deep monotonicity check on every n-th configuration"),
+    }, "randomized oracle-vs-formula check"),
+}
 
-    sp = sub.add_parser("examples", help="run a built-in example (or 'all')")
-    sp.add_argument("name")
-    _add_compute_flags(sp)
-    sp.set_defaults(func=cmd_examples)
-
-    sp = sub.add_parser("kummer", help="build a quartic Kummer configuration")
-    sp.add_argument("--radicands", required=True, help="comma-separated integers")
-    sp.add_argument("--labels", default="", help="comma-separated field labels")
-    sp.add_argument("--compute", action="store_true")
-    _add_compute_flags(sp)
-    sp.set_defaults(func=cmd_kummer)
-
-    sp = sub.add_parser("selftest", help="randomized oracle-vs-formula check")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=_int_at_least(1), default=100)
-    sp.add_argument("--deep-every", type=_int_at_least(1), default=10)
-    sp.set_defaults(func=cmd_selftest)
-    return parser
+PROG = "multinorm-sha"
+DESCRIPTION = (
+    "Obstruction groups of multinorm-one tori attached to products of cyclic "
+    "prime-power extensions, computed from the definition place by place and "
+    "by closed-form assembly, cross-checked."
+)
 
 
-def _int_at_least(minimum):
-    """argparse type: an integer >= minimum, else a usage error (exit 2)."""
-
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        return value
-
-    return parse
+def make_parser() -> dict:
+    """The command table: name -> (handler, positionals, options, help)."""
+    return COMMANDS
 
 
-def _add_compute_flags(sp):
-    sp.add_argument(
-        "--method",
-        choices=["formula", "oracle", "both"],
-        help="default: both",
-    )
-    sp.add_argument("--json", default="", help="write the JSON report to this path")
-    sp.add_argument("--debug-monotonicity", action="store_true")
+def _spec(name, kind, limit) -> str:
+    """An option as usage and help write it: `--json JSON`, `--method {a,b}`."""
+    if kind == "flag":
+        return name
+    if kind == "choice":
+        return f"{name} {{{','.join(limit)}}}"
+    return f"{name} {name[2:].upper().replace('-', '_')}"
 
 
-def _attach_negative_radicands(argv):
-    """`--radicands -3,5` (or an abbreviation such as `--radic -3,5`) as
-    `--radicands=-3,5`: argparse reads a value that starts with '-' and is no
-    plain number as an option."""
-    out = []
-    for tok in sys.argv[1:] if argv is None else argv:
-        flag = out[-1] if out else ""
-        if len(flag) > 2 and "--radicands".startswith(flag) and re.fullmatch(r"-\d[\d,-]*", tok):
-            out[-1] = f"{flag}={tok}"
-        else:
-            out.append(tok)
-    return out
+def _usage(commands, command) -> str:
+    if command is None:
+        return f"usage: {PROG} [-h] {{{','.join(commands)}}} ..."
+    _handler, positionals, options, _text = commands[command]
+    parts = [f"usage: {PROG} {command} [-h]"]
+    for name, (kind, default, limit, _text) in options.items():
+        spec = _spec(name, kind, limit)
+        parts.append(spec if default is REQUIRED else f"[{spec}]")
+    return " ".join(parts + list(positionals))
+
+
+def _help(commands, command) -> str:
+    """The -h text: usage, what the program or command does, one row per
+    command or option."""
+    if command is None:
+        about, rows = DESCRIPTION, [(name, entry[3]) for name, entry in commands.items()]
+    else:
+        _handler, positionals, options, about = commands[command]
+        rows = [(name, "") for name in positionals]
+        rows += [(_spec(n, k, lim), text) for n, (k, _d, lim, text) in options.items()]
+    rows.append(("-h, --help", "show this help message and exit"))
+    width = max(len(spec) for spec, _text in rows) + 2
+    lines = [_usage(commands, command), "", about, ""]
+    lines += [f"  {spec:<{width}}{text}".rstrip() for spec, text in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _parse(commands, argv):
+    """(handler, args) for argv: a command, then its options and positionals
+    in any order.  An option is named in full or by a unique prefix; its
+    value is `--opt=value` or the next token, unless that begins with `--`.
+    Any other token is a positional."""
+    command = argv[0] if argv and argv[0] in commands else None
+
+    def stop(message=None):
+        """-h (no message): the help on stdout, exit 0.  A usage error:
+        argparse's two lines, usage and `PROG CMD: error: ...`, exit 2."""
+        if message is None:
+            sys.stdout.write(_help(commands, command))
+            raise SystemExit(EXIT_OK)
+        prog = f"{PROG} {command}" if command else PROG
+        sys.stderr.write(f"{_usage(commands, command)}\n{prog}: error: {message}\n")
+        raise SystemExit(EXIT_VALIDATION)
+
+    if command is None:
+        if argv and (argv[0] == "-h" or len(argv[0]) > 2 and "--help".startswith(argv[0])):
+            stop()
+        stop(f"argument command: invalid choice: {argv[0]!r} (choose from "
+             f"{', '.join(map(repr, commands))})" if argv
+             else "the following arguments are required: command")
+    handler, positionals, options, _about = commands[command]
+    names = (*options, "--help")
+    values = {name: default for name, (_kind, default, _lim, _text) in options.items()}
+    given, extras = [], []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "-h":
+            stop()
+        if not token.startswith("--"):
+            (given if len(given) < len(positionals) else extras).append(token)
+            continue
+        name, eq, text = token.partition("=")
+        matches = [name] if name in names else [o for o in names if o.startswith(name)]
+        if len(name) < 3 or len(matches) != 1:  # not an option, or no unique one
+            extras.append(token)
+            continue
+        name = matches[0]
+        if name == "--help":
+            stop()
+        kind, _default, limit, _text = options[name]
+        if kind == "flag":
+            if eq:
+                stop(f"argument {name}: ignored explicit argument {text!r}")
+            values[name] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                stop(f"argument {name}: expected one argument")
+        if kind == "int":
+            try:
+                text = int(text)
+            except ValueError:
+                stop(f"argument {name}: invalid int value: {text!r}")
+            if limit is not None and text < limit:
+                stop(f"argument {name}: must be >= {limit}, got {text}")
+        elif kind == "choice" and text not in limit:
+            stop(f"argument {name}: invalid choice: {text!r} "
+                 f"(choose from {', '.join(map(repr, limit))})")
+        elif kind == "path" and not text:
+            stop(f"argument {name}: expected a path or '-', got ''")
+        values[name] = text
+    missing = [*positionals[len(given):], *(n for n, v in values.items() if v is REQUIRED)]
+    if missing:
+        stop(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        stop(f"unrecognized arguments: {' '.join(extras)}")
+    args = dict(zip(positionals, given))
+    args.update((n[2:].replace("-", "_"), v) for n, v in values.items())
+    return handler, SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(_attach_negative_radicands(argv))
+    handler, args = _parse(make_parser(), sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return handler(args)
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

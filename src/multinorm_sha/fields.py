@@ -104,7 +104,8 @@ class NormalizedConfig:
     ei(i) for the interaction with K_0, and the partition U_r of 1..m by
     e_{0,i} = r.  Built from a FieldConfig and the (permutation, eij) that
     :func:`normalize_rows` returns for its characters.  Its one memo holds
-    the rest: divisor reductions, thresholds, pair levels and pass engines.
+    the rest: divisor reductions, pivot rows, thresholds, pair levels and
+    pass engines.
     """
 
     def __init__(self, cfg: FieldConfig, permutation, eij):

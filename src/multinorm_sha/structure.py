@@ -32,7 +32,7 @@ the rows c_0 and c_i, i in U_0, taken mod p, have F_p rank at least 3.
 
 from __future__ import annotations
 
-from .abelian import Value, valuation
+from .abelian import Value, divisor_valuations, valuation
 from .fields import NormalizedConfig
 from .places import LocalData, locally_cyclic
 from .oracle import ShaReport
@@ -154,9 +154,29 @@ def _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt) -> bool:
     K_i(d) for each i in U_lt: containment in the intersection of the K_0(d)
     K_i(d), not in their composite K((0,) + U_r, d), so one test per i (one
     merged test gives delta_omega(0) = 4, not 1, on the 448 fields of (Z/16)^3)."""
-    if u_gt and not all(cfg.contains((0, i), d, u_gt, d) for i in u_r):
+    if u_gt and not _each_contains(cfg, d, u_r, u_gt):
         return False
-    return not u_lt or all(cfg.contains((0, i), d, u_r, d) for i in u_lt)
+    return not u_lt or _each_contains(cfg, d, u_lt, u_r)
+
+
+def _each_contains(cfg, d, outer, inner) -> bool:
+    """K(inner, d) <= K_0(d) K_i(d) for each i in ``outer``: the rows
+    spanning X(inner, d) leave the divisors of c_0, c_i mod p^d unchanged.
+    Those rows are the pivots of one reduction of the inner rows mod p^eps_0,
+    at most rank(A) of them, which span X(inner, d) for every d <= eps_0."""
+
+    def pivots():
+        rows = []
+        divisor_valuations([cfg.chars[i].coeffs for i in inner], cfg.p, cfg.eps[0], rows)
+        return rows
+
+    span = cfg.memo(("pivots", inner), pivots)
+    c0 = cfg.chars[0].coeffs
+    return all(
+        divisor_valuations([c0, cfg.chars[i].coeffs, *span], cfg.p, d)
+        == cfg.divisors((((0, i), 0),), d)
+        for i in outer
+    )
 
 
 def _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt) -> bool:

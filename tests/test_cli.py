@@ -16,6 +16,7 @@ from multinorm_sha.cli import (
     EXIT_VALIDATION,
     SchemaError,
     _check_example,
+    _parse,
     build_report,
     main,
     make_parser,
@@ -582,6 +583,85 @@ def test_radicands_without_a_value_is_a_usage_error(flag, capsys):
         main(["kummer", flag, "--compute"])
     assert exc.value.code == EXIT_VALIDATION
     assert "expected one argument" in capsys.readouterr().err
+
+
+# What -h names: every command at top level, every positional and option
+# of a command.
+HELP_NAMES = {
+    (): ["validate", "compute", "examples", "kummer", "selftest"],
+    ("validate",): ["file"],
+    ("compute",): ["file", "--method", "--json", "--debug-monotonicity"],
+    ("examples",): ["name", "--method", "--json", "--debug-monotonicity"],
+    ("kummer",): [
+        "--radicands", "--labels", "--compute", "--method", "--json", "--debug-monotonicity",
+    ],
+    ("selftest",): ["--seed", "--count", "--deep-every"],
+}
+
+# (argv, exit code, expected): exit code None means the argv is accepted
+# and `expected` holds the values parsed; 0 is help, whose stdout names
+# everything in `expected`; 2 is a usage error, whose stderr says `expected`.
+PARSER_TABLE = [
+    *[([*cmd, flag], 0, names) for cmd, names in HELP_NAMES.items() for flag in ("-h", "--help")],
+    (["kummer", "--radic", "17,5", "--debug"], None,
+     {"radicands": "17,5", "debug_monotonicity": True, "compute": False}),
+    # --radicands is kummer's: compute has no option with that prefix
+    (["compute", "cfg.json", "--radic", "5"], 2, "unrecognized arguments: --radic 5"),
+    (["compute", "cfg.json", "--meth=oracle", "--json=-"], None,
+     {"file": "cfg.json", "method": "oracle", "json": "-"}),
+    (["examples", "--method", "formula", "17-13"], None, {"name": "17-13", "method": "formula"}),
+    (["selftest", "--seed", "-3"], None, {"seed": -3, "count": 100, "deep_every": 10}),
+    (["kummer", "--radicands", "17,5", "--compute=1"], 2,
+     "argument --compute: ignored explicit argument '1'"),
+    (["compute"], 2, "the following arguments are required: file"),
+    (["examples", "all", "17-13"], 2, "unrecognized arguments: 17-13"),
+    ([], 2, "the following arguments are required: command"),
+    (["frobnicate", "cfg.json"], 2, "argument command: invalid choice: 'frobnicate'"),
+    (["compute", "cfg.json", "--method", "fast"], 2,
+     "argument --method: invalid choice: 'fast' (choose from 'formula', 'oracle', 'both')"),
+    (["selftest", "--count", "many"], 2, "argument --count: invalid int value: 'many'"),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", PARSER_TABLE, ids=lambda v: repr(v)[:60])
+def test_parser_parity(argv, code, expected, capsys):
+    if code is None:
+        _handler, args = _parse(make_parser(), argv)
+        assert {key: getattr(args, key) for key in expected} == expected
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        assert out.startswith("usage: multinorm-sha") and err == ""
+        assert all(name in out for name in expected), out
+    else:
+        usage, message = err.splitlines()
+        assert out == "" and usage.startswith("usage: multinorm-sha")
+        known = tuple(argv[:1]) in HELP_NAMES
+        prog = " ".join(["multinorm-sha", *argv[:1]]) if known else "multinorm-sha"
+        assert message.startswith(f"{prog}: error: {expected}"), message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "CFG", "--json", ""],
+        ["examples", "17-13", "--json", ""],
+        ["kummer", "--radicands", "17,221,13", "--compute", "--json="],
+        # without --compute, kummer refuses every compute flag, an empty one too
+        ["kummer", "--radicands", "17,221,13", "--json="],
+    ],
+)
+def test_empty_json_value_is_a_usage_error(argv, tmp_path, capsys):
+    argv = [write(tmp_path, ABSTRACT_17_13) if a == "CFG" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"multinorm-sha {argv[0]}: error: argument --json: expected a path or '-'" in err
 
 
 def test_kummer_refusals_are_bounded(capsys):

@@ -118,6 +118,18 @@ def test_no_module_imports_dataclasses():
     assert not hits, hits
 
 
+def test_cli_imports_neither_argparse_nor_re():
+    # one table of the commands and one small parser read argv: no argparse
+    # tree is built per process, and no regular expression rewrites argv
+    imported = set()
+    for node in ast.walk(_parse(PACKAGE / "cli.py")):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    assert not imported & {"argparse", "re"}, imported
+
+
 def test_no_module_reaches_into_an_instance_dict():
     # a config's derived data lives in its one memo (NormalizedConfig.memo),
     # so no module stores anything through an object's __dict__

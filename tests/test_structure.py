@@ -720,6 +720,41 @@ def test_all_characters_of_a_cube(n, count, degrees, monkeypatch):
     assert patching_degrees(cfg, NO_PLACES, 0).delta_omega == n
 
 
+def test_delta_omega_tests_each_pair_against_the_shared_pivots():
+    # the shared rows (U_gt, or U_r) are reduced once, mod p^eps_0, and each
+    # c_0, c_i is tested against their pivot rows: at every degree and for
+    # every i the answer is that of the full containment test
+    from multinorm_sha.cli import parse_document
+    from multinorm_sha.structure import _delta_omega_admissible, _each_contains
+
+    configs = [
+        validate_and_normalize(raw)
+        for doc in perfbench_workloads().formula_inputs(0)
+        for raw, *_ in parse_document(doc)
+    ]
+    rng = random.Random(31)
+    configs += [random_config(rng)[0] for _ in range(1000)]
+    configs += [abstract_config(2, (n,) * 3, _all_characters_up_to_units(2, n)) for n in (3, 4)]
+    held = refused = 0
+    for cfg in configs:
+        shared = {cfg.U_gt(r) for r in cfg.R} | {cfg.U(r) for r in cfg.R}
+        for d in range(cfg.eps[0], 0, -1):
+            for inner in filter(None, shared):
+                for i in range(1, cfg.m + 1):
+                    want = cfg.contains((0, i), d, inner, d)
+                    assert _each_contains(cfg, d, (i,), inner) is want, (cfg, d, inner, i)
+                    held += want
+                    refused += not want
+            for r in cfg.R:
+                if d > r:
+                    u_r, u_gt, u_lt = cfg.U(r), cfg.U_gt(r), cfg.U_lt(r)
+                    want = all(cfg.contains((0, i), d, u_gt, d) for i in u_r if u_gt) and all(
+                        cfg.contains((0, i), d, u_r, d) for i in u_lt
+                    )
+                    assert _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt) is want, (cfg, r, d)
+    assert held > 10000 and refused > 10000
+
+
 # ---------------------------------------------------------------------------
 # The formula route runs without abelian.intersect or any lattice kernel.
 
