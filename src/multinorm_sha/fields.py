@@ -21,7 +21,9 @@ d_out) iff X(C_in, d_in) <= X(C_out, d_out) inside the dual of A: with
 N = max(d_in, d_out), multiplying by p^(N - d) embeds Z/p^d in Z/p^N, and the
 test is that adding the C_in rows to the C_out rows leaves the elementary
 divisors, so the order, of their span unchanged
-(:meth:`NormalizedConfig.contains`).
+(:meth:`NormalizedConfig.contains`).  Each block of rows is reduced once,
+and the pivot rows its reduction pops, at most rank(A), span it at every
+lower degree; so the two blocks are added through their pivot rows.
 
 Normalization needs only congruences of characters, so it runs on their
 (eps, coeffs) rows alone (:func:`normalize_rows`): validate_and_normalize
@@ -104,8 +106,8 @@ class NormalizedConfig:
     ei(i) for the interaction with K_0, and the partition U_r of 1..m by
     e_{0,i} = r.  Built from a FieldConfig and the (permutation, eij) that
     :func:`normalize_rows` returns for its characters.  Its one memo holds
-    the rest: divisor reductions, pivot rows, thresholds, pair levels and
-    pass engines.
+    the rest: divisor reductions (each with its pivot rows), thresholds,
+    pair levels and pass engines.
     """
 
     def __init__(self, cfg: FieldConfig, permutation, eij):
@@ -193,21 +195,30 @@ class NormalizedConfig:
         on its basis.  The integer matrix does not depend on top, so it is
         reduced once, at the highest top asked so far, and each lower top is
         read off that reduction (:func:`abelian.divisor_valuations`), kept in
-        the memo and replaced when a higher top is asked."""
+        the memo with the pivot rows it pops and replaced when a higher top
+        is asked.  Those pivots, at most rank(A), span the rows mod p^d for
+        every d up to that top, so several blocks are reduced from the
+        stacked pivots of each block's own reduction, asked (and so, when
+        the top is higher, redone) at the same top."""
         key = ("divisors", blocks, image_of)
         hit = self._memo.get(key)
         if hit is None or not hit[0] <= top <= hit[1]:
-            mat = []
-            for C, s in blocks:
+            if len(blocks) > 1:
+                mat = []
+                for block in blocks:
+                    self.divisors((block,), top, image_of)
+                    mat += self._memo["divisors", (block,), image_of][3]
+            else:
+                (C, s), = blocks
                 self.check_degree(C, top - s)
                 ps = self.p ** s
-                mat += [[c * ps for c in self.chars[i].coeffs] for i in C]
-            if image_of is not None:
-                mat = [[sum(map(mul, row, g)) for g in image_of.basis] for row in mat]
-            hit = self._memo[key] = (
-                max(s for _, s in blocks), top, divisor_valuations(mat, self.p, top)
-            )
-        _, reduced_at, vals = hit
+                mat = [[c * ps for c in self.chars[i].coeffs] for i in C]
+                if image_of is not None:
+                    mat = [[sum(map(mul, row, g)) for g in image_of.basis] for row in mat]
+            pivots = []
+            vals = divisor_valuations(mat, self.p, top, pivots)
+            hit = self._memo[key] = (max(s for _, s in blocks), top, vals, pivots)
+        _, reduced_at, vals, _ = hit
         return vals if top == reduced_at else [v for v in vals if v < top]
 
     def is_sub_bicyclic(self, C, d: int) -> bool:

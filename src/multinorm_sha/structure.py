@@ -18,6 +18,9 @@ asks about fixed integer matrices at varying degrees, so each matrix is
 reduced once, at the highest degree asked, and every lower degree is read
 off that reduction (:meth:`NormalizedConfig.divisors`); the scans and the
 debug walk both run downward so that the first degree asked is the highest.
+A containment test reduces two blocks of rows together, from the stacked
+pivot rows of each block's own reduction, so the rows shared by the tests
+of one scan (U_gt, or U_r) are reduced once per config.
 
 The intersection criterion, cap_{i in U_0} K_0 K_i = K_0, reads in the dual
 of A as cap_i <chi_0, chi_i> = <chi_0>.  Modulo <chi_0> each chi_i, i in
@@ -32,7 +35,7 @@ the rows c_0 and c_i, i in U_0, taken mod p, have F_p rank at least 3.
 
 from __future__ import annotations
 
-from .abelian import Value, divisor_valuations, valuation
+from .abelian import Value, valuation
 from .fields import NormalizedConfig
 from .places import LocalData, locally_cyclic
 from .oracle import ShaReport
@@ -138,12 +141,11 @@ def _scan(top: int, floor: int, admissible) -> int:
 
 def patching_degrees(cfg: NormalizedConfig, localdata: LocalData, r: int) -> PatchingData:
     """Patching degrees of U_r: delta_omega scans down from eps_0, and delta,
-    its local-cyclicity refinement, scans down from that hit."""
+    its local-cyclicity refinement, scans down from that hit (both eps_0
+    when U_r is the only block, as every degree is then admissible)."""
     if r not in cfg.R:
         raise ValueError(f"no fields with e_0i = {r}")
     u_r, u_gt, u_lt = cfg.U(r), cfg.U_gt(r), cfg.U_lt(r)
-    if not u_gt and not u_lt:
-        return PatchingData(r, cfg.eps[0], cfg.eps[0])
     d_om = _scan(cfg.eps[0], r, lambda d: _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt))
     d_ord = _scan(d_om, r, lambda d: _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt))
     return PatchingData(r, d_om, d_ord)
@@ -154,29 +156,9 @@ def _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt) -> bool:
     K_i(d) for each i in U_lt: containment in the intersection of the K_0(d)
     K_i(d), not in their composite K((0,) + U_r, d), so one test per i (one
     merged test gives delta_omega(0) = 4, not 1, on the 448 fields of (Z/16)^3)."""
-    if u_gt and not _each_contains(cfg, d, u_r, u_gt):
+    if u_gt and not all(cfg.contains((0, i), d, u_gt, d) for i in u_r):
         return False
-    return not u_lt or _each_contains(cfg, d, u_lt, u_r)
-
-
-def _each_contains(cfg, d, outer, inner) -> bool:
-    """K(inner, d) <= K_0(d) K_i(d) for each i in ``outer``: the rows
-    spanning X(inner, d) leave the divisors of c_0, c_i mod p^d unchanged.
-    Those rows are the pivots of one reduction of the inner rows mod p^eps_0,
-    at most rank(A) of them, which span X(inner, d) for every d <= eps_0."""
-
-    def pivots():
-        rows = []
-        divisor_valuations([cfg.chars[i].coeffs for i in inner], cfg.p, cfg.eps[0], rows)
-        return rows
-
-    span = cfg.memo(("pivots", inner), pivots)
-    c0 = cfg.chars[0].coeffs
-    return all(
-        divisor_valuations([c0, cfg.chars[i].coeffs, *span], cfg.p, d)
-        == cfg.divisors((((0, i), 0),), d)
-        for i in outer
-    )
+    return not u_lt or all(cfg.contains((0, i), d, u_r, d) for i in u_lt)
 
 
 def _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt) -> bool:
@@ -239,20 +221,19 @@ def check_monotone_scans(
     cfg: NormalizedConfig, localdata: LocalData, result: StructureResult
 ) -> None:
     """Debug mode: every value from r up to the hit of each scan that built
-    `result` must be admissible too: delta_omega and delta of each block
-    with a nonempty U_gt or U_lt, f_omega and f of every class node."""
+    `result` must be admissible too: delta_omega and delta of each block,
+    f_omega and f of every class node."""
     for pd in result.patching:
         r = pd.r
         u_r, u_gt, u_lt = cfg.U(r), cfg.U_gt(r), cfg.U_lt(r)
-        if u_gt or u_lt:
-            _check_monotone(
-                f"delta_omega scan not monotone at r={r}, d=", r, pd.delta_omega,
-                lambda d: _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt),
-            )
-            _check_monotone(
-                f"delta scan not monotone at r={r}, d=", r, pd.delta,
-                lambda d: _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt),
-            )
+        _check_monotone(
+            f"delta_omega scan not monotone at r={r}, d=", r, pd.delta_omega,
+            lambda d: _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt),
+        )
+        _check_monotone(
+            f"delta scan not monotone at r={r}, d=", r, pd.delta,
+            lambda d: _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt),
+        )
         for node in result.trees[r].walk():
             c, lvl = node.members, node.level
             where = f"not monotone at r={r}, c={c}, f="

@@ -62,8 +62,12 @@ def _imported_from_abelian(name):
 
 
 def test_structure_imports_no_lattice_routine():
-    # the formula route answers its field questions on character rows
-    lattice = {"Subgroup", "join", "intersect", "left_kernel", "quotient_invariants"}
+    # the formula route answers its field questions on character rows, and
+    # reads every elementary divisor through the config's memo
+    lattice = {
+        "Subgroup", "join", "intersect", "left_kernel", "quotient_invariants",
+        "divisor_valuations",
+    }
     imported = _imported_from_abelian("structure.py")
     assert imported and not imported & lattice, imported
 

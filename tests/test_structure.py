@@ -604,9 +604,11 @@ def test_composite_and_criterion_match_reference():
 
 
 def test_scans_reduce_each_matrix_once(monkeypatch):
-    # five fields on (Z/2^n)^2 and one place: every scan and the debug walk
-    # read their degrees off one reduction per matrix, so the number of
-    # reductions does not grow with n
+    # fields on (Z/2^n)^2 and one place: every scan and the debug walk read
+    # their degrees off one reduction per matrix, so the number of
+    # reductions does not grow with n.  The six-field document has the
+    # blocks R = (0, 1, 3, 5), so its containment tests reduce several
+    # blocks, from the pivot rows of each block's own reduction.
     import multinorm_sha.abelian as abelian
     import multinorm_sha.fields as fields
     import multinorm_sha.places as places
@@ -615,29 +617,38 @@ def test_scans_reduce_each_matrix_once(monkeypatch):
     calls = []
     reduce = abelian.divisor_valuations
 
-    def counted(rows, p, d):
+    def counted(rows, p, d, *rest):
         calls.append(d)
-        return reduce(rows, p, d)
+        return reduce(rows, p, d, *rest)
 
     for module in (fields, places, structure):
         if hasattr(module, "divisor_valuations"):
             monkeypatch.setattr(module, "divisor_valuations", counted)
-    counts = {}
-    for n in (10, 40):
-        group = PGroup(2, (n, n))
-        chars = tuple(
-            Character(group, n, c) for c in ((1, 0), (0, 1), (1, 1), (1, 3), (1, 5))
-        )
-        cfg = validate_and_normalize(FieldConfig(group, chars, ()))
-        local = LocalData((Place("v", Subgroup.span(group, [(4, 0), (0, 4)])),))
-        calls.clear()
-        result = assemble(cfg, local)
-        made = len(calls)
-        check_monotone_scans(cfg, local, result)
-        counts[n] = (made, len(calls) - made)
-        assert result.sha_invariants == (2, 2, 2)
-        assert result.sha_omega_invariants == (n, n - 1, n - 2)
-    assert counts[10] == counts[40], counts
+    documents = [
+        (((1, 0), (0, 1), (1, 1), (1, 3), (1, 5)), (2, 2, 2),
+         lambda n: (n, n - 1, n - 2), lambda n: ((0, n, n),)),
+        (((1, 0), (0, 1), (1, 1), (1, 2), (1, 8), (1, 32)), (2, 2, 2, 2),
+         lambda n: (n, n - 1, n - 3, n - 5),
+         lambda n: ((0, n, 3), (1, n, 3), (3, n, 5), (5, n, 7))),
+    ]
+    for coeffs, sha, sha_omega, patching in documents:
+        counts = {}
+        for n in (10, 40):
+            group = PGroup(2, (n, n))
+            chars = tuple(Character(group, n, c) for c in coeffs)
+            cfg = validate_and_normalize(FieldConfig(group, chars, ()))
+            local = LocalData((Place("v", Subgroup.span(group, [(4, 0), (0, 4)])),))
+            calls.clear()
+            result = assemble(cfg, local)
+            made = len(calls)
+            check_monotone_scans(cfg, local, result)
+            counts[n] = (made, len(calls) - made)
+            assert result.sha_invariants == sha
+            assert result.sha_omega_invariants == sha_omega(n)
+            assert tuple(
+                (pd.r, pd.delta_omega, pd.delta) for pd in result.patching
+            ) == patching(n)
+        assert counts[10] == counts[40], (coeffs, counts)
 
 
 def test_composite_keeps_its_errors():
@@ -720,12 +731,13 @@ def test_all_characters_of_a_cube(n, count, degrees, monkeypatch):
     assert patching_degrees(cfg, NO_PLACES, 0).delta_omega == n
 
 
-def test_delta_omega_tests_each_pair_against_the_shared_pivots():
-    # the shared rows (U_gt, or U_r) are reduced once, mod p^eps_0, and each
-    # c_0, c_i is tested against their pivot rows: at every degree and for
-    # every i the answer is that of the full containment test
+def test_containment_matches_the_full_rows():
+    # cfg.contains reduces several blocks from the pivot rows of each
+    # block's own reduction; against the full rows, at every degree, for
+    # every pair c_0, c_i and every shared block (U_gt, or U_r), it gives
+    # the same answer.  The degrees are asked upward first, so that each
+    # higher degree redoes the blocks' reductions, then downward.
     from multinorm_sha.cli import parse_document
-    from multinorm_sha.structure import _delta_omega_admissible, _each_contains
 
     configs = [
         validate_and_normalize(raw)
@@ -738,21 +750,22 @@ def test_delta_omega_tests_each_pair_against_the_shared_pivots():
     held = refused = 0
     for cfg in configs:
         shared = {cfg.U_gt(r) for r in cfg.R} | {cfg.U(r) for r in cfg.R}
-        for d in range(cfg.eps[0], 0, -1):
-            for inner in filter(None, shared):
+        rows = {inner: [cfg.chars[i].coeffs for i in inner] for inner in filter(None, shared)}
+        top = cfg.eps[0]
+        wants = {}
+        for d in [*range(1, top + 1), *range(top, 0, -1)]:
+            for inner, inner_rows in rows.items():
                 for i in range(1, cfg.m + 1):
-                    want = cfg.contains((0, i), d, inner, d)
-                    assert _each_contains(cfg, d, (i,), inner) is want, (cfg, d, inner, i)
-                    held += want
-                    refused += not want
-            for r in cfg.R:
-                if d > r:
-                    u_r, u_gt, u_lt = cfg.U(r), cfg.U_gt(r), cfg.U_lt(r)
-                    want = all(cfg.contains((0, i), d, u_gt, d) for i in u_r if u_gt) and all(
-                        cfg.contains((0, i), d, u_r, d) for i in u_lt
-                    )
-                    assert _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt) is want, (cfg, r, d)
-    assert held > 10000 and refused > 10000
+                    if (d, inner, i) not in wants:
+                        pair = [cfg.chars[0].coeffs, cfg.chars[i].coeffs]
+                        wants[d, inner, i] = divisor_valuations(
+                            pair + inner_rows, cfg.p, d
+                        ) == divisor_valuations(pair, cfg.p, d)
+                    want = wants[d, inner, i]
+                    assert cfg.contains((0, i), d, inner, d) is want, (cfg, d, inner, i)
+        held += sum(wants.values())
+        refused += len(wants) - sum(wants.values())
+    assert held > 10000 and refused > 10000, (held, refused)
 
 
 # ---------------------------------------------------------------------------
