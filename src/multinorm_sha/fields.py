@@ -23,7 +23,8 @@ test is that adding the C_in rows to the C_out rows leaves the elementary
 divisors, so the order, of their span unchanged
 (:meth:`NormalizedConfig.contains`).  Each block of rows is reduced once,
 and the pivot rows its reduction pops, at most rank(A), span it at every
-lower degree; so the two blocks are added through their pivot rows.
+lower degree; so a block of more rows than rank(A) is added through its
+pivot rows, and any other block by its own rows.
 
 Normalization needs only congruences of characters, so it runs on their
 (eps, coeffs) rows alone (:func:`normalize_rows`): validate_and_normalize
@@ -106,8 +107,9 @@ class NormalizedConfig:
     ei(i) for the interaction with K_0, and the partition U_r of 1..m by
     e_{0,i} = r.  Built from a FieldConfig and the (permutation, eij) that
     :func:`normalize_rows` returns for its characters.  Its one memo holds
-    the rest: divisor reductions (each with its pivot rows), thresholds,
-    pair levels and pass engines.
+    the rest: divisor reductions (each with its pivot rows, through which a
+    block longer than rank(A) enters a stacked matrix), thresholds, pair
+    levels and pass engines.
     """
 
     def __init__(self, cfg: FieldConfig, permutation, eij):
@@ -196,25 +198,28 @@ class NormalizedConfig:
         reduced once, at the highest top asked so far, and each lower top is
         read off that reduction (:func:`abelian.divisor_valuations`), kept in
         the memo with the pivot rows it pops and replaced when a higher top
-        is asked.  Those pivots, at most rank(A), span the rows mod p^d for
-        every d up to that top, so several blocks are reduced from the
-        stacked pivots of each block's own reduction, asked (and so, when
-        the top is higher, redone) at the same top."""
+        is asked.  Those pivots, at most the row width (rank(A), or the size
+        of the basis), span the rows mod p^d for every d up to that top; so
+        in a key of several blocks, a block with more rows than that enters
+        through the pivots of its own reduction, asked (and so, when the top
+        is higher, redone) at the same top, and any other block by its rows."""
         key = ("divisors", blocks, image_of)
         hit = self._memo.get(key)
         if hit is None or not hit[0] <= top <= hit[1]:
-            if len(blocks) > 1:
-                mat = []
-                for block in blocks:
+            width = self.group.rank if image_of is None else len(image_of.basis)
+            mat = []
+            for block in blocks:
+                C, s = block
+                if len(blocks) > 1 and len(C) > width:
                     self.divisors((block,), top, image_of)
                     mat += self._memo["divisors", (block,), image_of][3]
-            else:
-                (C, s), = blocks
+                    continue
                 self.check_degree(C, top - s)
                 ps = self.p ** s
-                mat = [[c * ps for c in self.chars[i].coeffs] for i in C]
+                rows = [[c * ps for c in self.chars[i].coeffs] for i in C]
                 if image_of is not None:
-                    mat = [[sum(map(mul, row, g)) for g in image_of.basis] for row in mat]
+                    rows = [[sum(map(mul, row, g)) for g in image_of.basis] for row in rows]
+                mat += rows
             pivots = []
             vals = divisor_valuations(mat, self.p, top, pivots)
             hit = self._memo[key] = (max(s for _, s in blocks), top, vals, pivots)

@@ -26,7 +26,7 @@ from .oracle import (
     oracle_report,
     subtorus_groups,
 )
-from .structure import StructureResult, assemble, check_monotone_scans
+from .structure import StructureResult, assemble
 
 # decides which configurations a seed yields, so changing it changes every
 # run; the bounds in the docstring above are outer limits, not a coverage promise
@@ -183,7 +183,6 @@ def check_invariants(
     local: LocalData,
     result: StructureResult,
     rng: random.Random,
-    deep: bool = False,
 ) -> None:
     """The structural invariant suite, independent of the equality check."""
     pat = {pd.r: pd for pd in result.patching}
@@ -236,9 +235,6 @@ def check_invariants(
         if g_sub.contains(a):
             _require(g_sub.contains(ap), "a' left G")
 
-    if deep:
-        check_monotone_scans(cfg, local, result)
-
 
 def run_selftest(seed: int, count: int, deep_every: int = 10) -> SelftestSummary:
     """A failed agreement or invariant is recorded and the run goes on; an
@@ -251,14 +247,14 @@ def run_selftest(seed: int, count: int, deep_every: int = 10) -> SelftestSummary
         deep = trial % deep_every == 0
         try:
             rep = oracle_report(cfg, local)
-            result = assemble(cfg, local)
+            result = assemble(cfg, local, deep)
             formula = result.report()
             _require(
                 rep.invariants == formula.invariants,
                 f"oracle {rep.invariants} != formula {formula.invariants}",
             )
             summary.agreements += 1
-            check_invariants(cfg, local, result, rng, deep=deep)
+            check_invariants(cfg, local, result, rng)
             summary.invariant_checks += 1
             summary.deep_checks += deep
         except SelftestFailure as exc:

@@ -6,8 +6,9 @@ generator certificates: one constant vector per block and one indicator per
 child but the last of a class.  The invariant factors are their orders.
 Every scan is one _scan: it walks downward from its upper bound
 and stops at the first admissible value, which is the stated maximum when
-admissibility is downward closed; the debug mode (check_monotone_scans)
-checks every value below every hit of the scans of an assembled result.
+admissibility is downward closed; in the debug mode (assemble(...,
+debug=True)) the same scan walks on from its hit down to its floor and
+checks that every value there is admissible too (check_monotone_scans).
 
 Every field the scans test is a composite K(C, d) of subfields K_i(d),
 i in C, and every test reads the elementary divisors of coefficient rows
@@ -16,11 +17,12 @@ over Z/p^d: bicyclicity and containment through the duality in
 group (:func:`places.locally_cyclic`).  No subgroup of A is built.  A scan
 asks about fixed integer matrices at varying degrees, so each matrix is
 reduced once, at the highest degree asked, and every lower degree is read
-off that reduction (:meth:`NormalizedConfig.divisors`); the scans and the
-debug walk both run downward so that the first degree asked is the highest.
-A containment test reduces two blocks of rows together, from the stacked
-pivot rows of each block's own reduction, so the rows shared by the tests
-of one scan (U_gt, or U_r) are reduced once per config.
+off that reduction (:meth:`NormalizedConfig.divisors`); a scan and its
+debug walk run downward so that the first degree asked is the highest.
+A containment test reduces two blocks of rows together; a block with more
+rows than rank(A) enters through the pivot rows of its own reduction, so
+the rows shared by the tests of one scan (U_gt, or U_r) are reduced once
+per config.
 
 The intersection criterion, cap_{i in U_0} K_0 K_i = K_0, reads in the dual
 of A as cap_i <chi_0, chi_i> = <chi_0>.  Modulo <chi_0> each chi_i, i in
@@ -131,23 +133,45 @@ def level(cfg: NormalizedConfig, members) -> int:
 # ---------------------------------------------------------------------------
 # Patching degrees.
 
-def _scan(top: int, floor: int, admissible) -> int:
-    """The first admissible value from top down to floor + 1, else floor."""
-    for v in range(top, floor, -1):
-        if admissible(v):
-            return v
-    return floor
+def _scan(top: int, floor: int, admissible, check: str | None = None) -> int:
+    """The first admissible value from top down to floor + 1, else floor.
+    Given a message ``check``, the debug mode walks on from that hit down to
+    floor (check_monotone_scans)."""
+    for hit in range(top, floor, -1):
+        if admissible(hit):
+            break
+    else:
+        hit = floor
+    if check is not None:
+        check_monotone_scans(check, floor, hit, admissible)
+    return hit
 
 
-def patching_degrees(cfg: NormalizedConfig, localdata: LocalData, r: int) -> PatchingData:
+def check_monotone_scans(message: str, floor: int, hit: int, admissible) -> None:
+    """Debug mode: every value below the hit of a scan, down to its floor,
+    must be admissible too; AssertionError naming the least that is not.
+    The hit itself was tested unless it is the floor.  The walk goes on
+    downward, as the scan did, so each matrix is read off the reduction the
+    scan made at its highest degree."""
+    bad = [v for v in range(max(hit - 1, floor), floor - 1, -1) if not admissible(v)]
+    if bad:
+        raise AssertionError(f"{message}{bad[-1]}")
+
+
+def patching_degrees(
+    cfg: NormalizedConfig, localdata: LocalData, r: int, debug: bool = False
+) -> PatchingData:
     """Patching degrees of U_r: delta_omega scans down from eps_0, and delta,
     its local-cyclicity refinement, scans down from that hit (both eps_0
     when U_r is the only block, as every degree is then admissible)."""
     if r not in cfg.R:
         raise ValueError(f"no fields with e_0i = {r}")
     u_r, u_gt, u_lt = cfg.U(r), cfg.U_gt(r), cfg.U_lt(r)
-    d_om = _scan(cfg.eps[0], r, lambda d: _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt))
-    d_ord = _scan(d_om, r, lambda d: _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt))
+    where = f" scan not monotone at r={r}, d=" if debug else None
+    d_om = _scan(cfg.eps[0], r, lambda d: _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt),
+                 where and "delta_omega" + where)
+    d_ord = _scan(d_om, r, lambda d: _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt),
+                  where and "delta" + where)
     return PatchingData(r, d_om, d_ord)
 
 
@@ -198,7 +222,7 @@ def _split(cfg, members, lvl) -> list[tuple[int, ...]]:
 
 
 def build_class_tree(
-    cfg: NormalizedConfig, localdata: LocalData, r: int, bound_omega: int
+    cfg: NormalizedConfig, localdata: LocalData, r: int, bound_omega: int, debug: bool = False
 ) -> ClassNode:
     """Nested l-equivalence classes of U_r with degrees of freedom attached.
 
@@ -209,51 +233,15 @@ def build_class_tree(
 
     def make(members, bound) -> ClassNode:
         lvl = level(cfg, members)
-        f_om = _scan(bound, r, lambda f: _f_omega_admissible(cfg, members, lvl, f, r))
-        f_ord = _scan(f_om, r, lambda f: _f_admissible(cfg, localdata, members, lvl, f, r))
+        where = f" scan not monotone at r={r}, c={members}, f=" if debug else None
+        f_om = _scan(bound, r, lambda f: _f_omega_admissible(cfg, members, lvl, f, r),
+                     where and "f_omega" + where)
+        f_ord = _scan(f_om, r, lambda f: _f_admissible(cfg, localdata, members, lvl, f, r),
+                      where and "f" + where)
         children = tuple(make(part, f_om) for part in _split(cfg, members, lvl))
-        return ClassNode(tuple(members), lvl, f_om, f_ord, children)
+        return ClassNode(members, lvl, f_om, f_ord, children)
 
-    return make(tuple(cfg.U(r)), bound_omega)
-
-
-def check_monotone_scans(
-    cfg: NormalizedConfig, localdata: LocalData, result: StructureResult
-) -> None:
-    """Debug mode: every value from r up to the hit of each scan that built
-    `result` must be admissible too: delta_omega and delta of each block,
-    f_omega and f of every class node."""
-    for pd in result.patching:
-        r = pd.r
-        u_r, u_gt, u_lt = cfg.U(r), cfg.U_gt(r), cfg.U_lt(r)
-        _check_monotone(
-            f"delta_omega scan not monotone at r={r}, d=", r, pd.delta_omega,
-            lambda d: _delta_omega_admissible(cfg, d, u_r, u_gt, u_lt),
-        )
-        _check_monotone(
-            f"delta scan not monotone at r={r}, d=", r, pd.delta,
-            lambda d: _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt),
-        )
-        for node in result.trees[r].walk():
-            c, lvl = node.members, node.level
-            where = f"not monotone at r={r}, c={c}, f="
-            _check_monotone(
-                f"f_omega scan {where}", r, node.f_omega,
-                lambda f: _f_omega_admissible(cfg, c, lvl, f, r),
-            )
-            _check_monotone(
-                f"f scan {where}", r, node.f,
-                lambda f: _f_admissible(cfg, localdata, c, lvl, f, r),
-            )
-
-
-def _check_monotone(message, floor, hit, admissible) -> None:
-    """AssertionError naming the first value in floor..hit not admissible.
-    The walk runs downward, as the scans do, so each matrix is reduced at
-    its highest degree first and the lower ones are read off it."""
-    bad = [v for v in range(hit, floor - 1, -1) if not admissible(v)]
-    if bad:
-        raise AssertionError(f"{message}{bad[-1]}")
+    return make(cfg.U(r), bound_omega)
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +272,18 @@ def criterion_trivial(cfg: NormalizedConfig) -> bool:
             and len(cfg.divisors((((0,) + u0, 0),), 1)) >= 3)
 
 
-def assemble(cfg: NormalizedConfig, localdata: LocalData) -> StructureResult:
+def assemble(cfg: NormalizedConfig, localdata: LocalData, debug: bool = False) -> StructureResult:
     """Both groups as direct sums of their generator certificates, each
     invariant factor the order of one certificate.  U_0's constant vectors
-    stand for the diagonal D, which both quotients divide out."""
+    stand for the diagonal D, which both quotients divide out.  ``debug``
+    checks every scan below its hit (check_monotone_scans)."""
     patching, trees, certs = [], {}, []
     for r in cfg.R:
-        pd = patching_degrees(cfg, localdata, r)
+        pd = patching_degrees(cfg, localdata, r, debug)
         patching.append(pd)
         pos = {i: t for t, i in enumerate(cfg.U(r))}
         certs.append(_certificate(cfg, r, "block", cfg.U(r), pos, pd.delta_omega, pd.delta))
-        trees[r] = build_class_tree(cfg, localdata, r, pd.delta_omega)
+        trees[r] = build_class_tree(cfg, localdata, r, pd.delta_omega, debug)
         for node in trees[r].walk():
             for chosen in sorted(node.children, key=lambda c: c.members)[:-1]:
                 certs.append(

@@ -257,12 +257,12 @@ def test_cli_disagreement_path(command, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
 def test_debug_monotonicity_on_every_command(command, tmp_path, capsys, monkeypatch):
-    import multinorm_sha.cli as cli
+    import multinorm_sha.structure as structure
 
-    def broken_scan(cfg, local, result):
+    def broken_scan(message, floor, hit, admissible):
         raise AssertionError("delta scan not monotone at r=0, d=1")
 
-    monkeypatch.setattr(cli, "check_monotone_scans", broken_scan)
+    monkeypatch.setattr(structure, "check_monotone_scans", broken_scan)
     assert main(report_argv(tmp_path, command)) == EXIT_OK
     assert main(report_argv(tmp_path, command, "--debug-monotonicity")) == EXIT_INTERNAL
     assert "not monotone" in capsys.readouterr().err
@@ -298,7 +298,7 @@ def test_monotone_check_reads_the_single_block_of_17_13(tmp_path, capsys, monkey
     # 17-13 is one block with no patching scan; its root class node hits
     # f_omega = 2, so a predicate failing at f = 1 below it must be caught
     import multinorm_sha.structure as structure
-    from multinorm_sha.structure import assemble, check_monotone_scans
+    from multinorm_sha.structure import assemble
 
     from conftest import kummer_config
 
@@ -312,7 +312,7 @@ def test_monotone_check_reads_the_single_block_of_17_13(tmp_path, capsys, monkey
     result = assemble(cfg, local)
     assert [(n.f_omega, n.f) for n in result.trees[0].walk()][0] == (2, 1)
     with pytest.raises(AssertionError, match=r"^f_omega scan not monotone at r=0, c=\(1, 2\), f=1$"):
-        check_monotone_scans(cfg, local, result)
+        assemble(cfg, local, debug=True)
     assert main(report_argv(tmp_path, "compute")) == EXIT_OK
     capsys.readouterr()
     argv = report_argv(tmp_path, "compute", "--method", "formula", "--debug-monotonicity")
@@ -327,7 +327,9 @@ def test_debug_monotonicity_assembles_once_per_component(tmp_path, capsys, monke
 
     calls = []
     assemble = cli.assemble
-    monkeypatch.setattr(cli, "assemble", lambda cfg, local: calls.append(cfg) or assemble(cfg, local))
+    monkeypatch.setattr(
+        cli, "assemble", lambda cfg, local, debug: calls.append(cfg) or assemble(cfg, local, debug)
+    )
     path = write(tmp_path, EXAMPLES["cyclotomic"]["document"])  # two components
     for method in ("formula", "both"):
         calls.clear()
@@ -474,8 +476,8 @@ def test_kummer_document_mode(tmp_path, capsys):
 
 
 def test_cli_internal_check_failures_exit_5(tmp_path, capsys, monkeypatch):
-    import multinorm_sha.cli as cli
     import multinorm_sha.oracle as oracle
+    import multinorm_sha.structure as structure
     from multinorm_sha.abelian import Subgroup
 
     # G_omega = D, built after G: sha = Z/2 is not inside sha_omega = 0,
@@ -495,10 +497,10 @@ def test_cli_internal_check_failures_exit_5(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal check failed:") and "G <= G_omega" in err
     assert len(err.splitlines()) == 1
 
-    def broken_scan(cfg, local, result):
+    def broken_scan(message, floor, hit, admissible):
         raise AssertionError("delta scan not monotone at r=0, d=1")
 
-    monkeypatch.setattr(cli, "check_monotone_scans", broken_scan)
+    monkeypatch.setattr(structure, "check_monotone_scans", broken_scan)
     argv = ["compute", path, "--method", "formula", "--debug-monotonicity"]
     assert main(argv) == EXIT_INTERNAL
     assert "not monotone" in capsys.readouterr().err

@@ -144,3 +144,20 @@ def test_no_module_reaches_into_an_instance_dict():
         if isinstance(node, ast.Attribute) and node.attr == "__dict__"
     ]
     assert not hits, hits
+
+
+def test_each_scan_predicate_is_named_once():
+    # a scan and its debug check are one _scan call, so each admissibility
+    # predicate is asked from one place; a second walk that re-derives the
+    # scans of an assembled result would name it again
+    tree = _parse(PACKAGE / "structure.py")
+    predicates = ("_delta_omega_admissible", "_delta_admissible",
+                  "_f_omega_admissible", "_f_admissible")
+    for name in predicates:
+        own = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+        assert len(own) == 1, name
+        inside = {id(n) for n in ast.walk(own[0])}
+        uses = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == name and id(node) not in inside]
+        assert len(uses) == 1, (name, uses)
