@@ -16,6 +16,7 @@ Python integer arithmetic.  The value types of the package derive from
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from math import gcd, prod
 
 CYCLIC_SWEEP_CAP = 2 ** 16  # bound on |A| for passes over its elements
@@ -39,13 +40,19 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# Miller-Rabin to the bases above is exact for every n below this bound
-# (Sorenson & Webster 2017); above it a test would only be probable.
-MR_BOUND = 3_317_044_064_679_887_385_961_981
+# PSI[k] is the least strong pseudoprime to every base in MR_BASES[:k + 1]
+# (OEIS A014233: Jaeschke 1993, Sorenson & Webster 2017), so Miller-Rabin
+# to that prefix is exact below it; above PSI[-1] it would only be probable.
+PSI = (2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+       3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+       3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+       3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+       3_317_044_064_679_887_385_961_981)
+MR_BOUND = PSI[-1]
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; BudgetExceeded where it cannot be exact."""
+    """Miller-Rabin to the least exact prefix of MR_BASES; else BudgetExceeded."""
     if n < 2:
         return False
     for b in MR_BASES:
@@ -59,7 +66,7 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for b in MR_BASES:
+    for b in MR_BASES[:bisect_right(PSI, n) + 1]:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
             continue

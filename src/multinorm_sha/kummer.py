@@ -137,15 +137,17 @@ def _ramified_logs() -> dict:
     The 256 products i^a 3^b (1+2i)^c, a < 4 and b, c < 8, are the 256 unit
     residues, and 3^4, (1+2i)^4 generate the fourth powers among them; so
     residue -> (a, b mod 4, c mod 4) maps U/U^4 isomorphically onto (Z/4)^3.
+    They are built on plain integers: i^a scaled by 3^b, then multiplied
+    by 1+2i through the recurrence (x, y) -> (x - 2y, 2x + y).
     """
     k = RAMIFIED_PRECISION
     logs = {}
-    for a, unit in enumerate([(1, 0), (0, 1), (-1, 0), (0, -1)]):
+    for a, (ux, uy) in enumerate([(1, 0), (0, 1), (-1, 0), (0, -1)]):
         for b in range(8):
-            z = gmul(unit, (3 ** b, 0))
+            x, y = ux * 3 ** b, uy * 3 ** b
             for c in range(8):
-                logs[_reduce_mod_power(z, k)] = (a, b % 4, c % 4)
-                z = gmul(z, (1, 2))
+                logs[_reduce_mod_power((x, y), k)] = (a, b % 4, c % 4)
+                x, y = x - 2 * y, 2 * x + y
     return logs
 
 
@@ -180,15 +182,18 @@ def _local_class(alpha, kind: str, pi, q: int) -> tuple[int, ...]:
 
     alpha = pi^v u with u a unit.  At 1+i the class is (v, a, b, c), the
     logs of u mod (1+i)^9 in _ramified_logs; at an odd prime it is (v, c),
-    with u^{(Q-1)/4} = i^c in the residue field F_Q, c in Z/4.
+    with u^{(Q-1)/4} = i^c in the residue field F_Q, c in Z/4.  Norms gate
+    the valuation: pi | alpha implies N(pi) | N(alpha), so v = 0 without a
+    division when N(pi) does not divide N(alpha).
     """
     z = _gauss(alpha)
     if z == (0, 0):
         raise ValueError("alpha must be nonzero")
     v = 0
-    while (w := gdiv_exact(z, pi)) is not None:
-        z = w
-        v += 1
+    if gnorm(z) % gnorm(pi) == 0:
+        while (w := gdiv_exact(z, pi)) is not None:
+            z = w
+            v += 1
     if kind == "ramified":
         return (v, *_ramified_logs()[_reduce_mod_power(z, RAMIFIED_PRECISION)])
     if kind == "split":

@@ -14,7 +14,9 @@ from structure_reference import (
     reference_kernel_at_level,
 )
 from multinorm_sha.abelian import (
+    MR_BASES,
     MR_BOUND,
+    PSI,
     BudgetExceeded,
     Character,
     PGroup,
@@ -466,11 +468,57 @@ def test_is_prime_matches_trial_division():
     assert wrong == []
 
 
+def is_strong_probable_prime(n, b):
+    """Whether the odd n > 2 passes the Miller-Rabin round to base b."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(b, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_psi_table_pins_the_strong_pseudoprimes():
+    assert len(PSI) == len(MR_BASES) and PSI[-1] == MR_BOUND
+    assert list(PSI) == sorted(PSI)
+    for k, psi in enumerate(PSI):
+        # a witness to any base proves psi composite
+        assert not all(is_strong_probable_prime(psi, b) for b in range(2, 200)), k
+        assert all(is_strong_probable_prime(psi, b) for b in MR_BASES[:k + 1]), k
+        if k + 1 < len(PSI) and psi < PSI[k + 1]:
+            # a step up in the table: the next base tells psi apart
+            assert not all(is_strong_probable_prime(psi, b) for b in MR_BASES[:k + 2]), k
+    # base 2 alone is exact below PSI[0]
+    assert [n for n in range(3, PSI[0], 2)
+            if not trial_division_is_prime(n) and is_strong_probable_prime(n, 2)] == []
+
+
+def test_prefix_miller_rabin_matches_all_thirteen_bases():
+    rng = random.Random(31)
+    cases = [n for psi in PSI for n in (psi - 2, psi + 2) if n < MR_BOUND]
+    for _ in range(2000):
+        bits = rng.randrange(11, 80)
+        cases.append(min(rng.randrange(2 ** bits, 2 ** (bits + 1)), 10 ** 24 - 1) | 1)
+    assert len(cases) == 2025
+    # every case is odd and above 41, so a base dividing it is a witness
+    all_bases = {n: all(is_strong_probable_prime(n, b) for b in MR_BASES) for n in cases}
+    assert [n for n in cases if _is_prime(n) != all_bases[n]] == []
+    assert sum(all_bases.values()) > 100  # primes are among them
+
+
 def test_is_prime_rejects_strong_pseudoprimes():
-    # 3215031751 is a strong pseudoprime to bases 2, 3, 5, 7;
-    # 3825123056546413051 to every prime base up to 31;
-    # 318665857834031151167461 to every prime base up to 37
-    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+    # every distinct least strong pseudoprime to a prefix of the bases
+    # (OEIS A014233) below MR_BOUND; 318665857834031151167461 passes every
+    # prime base up to 37
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
         assert not _is_prime(n)
     assert _is_prime(2 ** 61 - 1) and _is_prime(1000000007)
     assert not _is_prime((2 ** 31 - 1) * (2 ** 19 - 1))

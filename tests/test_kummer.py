@@ -508,7 +508,11 @@ def test_local_class_matches_definition():
                 if alpha == (0, 0):
                     continue
                 alpha = gmul(alpha, gmul(pi, pi) if rng.random() < 0.3 else (1, 0))
-                assert _local_class(alpha, *prime) == reference_local_class(alpha, pi), (alpha, pi)
+                # N(pi) divides the norm of alpha times conj(pi) or q; at a
+                # split prime conj(pi) is prime to pi, so the division is
+                # tried and gives v = 0 there
+                for beta in (alpha, gmul(alpha, (pi[0], -pi[1])), gmul(alpha, q)):
+                    assert _local_class(beta, *prime) == reference_local_class(beta, pi), (beta, pi)
 
 
 def test_local_class_of_i_times_unit():
