@@ -460,8 +460,13 @@ def _load_json(path):
         raise SchemaError(f"{path} is nested too deeply to read") from exc
 
 
+# the one encoder of every JSON report, json.dumps's bytes with keys sorted; a
+# report is a tree built fresh, so the cycle check (an id() per container) is off
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
 def _write_json(report, path):
-    text = json.dumps(report, sort_keys=True)
+    text = _ENCODER.encode(report)
     if path == "-":
         # the JSON stands alone on stdout (the text report is left out); the
         # leading newline is JSON whitespace and keeps the report at a "\n{"
@@ -518,7 +523,7 @@ def _run(args, documents, golden=False) -> int:
             print("DISAGREEMENT between computation routes", file=sys.stderr)
             for row in report["components"]:
                 if row["agreement"] is False:
-                    print(json.dumps(row, sort_keys=True), file=sys.stderr)
+                    print(_ENCODER.encode(row), file=sys.stderr)
         for f in failures:
             print(f"  GOLDEN MISMATCH: {f}", file=sys.stderr)
         if failures or report["agreement"] is False:

@@ -250,13 +250,34 @@ def _unit_row(p: int, q: int, coeffs) -> tuple[int, list[int]]:
 
 
 def _meet(p: int, q: int, rows) -> int:
-    (l, u), (l2, u2) = rows
-    return valuation(p, gcd(q, *map(sub, u, u2))) if l == l2 else 0
+    """v_p(gcd(q, u - u')) for unit rows (l, u), (l, u'): one first unit coordinate."""
+    (_, u), (_, u2) = rows
+    return valuation(p, gcd(q, *map(sub, u, u2)))
+
+
+def _meets(p: int, eps, units) -> tuple[list[list[int]], list[bool]]:
+    """(e, dropped) over the unit rows of characters onto Z/p^eps[i]: the e_ij
+    (eps on the diagonal), and each meet's drop of a superfield K_i of K_j
+    (e_ij = eps_j < eps_i) or, of equal fields, the later (e_ij = eps_i <=
+    eps_j).  Fields whose first unit coordinates differ meet in k: e_ij = 0."""
+    e = [[0] * len(eps) for _ in eps]
+    dropped = [False] * len(eps)
+    for i, (l, _) in enumerate(units):
+        e[i][i] = eps[i]
+        for j in range(i + 1, len(eps)):
+            if l == units[j][0]:
+                e[i][j] = e[j][i] = eij = _meet(p, p ** min(eps[i], eps[j]), (units[i], units[j]))
+                if eij == eps[j] < eps[i]:
+                    dropped[i] = True
+                elif eij == eps[i] <= eps[j]:
+                    dropped[j] = True
+    return e, dropped
 
 
 def _fp_rank(p: int, exponents, rows) -> int:
+    scales = [p ** (n - 1) for n in exponents]
     return len(divisor_valuations(
-        [[c * p ** (n - 1) // p ** (eps - 1) % p for c, n in zip(coeffs, exponents)]
+        [[c * s // p ** (eps - 1) % p for c, s in zip(coeffs, scales)]
          for eps, coeffs in rows], p, 1))
 
 
@@ -267,8 +288,8 @@ def meet(chi: Character, psi: Character) -> int:
     first unit coefficient c[l] mod p^eps: the fields meet above k only if
     l = l', and then e is the p-adic valuation of gcd(p^min(eps_chi,
     eps_psi), u - u')."""
-    rows = [_unit_row(chi.ambient.p, x.modulus, x.coeffs) for x in (chi, psi)]
-    return _meet(chi.ambient.p, min(chi.modulus, psi.modulus), rows)
+    units = [_unit_row(chi.ambient.p, x.modulus, x.coeffs) for x in (chi, psi)]
+    return _meets(chi.ambient.p, (chi.exponent, psi.exponent), units)[0][0][1]
 
 
 def same_field(chi: Character, psi: Character) -> bool:
@@ -289,22 +310,9 @@ def normalize_rows(p: int, exponents, rows) -> tuple[list[int], list[list[int]]]
     ``exponents``: (order, eij), the kept indices in normalized order and
     the e_ij in that order (eps on the diagonal), or TooFewFields,
     IntersectionNotBase or NonSeparatingAmbient.  Builds no group or character."""
-    # e[i][j] = log_p [K_i cap K_j : k], one meet per pair; the diagonal is eps.
-    # Each meet also drops the superfield K_i of K_j (e_ij = eps_j < eps_i),
-    # and of equal fields keeps the first (e_ij = eps_i <= eps_j drops K_j).
-    n = len(rows)
     eps = [x for x, _ in rows]
-    units = [_unit_row(p, p ** x, coeffs) for x, coeffs in rows]
-    e = [[x] * n for x in eps]
-    dropped = [False] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            e[i][j] = e[j][i] = eij = _meet(p, p ** min(eps[i], eps[j]), (units[i], units[j]))
-            if eij == eps[j] < eps[i]:
-                dropped[i] = True
-            elif eij == eps[i] <= eps[j]:
-                dropped[j] = True
-    keep = [i for i in range(n) if not dropped[i]]
+    e, dropped = _meets(p, eps, [_unit_row(p, p ** x, coeffs) for x, coeffs in rows])
+    keep = [i for i, gone in enumerate(dropped) if not gone]
     if len(keep) < 3:
         raise TooFewFields(
             f"only {len(keep)} field(s) remain after pruning; need at least 3"

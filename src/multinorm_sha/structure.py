@@ -9,6 +9,8 @@ and stops at the first admissible value, which is the stated maximum when
 admissibility is downward closed; in the debug mode (assemble(...,
 debug=True)) the same scan walks on from its hit down to its floor and
 checks that every value there is admissible too (check_monotone_scans).
+A class scan starts at most at the last f where K(c, f + L(c) - r) exists,
+so neither it nor its walk below the hit asks about a field that does not.
 
 Every field the scans test is a composite K(C, d) of subfields K_i(d),
 i in C, and every test reads the elementary divisors of coefficient rows
@@ -194,25 +196,17 @@ def _delta_admissible(cfg, localdata, d, u_r, u_gt, u_lt) -> bool:
 # ---------------------------------------------------------------------------
 # Degrees of freedom and the class tree.
 
-def _freedom_degree(cfg, members, lvl, f, r) -> int | None:
-    """Degree of M_c(f + L(c) - r) = K(c, f + L(c) - r), or None when it is
-    inadmissible."""
-    deg = f + lvl - r
-    return deg if deg <= min(cfg.eps[i] for i in members) else None
-
-
 def _f_omega_admissible(cfg, members, lvl, f, r) -> bool:
-    """K(c, deg) is sub-bicyclic and contains K_0(f).  L(c) >= r, so
-    deg >= f, and both tests read the class rows, the second with the row
-    p^(deg - f) c_0 = p^(L(c) - r) c_0 added: fixed matrices over the scan."""
-    deg = _freedom_degree(cfg, members, lvl, f, r)
-    return (deg is not None and cfg.is_sub_bicyclic(members, deg)
-            and cfg.contains(members, deg, (0,), f))
+    """K(c, deg), deg = f + L(c) - r <= min eps_i (build_class_tree), is
+    sub-bicyclic and contains K_0(f).  L(c) >= r, so deg >= f, and both tests
+    read the class rows, the second with the row p^(deg - f) c_0 = p^(L(c) -
+    r) c_0 added: fixed matrices over the scan."""
+    deg = f + lvl - r
+    return cfg.is_sub_bicyclic(members, deg) and cfg.contains(members, deg, (0,), f)
 
 
 def _f_admissible(cfg, localdata, members, lvl, f, r) -> bool:
-    deg = _freedom_degree(cfg, members, lvl, f, r)
-    return deg is not None and locally_cyclic(cfg, localdata, members, deg)
+    return locally_cyclic(cfg, localdata, members, f + lvl - r)
 
 
 def _split(cfg, members, lvl) -> list[tuple[int, ...]]:
@@ -226,15 +220,18 @@ def build_class_tree(
 ) -> ClassNode:
     """Nested l-equivalence classes of U_r with degrees of freedom attached.
 
-    Each node's f_omega scan is bounded by its parent's f_omega (the block
-    bound delta_omega at the root), and its f scan by its own f_omega; its
-    children are the parts of its _split.
+    Each node's f_omega scan starts at its parent's f_omega (delta_omega at
+    the root) or, if lower, at r - L(c) + min eps_i over c, the last f at
+    which K(c, f + L(c) - r) exists: r for a singleton (L(c) = eps_i), which
+    scans nothing.  Its f scan starts at its own f_omega; its children are
+    the parts of its _split.
     """
 
     def make(members, bound) -> ClassNode:
         lvl = level(cfg, members)
+        top = r if len(members) == 1 else min(bound, r - lvl + min(cfg.eps[i] for i in members))
         where = f" scan not monotone at r={r}, c={members}, f=" if debug else None
-        f_om = _scan(bound, r, lambda f: _f_omega_admissible(cfg, members, lvl, f, r),
+        f_om = _scan(top, r, lambda f: _f_omega_admissible(cfg, members, lvl, f, r),
                      where and "f_omega" + where)
         f_ord = _scan(f_om, r, lambda f: _f_admissible(cfg, localdata, members, lvl, f, r),
                       where and "f" + where)

@@ -905,6 +905,22 @@ def test_json_stdout_reencodes_to_itself(benchmark_documents, tmp_path, capsys):
         assert out == "\n" + json.dumps(json.loads(out), sort_keys=True) + "\n", argv
 
 
+def test_reports_build_no_encoder(monkeypatch, capsys):
+    # every report goes through the one encoder cli builds at import, so a
+    # command constructs none (json.dumps with sort_keys builds one a call)
+    made = []
+    init = json.JSONEncoder.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONEncoder, "__init__", counted)
+    assert main(["examples", "all", "--json", "-"]) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)) == len(EXAMPLES)
+    assert made == []
+
+
 def test_formula_scale_agreement_gate(tmp_path, capsys):
     # every seed-0 formula-scale document under --method both is answered,
     # the routes agree on each, and every scan of the formula is monotone

@@ -573,3 +573,52 @@ def test_meet_symmetric_and_permutation_invariant(chars, data):
         for i, a in enumerate(again.labels):
             for j, b in enumerate(again.labels):
                 assert again.eij[i][j] == cfg.eij[pos[a]][pos[b]]
+
+
+def test_fields_meet_only_where_their_unit_coordinates_agree(monkeypatch):
+    # normalize_rows writes e_ij = 0 for a pair whose first unit coordinates
+    # differ without calling _meet, and its e_ij still equal meet on the
+    # kept fields; the draws are those selftest.random_config decides,
+    # refused ones included
+    import multinorm_sha.fields as fields
+    import multinorm_sha.selftest as selftest
+
+    draws = []
+    normalize = fields.normalize_rows
+
+    def recorded(p, exps, rows):
+        draws.append((p, tuple(exps), rows))
+        return normalize(p, exps, rows)
+
+    monkeypatch.setattr(selftest, "normalize_rows", recorded)
+    rng = random.Random(41)
+    while len(draws) < 1000:
+        selftest.random_config(rng)
+    monkeypatch.undo()
+
+    met = []
+    honest = fields._meet
+
+    def counted(p, q, rows):
+        met.append([next(l for l, c in enumerate(u) if c % p) for _, u in rows])
+        return honest(p, q, rows)
+
+    monkeypatch.setattr(fields, "_meet", counted)
+    outcomes, apart = {}, 0
+    for p, exps, rows in draws:
+        leads = [next(l for l, c in enumerate(coeffs) if c % p) for _, coeffs in rows]
+        apart += sum(a != b for t, a in enumerate(leads) for b in leads[t + 1:])
+        try:
+            order, eij = fields.normalize_rows(p, exps, rows)
+        except ShaInputError as exc:
+            outcomes[type(exc).__name__] = outcomes.get(type(exc).__name__, 0) + 1
+            continue
+        outcomes["ok"] = outcomes.get("ok", 0) + 1
+        group = PGroup(p, exps)
+        chars = [Character(group, eps, coeffs) for eps, coeffs in rows]
+        for a, i in enumerate(order):
+            for b, j in enumerate(order):
+                assert eij[a][b] == meet(chars[i], chars[j]), (p, exps, rows)
+    assert all(l == l2 for l, l2 in met), [m for m in met if m[0] != m[1]][:5]
+    assert met and apart > 1000, apart
+    assert {"ok", "TooFewFields", "IntersectionNotBase"} <= set(outcomes), outcomes

@@ -52,6 +52,19 @@ def test_no_assert_statements():
     assert not asserts
 
 
+def test_no_json_dumps():
+    # reports are written by cli's one shared encoder; json.dumps would build
+    # a new encoder, with its cycle check, at every call
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute) and node.attr == "dumps"
+        or isinstance(node, ast.alias) and node.name == "dumps"
+    ]
+    assert not calls
+
+
 def _imported_from_abelian(name):
     return {
         alias.name

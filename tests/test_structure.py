@@ -668,6 +668,44 @@ def test_short_blocks_are_not_reduced_alone():
         assert not alone, alone
 
 
+def test_class_scans_ask_only_existing_degrees(monkeypatch):
+    # a class scan starts at the last f where K(c, f + L(c) - r) exists, so
+    # neither the scan nor its debug walk asks a degree above min eps_i over
+    # c, and a singleton (L(c) = eps_i) scans nothing: it is asked only by
+    # the debug walk, at its floor
+    import multinorm_sha.structure as structure
+    from multinorm_sha.cli import parse_document
+
+    components = [
+        (raw, local)
+        for doc in perfbench_workloads().formula_inputs(0)
+        for raw, local, *_ in parse_document(doc)
+    ]
+    assert len(components) == 503
+    asked = []
+
+    def recorded(name):
+        honest = getattr(structure, name)
+
+        def predicate(cfg, *args):
+            members, lvl, f, r = args[-4:]
+            asked.append((len(members), f + lvl - r <= min(cfg.eps[i] for i in members)))
+            return honest(cfg, *args)
+
+        monkeypatch.setattr(structure, name, predicate)
+
+    recorded("_f_omega_admissible")
+    recorded("_f_admissible")
+    for debug in (False, True):
+        asked.clear()
+        for raw, local in components:
+            assemble(validate_and_normalize(raw), local, debug)
+        beyond = [size for size, exists in asked if not exists]
+        assert asked and not beyond, (debug, len(beyond))
+        singletons = sum(size == 1 for size, _ in asked)
+        assert (singletons > 0) is debug, (debug, singletons)
+
+
 def test_composite_keeps_its_errors():
     cfg = pair_block_config()
     with pytest.raises(ValueError, match="empty index set"):
