@@ -10,7 +10,8 @@ off the last pivot of an echelon form of the subgroup's image in their
 targets (:meth:`Character.image_level`), and the order of a span off the
 pivots of its echelon form (:func:`span_order`).  Everything is plain
 Python integer arithmetic.  The value types of the package derive from
-:class:`Value`, which makes them immutable once constructed.
+:class:`Value`, whose one constructor takes their fields by position and
+makes them immutable.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ CYCLIC_SWEEP_CAP = 2 ** 16  # bound on |A| for passes over its elements
 
 class BudgetExceeded(Exception):
     """A budget, or the bound of an exact test, refused the input."""
+
+
+class InternalCheckError(RuntimeError):
+    """An internal consistency check failed: the program is broken (exit 5)."""
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -234,18 +239,22 @@ _set = object.__setattr__  # sets a field of a Value inside its __init__
 
 
 class Value:
-    """Base of the package's value types: slotted and immutable, equal to an
-    instance of the same type with equal fields (``_fields``), hashed by
-    those fields, with the hash cached.  Written out by hand: a class
-    decorator generating these methods ran at every import and took most
-    of the package's import time."""
+    """Base of the package's value types: slotted and immutable, built from
+    one value per field in the order of ``_fields`` (a type that checks its
+    values keeps an ``__init__`` of its own), equal to an instance of the
+    same type with equal fields, hashed by those fields, with the hash
+    cached.  Written out by hand: a class decorator generating these
+    methods ran at every import and took most of the package's import time."""
 
     __slots__ = ("_hash",)
     _fields: tuple[str, ...] = ()
 
-    def _init(self, *values):
-        """Set the fields, in the order of ``_fields``, from ``__init__``."""
-        for name, value in zip(self._fields, values):
+    def __init__(self, *values):
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__}({', '.join(fields)}) takes "
+                            f"{len(fields)} values, got {len(values)}")
+        for name, value in zip(fields, values):
             _set(self, name, value)
 
     def _key(self) -> tuple:
@@ -342,10 +351,6 @@ class Subgroup(Value):
     """Subgroup of a PGroup as a canonical full-rank HNF lattice basis."""
 
     __slots__ = _fields = ("ambient", "basis")
-
-    def __init__(self, ambient: PGroup, basis: tuple[tuple[int, ...], ...]):
-        _set(self, "ambient", ambient)
-        _set(self, "basis", basis)
 
     @classmethod
     def span(cls, ambient: PGroup, gens) -> "Subgroup":

@@ -90,7 +90,7 @@ class FieldConfig(Value):
             labels = tuple(f"K{i}" for i in range(len(chars)))
         else:
             labels = tuple(str(s) for s in labels)
-        self._init(group, chars, labels)
+        Value.__init__(self, group, chars, labels)
         if len(labels) != len(chars):
             raise ShaInputError("one label per character required")
         for chi in chars:

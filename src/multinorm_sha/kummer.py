@@ -40,13 +40,13 @@ from .abelian import (
     MR_BASES,
     BudgetExceeded,
     Character,
+    InternalCheckError,
     PGroup,
     Subgroup,
     Value,
     _is_prime,
 )
 from .fields import FieldConfig, ShaInputError, same_field, separates
-from .oracle import InternalCheckError
 from .places import LocalData, Place
 
 FACTOR_BUDGET = 2 ** 18  # Pollard rho steps per coprime-base element
@@ -224,7 +224,7 @@ class KummerSpec(Value):
             labels = tuple(f"Q(i)(4rt{{{b}}})" for b in radicands)
         else:
             labels = tuple(str(s) for s in labels)
-        self._init(radicands, labels)
+        Value.__init__(self, radicands, labels)
         if len(labels) != len(radicands):
             raise ShaInputError("one label per radicand required")
 
@@ -359,7 +359,7 @@ def decomposition_place(
     prime = _classify_prime(pi)  # once per place, not once per generator
     classes = [_local_class(gen, *prime) for gen in generators]
     coords = [tuple(x % 4 for x in coord) for coord in zip(*classes)]
-    return Place(label=label, group=Subgroup.span(ambient, coords))
+    return Place(label, Subgroup.span(ambient, coords))
 
 
 def build_kummer(spec: KummerSpec) -> tuple[FieldConfig, LocalData]:

@@ -75,7 +75,7 @@ every place and every n is the tests' reference, not called here.
 
 from __future__ import annotations
 
-from .abelian import BudgetExceeded, PGroup, Subgroup, Value
+from .abelian import BudgetExceeded, InternalCheckError, PGroup, Subgroup, Value
 from .fields import NormalizedConfig
 from .places import (
     Classification,
@@ -88,10 +88,6 @@ from .places import (
 DEFAULT_BUDGET = 2 ** 24
 
 
-class InternalCheckError(RuntimeError):
-    """A consistency check of the oracle failed; the oracle itself is broken."""
-
-
 class ShaReport(Value):
     """Invariant factors (p-exponents, non-increasing) of sha, sha_omega and
     sha_omega/sha, as found by one route."""
@@ -102,14 +98,14 @@ class ShaReport(Value):
 
     def __init__(self, sha_invariants: tuple[int, ...], sha_omega_invariants: tuple[int, ...],
                  quotient_invariants: tuple[int, ...], method: str):
-        self._init(sha_invariants, sha_omega_invariants, quotient_invariants, method)
+        Value.__init__(self, sha_invariants, sha_omega_invariants, quotient_invariants, method)
         for seq in (sha_invariants, sha_omega_invariants):
             if any(a < b for a, b in zip(seq, seq[1:])):
-                raise ValueError("invariant factors must be non-increasing")
+                raise InternalCheckError("invariant factors must be non-increasing")
         small, big = sha_invariants, sha_omega_invariants
         # subgroup invariants divide group invariants factor by factor
         if len(small) > len(big) or any(s > b for s, b in zip(small, big)):
-            raise ValueError("sha must embed in sha_omega factor by factor")
+            raise InternalCheckError("sha must embed in sha_omega factor by factor")
 
     @property
     def invariants(self) -> tuple[tuple[int, ...], ...]:

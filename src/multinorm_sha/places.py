@@ -42,9 +42,6 @@ class Place(Value):
 
     __slots__ = _fields = ("label", "group")
 
-    def __init__(self, label: str, group: Subgroup):
-        self._init(label, group)
-
 
 class LocalData(Value):
     """The finite list of exceptional places (possibly empty)."""
@@ -53,7 +50,7 @@ class LocalData(Value):
 
     def __init__(self, exceptional: tuple[Place, ...] = ()):
         exceptional = tuple(exceptional)
-        self._init(exceptional)
+        Value.__init__(self, exceptional)
         labels = [pl.label for pl in exceptional]
         if len(set(labels)) != len(labels):
             raise ValueError("exceptional place labels must be unique")

@@ -50,10 +50,6 @@ class ClassNode(Value):
 
     __slots__ = _fields = ("members", "level", "f_omega", "f", "children")
 
-    def __init__(self, members: tuple[int, ...], level: int, f_omega: int, f: int,
-                 children: tuple[ClassNode, ...]):
-        self._init(members, level, f_omega, f, children)
-
     def walk(self):
         yield self
         for child in self.children:
@@ -63,9 +59,6 @@ class ClassNode(Value):
 class PatchingData(Value):
     __slots__ = _fields = ("r", "delta_omega", "delta")
 
-    def __init__(self, r: int, delta_omega: int, delta: int):
-        self._init(r, delta_omega, delta)
-
 
 class GeneratorCert(Value):
     """A generator vector over U_r: entries `entry` on `support`, 0 elsewhere.
@@ -73,23 +66,12 @@ class GeneratorCert(Value):
 
     __slots__ = _fields = ("r", "kind", "support", "x_omega", "x", "order_omega", "order")
 
-    def __init__(self, r: int, kind: str, support: tuple[int, ...], x_omega: tuple[int, ...],
-                 x: tuple[int, ...], order_omega: int, order: int):
-        self._init(r, kind, support, x_omega, x, order_omega, order)
-
 
 class StructureResult(Value):
     __slots__ = _fields = (
         "patching", "trees", "generators", "sha_invariants",
         "sha_omega_invariants", "quotient_annotation", "criterion_trivial",
     )
-
-    def __init__(self, patching: list[PatchingData], trees: dict[int, ClassNode],
-                 generators: list[GeneratorCert], sha_invariants: tuple[int, ...],
-                 sha_omega_invariants: tuple[int, ...],
-                 quotient_annotation: tuple[int, ...], criterion_trivial: bool = False):
-        self._init(patching, trees, generators, sha_invariants, sha_omega_invariants,
-                   quotient_annotation, criterion_trivial)
 
     def report(self) -> ShaReport:
         return ShaReport(
@@ -289,13 +271,11 @@ def assemble(cfg: NormalizedConfig, localdata: LocalData, debug: bool = False) -
 
     orders = [(c.order, c.order_omega) for c in certs if c.r or c.kind == "class"]
     return StructureResult(
-        patching=patching,
-        trees=trees,
-        generators=certs,
-        sha_invariants=_invariants(valuation(cfg.p, o) for o, _ in orders),
-        sha_omega_invariants=_invariants(valuation(cfg.p, w) for _, w in orders),
-        quotient_annotation=_invariants(valuation(cfg.p, w // o) for o, w in orders),
-        criterion_trivial=criterion_trivial(cfg),
+        patching, trees, certs,
+        _invariants(valuation(cfg.p, o) for o, _ in orders),  # sha
+        _invariants(valuation(cfg.p, w) for _, w in orders),  # sha_omega
+        _invariants(valuation(cfg.p, w // o) for o, w in orders),  # sha_omega/sha
+        criterion_trivial(cfg),
     )
 
 

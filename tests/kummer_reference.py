@@ -171,7 +171,7 @@ def reference_decomposition_place(
         for m in itertools.product(range(4), repeat=len(generators))
         if _fourth_power_at(_power_product(generators, m), *prime)
     ]
-    return Place(label=label, group=annihilator(ambient, Subgroup.span(ambient, members)))
+    return Place(label, annihilator(ambient, Subgroup.span(ambient, members)))
 
 
 def reference_local_class(alpha, pi) -> tuple[int, int]:

@@ -294,6 +294,28 @@ def test_agreement_covers_the_quotient(command, tmp_path, capsys, monkeypatch):
         assert "DISAGREEMENT" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", sorted(REPORT_COMMANDS) + ["selftest"])
+def test_a_report_breaking_its_own_checks_exits_5(command, tmp_path, capsys, monkeypatch):
+    # the formula route hands back a sha that does not embed in sha_omega:
+    # ShaReport refuses it as an internal failure, not with a traceback
+    import multinorm_sha.structure as structure
+    from multinorm_sha.oracle import ShaReport
+
+    monkeypatch.setattr(structure.StructureResult, "report",
+                        lambda self: ShaReport((2,), (1,), (), "formula"))
+    if command == "selftest":
+        argv = ["selftest", "--seed", "0", "--count", "3"]
+    else:
+        argv = report_argv(tmp_path, command, "--json", "-")
+    assert main(argv) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    message = "internal check failed: sha must embed in sha_omega factor by factor\n"
+    if command == "selftest":  # it names the trial and the drawn config
+        assert err.startswith(message + "trial 0\np = ")
+    else:
+        assert err == message
+
+
 def test_monotone_check_reads_the_single_block_of_17_13(tmp_path, capsys, monkeypatch):
     # 17-13 is one block with no patching scan; its root class node hits
     # f_omega = 2, so a predicate failing at f = 1 below it must be caught

@@ -247,9 +247,10 @@ def test_closure_check_fires_on_inconsistent_input():
 
 
 def test_sha_report_invariant_validation():
-    with pytest.raises(ValueError):
+    # a route whose report breaks these checks is broken itself (exit 5)
+    with pytest.raises(InternalCheckError):
         ShaReport((1, 2), (2, 1), None, "oracle")
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalCheckError):
         ShaReport((2, 2), (2, 1), None, "oracle")
     rep = ShaReport((1,), (2, 1), (1,), "oracle")
     assert rep.sha_omega_invariants == (2, 1)

@@ -103,6 +103,42 @@ def test_oracle_imports_nothing_from_structure():
         assert not abelian & {"intersect", "left_kernel"}, (name, abelian)
 
 
+def test_kummer_imports_no_route():
+    # the Kummer builder only builds a config and its places; the error its
+    # checks raise lives in abelian, beside BudgetExceeded
+    routes = {"oracle", "structure"}
+    imported = set()
+    for node in ast.walk(_parse(PACKAGE / "kummer.py")):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("multinorm_sha.")
+            imported.add(module)
+            if not module:  # from . import oracle
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.removeprefix("multinorm_sha.") for alias in node.names)
+    assert "abelian" in imported and not imported & routes, imported
+
+
+def test_value_types_have_one_constructor():
+    # a value type that only stores its fields is built by Value.__init__,
+    # which takes them in the order of _fields, so its field list is written
+    # once; no second field-setting helper (_init) sits beside it
+    from multinorm_sha.places import Place
+    from multinorm_sha.structure import ClassNode, GeneratorCert, PatchingData, StructureResult
+
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.FunctionDef) and node.name == "_init"
+        or isinstance(node, ast.Attribute) and node.attr == "_init"
+    ]
+    assert not hits, hits
+    for cls in (Place, multinorm_sha.Subgroup, ClassNode, PatchingData, GeneratorCert,
+                StructureResult):
+        assert "__init__" not in cls.__dict__, cls.__name__
+
+
 def test_selftest_imports_no_intersection():
     # the patchable counts come from one echelon form of a sum of subgroups,
     # |H cap K| = |H| |K| / |H + K|, with no intersection or left kernel
